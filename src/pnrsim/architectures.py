@@ -277,8 +277,8 @@ class ArchitectureSpec:
 
 def _check_rates(**rates):
     for name, val in rates.items():
-        if val < 0:
-            raise ConfigError(f"{name} must be >= 0, got {val}")
+        if not (0 <= val < np.inf):
+            raise ConfigError(f"{name} must be finite and >= 0, got {val}")
 
 
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):

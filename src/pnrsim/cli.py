@@ -143,12 +143,18 @@ def _guard_dim(arch, limits, allow_large) -> None:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _dark_counts(arch, run, t_m):
+def _monitored(arch, what):
+    """The architecture's monitored channels with k > 0; `what` needs them."""
     amps = [a for a in arch.liouvillian().amps if a.k > 0]
     if not amps:
         raise ConfigError(
-            "dark_counts requested but the architecture has no monitored "
-            "channel with k > 0")
+            f"{what} requested but the architecture has no monitored "
+            f"channel with k > 0")
+    return amps
+
+
+def _dark_counts(arch, run, t_m):
+    amps = _monitored(arch, "dark_counts")
     p_exc = float(np.clip(run.count_probabilities()[1:].sum(axis=0)[-1],
                           0.0, 1.0))
     total = 0.0
@@ -270,12 +276,8 @@ def cmd_sweep(args) -> int:
     def one(pt):
         return _simulate_payloads(pt, args.allow_large, want_files=False)[0]
 
-    workers = _workers(args, total)
-    if workers > 1 and total > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, points))
-    else:
-        reports = [one(pt) for pt in points]
+    with ThreadPoolExecutor(max_workers=_workers(args, total)) as pool:
+        reports = list(pool.map(one, points))
 
     sha = cfg.sha256
     files = {"resolved_config.json": _json_text(sha, {"config": cfg.raw})}
@@ -326,22 +328,19 @@ def cmd_trajectories(args) -> int:
     n = tspec["n_traj"]
 
     workers = _workers(args, n)
-    if workers > 1 and n > 1:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-                  if b > a]
+    _monitored(arch, "trajectories")
+    bounds = np.linspace(0, n, workers + 1).astype(int)
+    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
+              if b > a]
 
-        def run_chunk(span):
-            lo, hi = span
-            return run_trajectories(liou, field, t_span=cfg.t_span,
-                                    n_traj=hi - lo, seed=cfg.seed, opts=opts,
-                                    first_index=lo)
+    def run_chunk(span):
+        lo, hi = span
+        return run_trajectories(liou, field, t_span=cfg.t_span,
+                                n_traj=hi - lo, seed=cfg.seed, opts=opts,
+                                first_index=lo)
 
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            recs = [r for batch in pool.map(run_chunk, chunks) for r in batch]
-    else:
-        recs = run_trajectories(liou, field, t_span=cfg.t_span, n_traj=n,
-                                seed=cfg.seed, opts=opts)
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        recs = [r for batch in pool.map(run_chunk, chunks) for r in batch]
 
     sha = cfg.sha256
     tags = list(recs[0].records)
@@ -417,13 +416,8 @@ def _print_scalar(label, value, formula=None):
 
 def cmd_oracle(args) -> int:
     name = args.oracle_name
-    keys = {
-        "band-eff": ("n_b", "gamma", "Gamma", "zeta", "delta_omega"),
-        "count-rate": ("Delta", "t_MIN", "eff_loss", "approximate"),
-        "rates": ("N", "Delta", "t_MIN", "snr0", "eff_loss"),
-        "jitter": ("sigma0", "n_A", "kA2", "N"),
-    }[name]
-    inputs = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "oracle_name", "func") and v is not None}
     try:
         res = evaluate_oracle(name, **inputs)
     except (ConfigError, NumericsError) as err:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
-from .architectures import build_architecture
+from .architectures import ArchitectureSpec
 from .errors import ConfigError
 from .hierarchy import IntegratorOptions
 from .pulses import (
@@ -103,6 +103,18 @@ def _integer(v, where, minimum=None):
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {v}")
     return int(v)
+
+
+def _check_finite(node, where):
+    """Reject NaN and infinities anywhere in a nested params mapping."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            _check_finite(v, f"{where}.{k}")
+    elif isinstance(node, (list, tuple)):
+        for i, v in enumerate(node):
+            _check_finite(v, f"{where}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where} must be finite, got {node!r}")
 
 
 def canonical_json(obj) -> str:
@@ -336,6 +348,7 @@ class RunConfig:
         params = arch.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("architecture.params must be a mapping")
+        _check_finite(params, "architecture.params")
         resolved["architecture"] = {
             "kind": arch["kind"], "params": copy.deepcopy(params)}
 
@@ -438,7 +451,7 @@ class RunConfig:
     def build_architecture(self):
         arch = self.raw["architecture"]
         try:
-            return build_architecture(arch["kind"], **arch["params"])
+            return ArchitectureSpec.from_dict({"schema_version": 1, **arch})
         except TypeError as err:
             raise ConfigError(
                 f"bad parameters for architecture {arch['kind']!r}: {err}"

@@ -12,11 +12,15 @@ When jumps of selected channels are counted, each member additionally
 splits into sectors 0..max_count; counted jumps feed sector s into s+1
 and the last sector collects "max_count or more". The whole grid is one
 sparse linear ODE, integrated jointly.
+
+`compile_hierarchy` is the single step from a model and an input field
+to that ODE (`HierarchyODE`); the integrator here and the trajectory
+engine both start from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +28,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
-from .liouville import EngineView, vectorize
+from .liouville import EngineView
 from .pulses import FieldInput
 from .spaces import Operator
 
@@ -117,8 +121,6 @@ class HierarchyResult:
     states: np.ndarray                 # (nt, total) or None
     diagnostics: dict
     dense_shape: tuple = None
-    _trace_row: np.ndarray = None
-    _adjoint: object = None
 
     def count_probabilities(self):
         """Physical probability of each count sector over time, (S, nt)."""
@@ -199,11 +201,45 @@ def reduced_matter_state(state, field):
     return 0.5 * (rho + rho.conj().T)
 
 
-def _assemble_blocks(ev, n_max):
-    """Constant sparse blocks of the driven linear ODE plus the initial
-    vector: undriven part a0, raising/lowering drive couplings am/ap
-    (None when n_max is 0). Every diagonal member starts from the engine's
-    default matter state in sector 0."""
+@dataclass(frozen=True)
+class HierarchyODE:
+    """dy/dt = (a0 + E(t) am + E*(t) ap) y on [t0, t1], y(t0) = y0, where E
+    is the envelope (None when undriven) and am, ap are None when n_max is
+    0. `engine` is the model's EngineView the blocks were built from."""
+
+    engine: EngineView
+    field: FieldInput
+    envelope: object
+    t0: float
+    t1: float
+    n_max: int
+    a0: sp.csr_matrix
+    am: object
+    ap: object
+    y0: np.ndarray
+
+
+def compile_hierarchy(model, field, t_span=None, *, rho0=None):
+    """The hierarchy ODE of `model` (anything with `engine_view(rho0)`)
+    driven by `field` (None: undriven) over `t_span` (default: the envelope
+    support). Every diagonal member starts from the engine's default
+    matter state, or rho0, in sector 0."""
+    if not hasattr(model, "engine_view"):
+        raise ConfigError(f"cannot integrate object of type {type(model).__name__}")
+    ev = model.engine_view(rho0)
+    env = field.envelope if field is not None else None
+    n_max = field.n_max if field is not None else 0
+    if n_max > 0 and ev.field_ket is None:
+        raise ConfigError("the generator has no field coupling operator "
+                          "but the input carries photons")
+    if t_span is None:
+        if env is None:
+            raise ConfigError("t_span is required when there is no envelope")
+        t_span = env.support
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ConfigError(f"empty time span ({t0}, {t1})")
+
     np1 = n_max + 1
     n_members = np1 * np1
     S = ev.n_sectors
@@ -224,53 +260,28 @@ def _assemble_blocks(ev, n_max):
                      format="csr")
     y0 = np.zeros(n_members * S * vd, dtype=complex)
     for n in range(np1):
-        g = n * np1 + n
-        lo = g * S * vd
+        lo = (n * np1 + n) * S * vd
         y0[lo:lo + vd] = ev.default_state
-    return a0, am, ap, y0
-
-
-def _resolve_engine(liou, rho0):
-    if hasattr(liou, "engine_view"):
-        ev = liou.engine_view(rho0)
-    elif isinstance(liou, EngineView):
-        ev = liou
-    else:
-        raise ConfigError(f"cannot integrate object of type {type(liou).__name__}")
-    return ev
+    return HierarchyODE(engine=ev, field=field, envelope=env, t0=t0, t1=t1,
+                        n_max=n_max, a0=a0, am=am, ap=ap, y0=y0)
 
 
 def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                         t_eval=None, observables=None):
     """Integrate the driven member grid of `liou` under the input `field`.
 
-    liou: assembled Liouvillian, its counting resolution, a truncated or
-        symmetry-reduced variant, or a bare EngineView.
+    liou: assembled Liouvillian, its counting resolution, or a truncated
+        or symmetry-reduced variant.
     field: FieldInput (None integrates the undriven generator only).
     t_span: (t0, t1); defaults to the envelope support.
     observables: mapping name -> Operator (tensor encodings) or a raw
         row vector of length vec_dim.
     """
     opts = opts or IntegratorOptions()
-    ev = _resolve_engine(liou, rho0)
-    env = field.envelope if field is not None else None
-    n_max = field.n_max if field is not None else 0
-    if n_max > 0 and ev.field_ket is None:
-        raise ConfigError("the generator has no field coupling operator "
-                          "but the input carries photons")
-    if t_span is None:
-        if env is None:
-            raise ConfigError("t_span is required when there is no envelope")
-        t_span = env.support
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigError(f"empty time span ({t0}, {t1})")
-
-    np1 = n_max + 1
-    n_members = np1 * np1
-    S = ev.n_sectors
-    vd = ev.vec_dim
-    total = n_members * S * vd
+    ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
+    ev, a0, am, ap, env = ode.engine, ode.a0, ode.am, ode.ap, ode.envelope
+    t0, t1, np1 = ode.t0, ode.t1, ode.n_max + 1
+    S, vd, total = ev.n_sectors, ev.vec_dim, ode.y0.size
 
     if t_eval is None:
         t_eval = np.linspace(t0, t1, opts.n_points)
@@ -292,8 +303,6 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             f"over the {opts.max_store_bytes / 2**20:.0f} MiB guard; raise "
             f"max_store_bytes or request fewer points")
 
-    a0, am, ap, y0 = _assemble_blocks(ev, n_max)
-
     if am is not None:
         def rhs(t, y):
             out = a0 @ y
@@ -308,14 +317,14 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
 
     if opts.method in ("adaptive", "dop853"):
         method = "RK45" if opts.method == "adaptive" else "DOP853"
-        sol = solve_ivp(rhs, (t0, t1), y0, method=method, t_eval=t_eval,
+        sol = solve_ivp(rhs, (t0, t1), ode.y0, method=method, t_eval=t_eval,
                         rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step)
         if not sol.success:
             raise NumericsError(f"integration failed: {sol.message}")
         ys = sol.y.T.copy()
         nfev = int(sol.nfev)
     else:
-        ys, nfev = _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, opts.dt)
+        ys, nfev = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval, opts.dt)
 
     # per member and sector: trace and requested observable rows
     rows = {}
@@ -330,7 +339,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                         f"observable {name!r} row has length {row.size}, expected {vd}")
                 rows[name] = row
 
-    comp = ys.reshape(nt, n_members * S, vd)
+    comp = ys.reshape(nt, -1, vd)
     sector_traces = (comp @ ev.trace_row).reshape(nt, np1, np1, S)
     sector_traces = np.moveaxis(sector_traces, 0, -1)  # (np1, np1, S, nt)
     obs_tables = {}
@@ -339,10 +348,10 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         obs_tables[name] = np.moveaxis(tab, 0, -1)
 
     result = HierarchyResult(
-        t=t_eval, n_max=n_max, n_sectors=S, vec_dim=vd,
+        t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
         field=field, sector_traces=sector_traces, observables=obs_tables,
         states=ys if store else None, diagnostics={},
-        dense_shape=ev.dense_shape, _trace_row=ev.trace_row, _adjoint=ev.adjoint,
+        dense_shape=ev.dense_shape,
     )
 
     probs = result.count_probabilities()
@@ -469,10 +478,6 @@ class TruncatedLiouvillian:
             return None
         return (self._pl @ m @ self._pl.T).tocsr()
 
-    def expand(self, y):
-        """Zero-pad a truncated component vector back to the full d**2 layout."""
-        return np.asarray(self._pl.T @ np.asarray(y, dtype=complex))
-
     def engine_view(self, rho0=None):
         ev = self.base.engine_view(rho0)
         k = self.dim
@@ -486,9 +491,9 @@ class TruncatedLiouvillian:
         def adjoint(y):
             return np.conj(y[..., perm])
 
-        return EngineView(
+        return replace(
+            ev,
             vec_dim=k * k,
-            n_sectors=ev.n_sectors,
             g0=self._project(ev.g0),
             jump=self._project(ev.jump),
             field_ket=self._project(ev.field_ket),
@@ -497,6 +502,7 @@ class TruncatedLiouvillian:
             default_state=y0,
             adjoint=adjoint,
             dense_shape=(k, k),
+            amps=(),
         )
 
 

@@ -10,7 +10,7 @@ between counting sectors instead of summing it into the generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,7 +109,7 @@ class AmpChannel:
         return dissipator(np.sqrt(2.0 * self.k) * self.op.matrix)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineView:
     """What the integrators need, independent of how states are encoded.
 
@@ -117,7 +117,9 @@ class EngineView:
     encodings it is d**2 and `dense_shape` is (d, d); reduced encodings
     leave `dense_shape` None. `adjoint` maps a component vector to the
     vector of its conjugated density matrix; integrators use it for
-    hermiticity checks.
+    hermiticity checks. `amps` are the monitored amplifier channels, whose
+    operators act on the d-dimensional space; encodings that cannot carry
+    measurement backaction leave it empty.
     """
 
     vec_dim: int
@@ -130,6 +132,7 @@ class EngineView:
     default_state: np.ndarray
     adjoint: object = None
     dense_shape: tuple = None
+    amps: tuple = ()
 
 
 def _transpose_perm(d):
@@ -225,6 +228,7 @@ class Liouvillian:
             default_state=y0,
             adjoint=adjoint,
             dense_shape=(d, d),
+            amps=self.amps,
         )
 
 
@@ -265,11 +269,8 @@ class CountingLiouvillian:
         return self.max_count + 1
 
     def engine_view(self, rho0=None):
-        ev = self.base.engine_view(rho0)
-        ev.n_sectors = self.n_sectors
-        ev.g0 = self.g0
-        ev.jump = self.jump
-        return ev
+        return replace(self.base.engine_view(rho0), n_sectors=self.n_sectors,
+                       g0=self.g0, jump=self.jump)
 
 
 def assemble_liouvillian(hamiltonian, baths=(), field_coupling=None, amps=()):

@@ -174,27 +174,20 @@ def check_ideal_conditions(arch, tol=1e-9):
     and `all_pass`.
     """
     liou = arch.liouvillian()
-    src = liou
-    while not hasattr(src, "channels") and hasattr(src, "base"):
-        src = src.base
-    space = getattr(src, "space", None)
+    space = getattr(liou, "space", None)
     if space is None:
         raise ConfigError("ideal-condition check needs a tensor architecture")
-    field_tags = set()
-    field_op = None
-    if src.field_tag is not None:
-        field_tags = {src.field_tag}
-        field_op = src.channel(src.field_tag).op
-    if field_op is None:
+    if liou.field_tag is None:
         raise ConfigError("the architecture declares no field coupling")
+    field_op = liou.field_op
 
     bright, dark = _bright_dark_split(space, field_op)
     labels = ["/".join(space.state_labels(i)) for i in range(space.dim)]
 
     bright_to_bright = []
     dark_to_bright = []
-    for ch in src.channels:
-        if ch.tag in field_tags:
+    for ch in liou.channels:
+        if ch.tag == liou.field_tag:
             continue
         mat = ch.op.matrix.tocoo()
         for i, j, v in zip(mat.row, mat.col, mat.data):

@@ -65,8 +65,11 @@ class SymmetricLiouvillian:
     Delta is the register reset rate; detuning shifts the element
     transition relative to the drive carrier. Channels carry the same
     tags as the tensor builders: ABSORB (joint coupling to the mode),
-    SHELVE, TRANSFER, RESET.
+    SHELVE, TRANSFER, RESET. The class basis carries no monitored
+    amplifier channel, so `amps` is empty.
     """
+
+    amps = ()
 
     def __init__(self, n_elements, n_registers, gamma, Gamma, k_transfer=0.0,
                  Delta=0.0, detuning=0.0, exc_cap=1):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericsError
-from .hierarchy import _assemble_blocks, _resolve_engine
+from .hierarchy import compile_hierarchy
 from .liouville import lmult, rmult
 
 _CHUNK = 256
@@ -59,13 +59,6 @@ class TrajectoryRecord:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _find_amps(liou):
-    src = liou
-    while not hasattr(src, "amps") and hasattr(src, "base"):
-        src = src.base
-    return tuple(getattr(src, "amps", ()))
-
-
 class _Prepared:
     """Everything a trajectory needs that does not depend on the seed.
 
@@ -81,36 +74,15 @@ class _Prepared:
 
 
 def _prepare(liou, field, t_span, opts, rho0):
-    ev = _resolve_engine(liou, rho0)
-    env = field.envelope if field is not None else None
-    n_max = field.n_max if field is not None else 0
-    if n_max > 0 and ev.field_ket is None:
-        raise ConfigError("the generator has no field coupling operator "
-                          "but the input carries photons")
-    if t_span is None:
-        if env is None:
-            raise ConfigError("t_span is required when there is no envelope")
-        t_span = env.support
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigError(f"empty time span ({t0}, {t1})")
-
-    np1 = n_max + 1
-    S = ev.n_sectors
-    vd = ev.vec_dim
-    n_blocks = np1 * np1 * S
-    a0, am, ap, y = _assemble_blocks(ev, n_max)
-
-    amps = [a for a in _find_amps(liou) if a.k > 0]
-    if amps and (ev.dense_shape is None or vd != ev.dense_shape[0] ** 2):
-        raise ConfigError("measurement backaction needs the tensor encoding; "
-                          "reduced engines carry no monitored channels")
+    ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
+    ev, env, t0, t1 = ode.engine, ode.envelope, ode.t0, ode.t1
+    a0, am, ap, y = ode.a0, ode.am, ode.ap, ode.y0
+    amps = [a for a in ev.amps if a.k > 0]
 
     # physical weights per (member, sector) block
-    wvec = np.ones(n_blocks, dtype=complex)
-    if field is not None:
-        c = field.coefficients
-        wvec = np.repeat(c.reshape(-1), S)
+    c = field.coefficients if field is not None else np.ones(1, dtype=complex)
+    wvec = np.repeat(c.reshape(-1), ev.n_sectors)
+    n_blocks = wvec.size
     w_full = np.kron(wvec, ev.trace_row)
 
     sx_full = []
@@ -130,8 +102,7 @@ def _prepare(liou, field, t_span, opts, rho0):
     p.w_full = w_full
     p.two_x_rows = two_x_rows
     p.gains = np.array([math.sqrt(2.0 * a.k) for a in amps])
-    p.rec_noise = np.array([1.0 / math.sqrt(8.0 * a.k) for a in amps]) \
-        if amps else np.zeros(0)
+    p.rec_noise = np.array([1.0 / math.sqrt(8.0 * a.k) for a in amps])
     p.tags = [a.tag for a in amps]
 
     # dense algebra wins handily at the sizes measurement runs use

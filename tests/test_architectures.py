@@ -147,6 +147,15 @@ def test_rate_validation():
         build_pnr(0, 1)
 
 
+def test_rates_must_be_finite():
+    # a NaN rate slips past a plain "< 0" test and stalls the solver
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_single_element(bad, 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            build_symmetric_reduced(2, 1, 1.0, bad)
+
+
 def test_band_with_one_level_reduces_to_single_element():
     dos = DosModel("flat2d", width=1.0)
     band = build_band_element(dos, 1, 0.8, 1.1, delta_omega=0.3)

@@ -310,6 +310,16 @@ def test_cli_sweep(tmp_path, capsys):
                            "architecture.params.gamma": 1.0}
     assert pt["config"]["architecture"]["params"]["gamma"] == 1.0
 
+    # one worker must write the same bytes as two
+    out1 = tmp_path / "sw1"
+    assert main(["sweep", path, "--out", str(out1), "--workers", "1"]) == 0
+    capsys.readouterr()
+    rel = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert rel == sorted(p.relative_to(out1) for p in out1.rglob("*")
+                         if p.is_file())
+    for r in rel:
+        assert (out / r).read_bytes() == (out1 / r).read_bytes()
+
 
 def test_cli_sweep_guard_and_missing_axes(tmp_path, capsys, monkeypatch):
     path = write_cfg(tmp_path, sweep={"axes": [
@@ -467,3 +477,76 @@ def test_cli_vacuum_run(tmp_path, capsys):
     met = json.loads((out / "metrics.json").read_text())["metrics"]
     assert met["efficiency"] == pytest.approx(0.0, abs=1e-12)
     assert met["jitter_sigma"] is None
+
+
+def test_cli_band_and_banded_pnr_take_a_dos_mapping(tmp_path, capsys):
+    # the config's DOS mapping goes through the same deserializer as
+    # ArchitectureSpec.from_dict, so both kinds build and run
+    dos = {"kind": "flat2d", "width": 1.0}
+    archs = {
+        "band": {"kind": "band", "params": {"dos": dos, "n_b": 2,
+                                            "gamma": 0.7, "Gamma": 1.0}},
+        "pnr": {"kind": "pnr", "params": {"n_D": 1, "n_A": 1, "n_b": 2,
+                                          "dos": dos}},
+    }
+    for name, arch in archs.items():
+        path = write_cfg(tmp_path, name=f"{name}.json", architecture=arch,
+                         t_span=[-8.0, 16.0])
+        out = tmp_path / name
+        assert main(["simulate", path, "--out", str(out)]) == 0, name
+        capsys.readouterr()
+        assert (out / "metrics.json").exists()
+
+
+def _symmetric_arch():
+    return {"kind": "pnr-symmetric",
+            "params": {"n_D": 2, "n_A": 1, "gamma_eff": 1.0, "Gamma": 1.0,
+                       "k_A": 1.0}}
+
+
+def test_cli_unmonitored_models_are_config_errors(tmp_path, capsys):
+    # the symmetric encoding carries no amplifier channel: dark counts and
+    # trajectories have nothing to read
+    cases = [
+        ("simulate", write_cfg(
+            tmp_path, name="dark.json", architecture=_symmetric_arch(),
+            metrics={"compute": ["efficiency", "dark_counts"], "t_m": 1.0})),
+        ("trajectories", write_cfg(
+            tmp_path, name="sym_traj.json", architecture=_symmetric_arch(),
+            trajectories={"n_traj": 2, "dt": 0.05})),
+        # a single element with the default k = 0
+        ("trajectories", write_cfg(
+            tmp_path, name="k0_traj.json",
+            trajectories={"n_traj": 2, "dt": 0.05})),
+    ]
+    for i, (cmd, path) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([cmd, path, "--out", str(out), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "k > 0" in err
+        assert not out.exists()
+
+
+def test_cli_non_finite_parameters_are_config_errors(tmp_path, capsys):
+    # a NaN or infinite rate used to leave RK45 spinning without end
+    cases = [
+        ({"gamma": math.nan, "Gamma": 1.0}, "architecture.params.gamma"),
+        ({"gamma": 1.0, "Gamma": 1.0, "delta_omega": math.nan},
+         "architecture.params.delta_omega"),
+        ({"gamma": math.inf, "Gamma": 1.0}, "architecture.params.gamma"),
+    ]
+    for i, (params, where) in enumerate(cases):
+        path = write_cfg(tmp_path, name=f"nf{i}.json",
+                         architecture={"kind": "single", "params": params})
+        out = tmp_path / f"nf{i}"
+        assert main(["simulate", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and where in err
+        assert not out.exists()
+    # nested DOS values are checked too, and the path names them
+    with pytest.raises(ConfigError, match=r"params\.dos\.width"):
+        RunConfig.from_dict(base_doc(architecture={
+            "kind": "band", "params": {"dos": {"kind": "flat2d",
+                                               "width": math.inf},
+                                       "n_b": 2, "gamma": 1.0,
+                                       "Gamma": 1.0}}))

@@ -1,13 +1,17 @@
 """Driven-hierarchy integration against closed forms and dense references."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pnrsim.architectures import build_array, build_single_element
+from pnrsim.architectures import (build_array, build_single_element,
+                                  build_symmetric_reduced)
 from pnrsim.errors import ConfigError, ResourceLimitError
-from pnrsim.hierarchy import (IntegratorOptions, integrate_hierarchy,
-                              reduced_matter_state, truncate_by_excitation)
+from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
+                              integrate_hierarchy, reduced_matter_state,
+                              truncate_by_excitation)
 from pnrsim.pulses import fock_input, gaussian_envelope, superposition_input
 from pnrsim.spaces import projector
 
@@ -200,3 +204,44 @@ def test_state_access_requires_storage():
     run = integrate_hierarchy(el.liouvillian(), fock_input(1, env), None, opts)
     with pytest.raises(ConfigError):
         run.state_at(-1)
+
+
+def test_compile_hierarchy_blocks_and_start_vector():
+    arch = build_single_element(1.0, 1.0, k=0.5)
+    counting = arch.counting(2)
+    env = gaussian_envelope(1.0)
+    ode = compile_hierarchy(counting, fock_input(2, env))
+    ev = ode.engine
+    assert (ode.t0, ode.t1) == env.support and ode.n_max == 2
+    assert ev.n_sectors == 3 and ev.vec_dim == 9
+    total = 9 * 3 * 9                  # members x sectors x vec_dim
+    for block in (ode.a0, ode.am, ode.ap):
+        assert block.shape == (total, total)
+    # each diagonal member (n, n) starts in the ground state, sector 0
+    starts = np.flatnonzero(ode.y0)
+    assert list(starts) == [g * 3 * 9 for g in (0, 4, 8)]
+    assert np.all(ode.y0[starts] == 1.0)
+    # no photons: no drive blocks, and the span must be given
+    vac = compile_hierarchy(counting, None, (0.0, 1.0))
+    assert vac.am is None and vac.ap is None and vac.envelope is None
+    with pytest.raises(ConfigError):
+        compile_hierarchy(counting, None)
+    with pytest.raises(ConfigError):
+        compile_hierarchy(object(), None, (0.0, 1.0))
+
+
+def test_engine_views_are_frozen_and_state_their_amps():
+    arch = build_single_element(1.0, 1.0, k=0.5)
+    liou = arch.liouvillian()
+    base = liou.engine_view()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.n_sectors = 4
+    assert base.amps == liou.amps and base.amps[0].tag == "AMP"
+    counted = arch.counting(2).engine_view()
+    assert counted.n_sectors == 3 and counted.amps == liou.amps
+    # resolving counts leaves the base model's own view untouched
+    assert liou.engine_view().n_sectors == 1
+    assert truncate_by_excitation(arch.counting(1), 1).engine_view().amps == ()
+    sym = build_symmetric_reduced(2, 1, 1.0, 1.0, k_A=1.0)
+    assert sym.liouvillian().amps == ()
+    assert sym.counting(1).engine_view().amps == ()
