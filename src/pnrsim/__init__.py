@@ -41,10 +41,8 @@ from .errors import ConfigError, NumericsError, PnrsimError, ResourceLimitError
 from .hierarchy import (
     HierarchyResult,
     IntegratorOptions,
-    TruncatedLiouvillian,
     integrate_hierarchy,
     reduced_matter_state,
-    truncate_by_excitation,
 )
 from .liouville import (
     AmpChannel,

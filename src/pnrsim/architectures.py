@@ -281,12 +281,19 @@ def _check_rates(**rates):
             raise ConfigError(f"{name} must be finite and >= 0, got {val}")
 
 
+def _check_finite(**values):
+    for name, val in values.items():
+        if not np.isfinite(val):
+            raise ConfigError(f"{name} must be finite, got {val}")
+
+
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):
     """Three-level absorbing element: ground, optically coupled excited
     state, monitored shelf. Channels: ABSORB (the optical coupling),
     SHELVE (registration), RESET (shelf reset at rate Delta, present only
     when Delta > 0), AMP (continuous shelf monitor)."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
+    _check_finite(chi=chi, delta_omega=delta_omega)
     space = build_space([("element", ("0", "1", "C"))])
     h = Operator(space, -delta_omega * projector(space, "element", "1").matrix,
                  name="H", hermitian=True)
@@ -316,6 +323,7 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     sum gamma_l^2 = n_b gamma^2. With n_b = 1 this reduces exactly to the
     single element."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
+    _check_finite(chi=chi, delta_omega=delta_omega, span=span)
     n_b = int(n_b)
     disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
     states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
@@ -356,6 +364,7 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     energy transfer: the photon-number response degrades as elements
     shelve. Registration counts shelf entries across all elements."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
+    _check_finite(chi=chi, delta_omega=delta_omega)
     n_D = int(n_D)
     if n_D < 1:
         raise ConfigError(f"need n_D >= 1, got {n_D}")
@@ -397,6 +406,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     counts transfer jumps. Refuses to build spaces larger than max_dim;
     use the symmetric reduction beyond that."""
     _check_rates(gamma=gamma, Gamma=Gamma, k_A=k_A, Delta=Delta, k=k)
+    _check_finite(chi=chi, delta_omega=delta_omega, span=span)
     n_D, n_A, n_b = int(n_D), int(n_A), int(n_b)
     if n_D < 1 or n_A < 1:
         raise ConfigError(f"need n_D >= 1 and n_A >= 1, got {n_D}, {n_A}")
@@ -405,7 +415,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
         raise ResourceLimitError(
             f"pnr tensor space has dimension {dim} > guard {max_dim}; use "
             f"build_symmetric_reduced (exact for identical elements) or "
-            f"truncate_by_excitation, or raise max_dim")
+            f"raise max_dim")
     if dos is None:
         dos = DosModel("flat2d", width=1.0)
         if n_b != 1:
@@ -462,6 +472,7 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
     and n_A. n_A = 0 gives the no-transfer array, registered by shelf
     entry instead of register transfer."""
     _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
+    _check_finite(detuning=detuning)
     sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,
                                detuning=detuning, exc_cap=int(exc_cap))

@@ -141,8 +141,9 @@ _ENVELOPES = {
 }
 
 
-def build_envelope(spec: dict):
-    """Construct a pulse envelope from its config mapping."""
+def _envelope_entry(spec):
+    """Check an envelope mapping's shape and keys; return the shape, its
+    constructor, and its required and optional keys."""
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ConfigError("envelope needs a 'shape' key")
     shape = spec["shape"]
@@ -154,23 +155,19 @@ def build_envelope(spec: dict):
     missing = [k for k in required if k not in spec]
     if missing:
         raise ConfigError(f"envelope[{shape}] missing {', '.join(missing)}")
+    return shape, ctor, required, optional
+
+
+def build_envelope(spec: dict):
+    """Construct a pulse envelope from its config mapping."""
+    _, ctor, _, _ = _envelope_entry(spec)
     kwargs = {k: spec[k] for k in spec if k != "shape"}
     return ctor(**kwargs)
 
 
 def _resolve_envelope(spec) -> dict:
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise ConfigError("envelope needs a 'shape' key")
-    shape = spec["shape"]
-    if shape not in _ENVELOPES:
-        raise ConfigError(f"unknown envelope shape {shape!r}; "
-                          f"choose from {sorted(_ENVELOPES)}")
-    ctor, required, optional = _ENVELOPES[shape]
-    _check_keys(spec, {"shape", *required, *optional}, f"envelope[{shape}]")
+    shape, _, required, optional = _envelope_entry(spec)
     out = {"shape": shape}
-    for k in required:
-        if k not in spec:
-            raise ConfigError(f"envelope[{shape}] missing {k}")
     for k in (*required, *optional):
         if k not in spec:
             continue

@@ -15,17 +15,26 @@ sparse linear ODE, integrated jointly.
 
 `compile_hierarchy` is the single step from a model and an input field
 to that ODE (`HierarchyODE`); the integrator here and the trajectory
-engine both start from it.
+engine both start from it. Most of the member x sector x component grid
+can never become nonzero, so `compile_hierarchy` keeps only the indices
+reachable from the nonzeros of the start vector along the union sparsity
+pattern of the generator blocks (and of the measurement backaction the
+trajectory engine applies). The generator at any time is a combination
+of those blocks, so it maps the kept coordinates into themselves and the
+dropped ones stay exactly zero: the restriction is exact, not a
+truncation with a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .liouville import EngineView
@@ -58,8 +67,12 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {_METHODS}")
-        if self.rtol <= 0 or self.atol <= 0 or self.dt <= 0:
-            raise ConfigError("tolerances and dt must be positive")
+        for name in ("rtol", "atol", "dt", "trace_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {v}")
+        if not self.max_step > 0:
+            raise ConfigError(f"max_step must be positive, got {self.max_step}")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
 
@@ -118,7 +131,8 @@ class HierarchyResult:
     field: FieldInput
     sector_traces: np.ndarray          # (n_max+1, n_max+1, n_sectors, nt)
     observables: dict
-    states: np.ndarray                 # (nt, total) or None
+    states: np.ndarray                 # (nt, len(keep)) or None
+    keep: np.ndarray                   # kept indices into the full grid
     diagnostics: dict
     dense_shape: tuple = None
 
@@ -150,10 +164,13 @@ class HierarchyResult:
         return HierarchyState(self, t_index)
 
     def _component(self, t_index, n, m, sector):
-        np1 = self.n_max + 1
-        g = n * np1 + m
+        """One (member, sector) component, scattered from the kept indices."""
+        g = n * (self.n_max + 1) + m
         lo = (g * self.n_sectors + sector) * self.vec_dim
-        return self.states[t_index, lo:lo + self.vec_dim]
+        i, j = np.searchsorted(self.keep, (lo, lo + self.vec_dim))
+        out = np.zeros(self.vec_dim, dtype=complex)
+        out[self.keep[i:j] - lo] = self.states[t_index, i:j]
+        return out
 
     def _member_vec(self, t_index, n, m, sector=None):
         if self.states is None:
@@ -205,7 +222,11 @@ def reduced_matter_state(state, field):
 class HierarchyODE:
     """dy/dt = (a0 + E(t) am + E*(t) ap) y on [t0, t1], y(t0) = y0, where E
     is the envelope (None when undriven) and am, ap are None when n_max is
-    0. `engine` is the model's EngineView the blocks were built from."""
+    0. `engine` is the model's EngineView the blocks were built from.
+
+    The blocks and y0 live on the reachable subspace: `keep` holds its
+    sorted indices into the full (member, sector, component) layout of
+    length `full_size`, and every other full-layout entry stays zero."""
 
     engine: EngineView
     field: FieldInput
@@ -217,13 +238,36 @@ class HierarchyODE:
     am: object
     ap: object
     y0: np.ndarray
+    keep: np.ndarray
+
+    @property
+    def full_size(self):
+        return (self.n_max + 1) ** 2 * self.engine.n_sectors * self.engine.vec_dim
+
+
+def _reachable(y0, blocks):
+    """Sorted indices reachable from the nonzeros of y0 along the union
+    sparsity pattern of `blocks`: the smallest coordinate subspace that
+    holds y0 and that every linear combination of the blocks maps into
+    itself."""
+    n = y0.size
+    seeds = np.flatnonzero(y0)
+    coos = [b.tocoo() for b in blocks]
+    # edge j -> i wherever a block has an (i, j) entry; the extra node n
+    # feeds every seed, so one search covers them all
+    src = np.concatenate([c.col for c in coos] + [np.full(seeds.size, n)])
+    dst = np.concatenate([c.row for c in coos] + [seeds])
+    graph = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n + 1, n + 1))
+    order = breadth_first_order(graph, n, return_predecessors=False)
+    return np.sort(order[1:])
 
 
 def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     """The hierarchy ODE of `model` (anything with `engine_view(rho0)`)
     driven by `field` (None: undriven) over `t_span` (default: the envelope
-    support). Every diagonal member starts from the engine's default
-    matter state, or rho0, in sector 0."""
+    support), restricted to the subspace reachable from its start. Every
+    diagonal member starts from the engine's default matter state, or
+    rho0, in sector 0."""
     if not hasattr(model, "engine_view"):
         raise ConfigError(f"cannot integrate object of type {type(model).__name__}")
     ev = model.engine_view(rho0)
@@ -262,16 +306,27 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     for n in range(np1):
         lo = (n * np1 + n) * S * vd
         y0[lo:lo + vd] = ev.default_state
+
+    blocks = [b for b in (a0, am, ap) if b is not None]
+    # the trajectory engine kicks the state with each monitored backaction
+    blocks += [sp.kron(sp.identity(n_members * S), a.backaction)
+               for a in ev.amps if a.k > 0]
+    keep = _reachable(y0, blocks)
+
+    def restrict(m):
+        return None if m is None else m[keep][:, keep]
+
     return HierarchyODE(engine=ev, field=field, envelope=env, t0=t0, t1=t1,
-                        n_max=n_max, a0=a0, am=am, ap=ap, y0=y0)
+                        n_max=n_max, a0=restrict(a0), am=restrict(am),
+                        ap=restrict(ap), y0=y0[keep], keep=keep)
 
 
 def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                         t_eval=None, observables=None):
     """Integrate the driven member grid of `liou` under the input `field`.
 
-    liou: assembled Liouvillian, its counting resolution, or a truncated
-        or symmetry-reduced variant.
+    liou: assembled Liouvillian, its counting resolution, or a
+        symmetry-reduced variant.
     field: FieldInput (None integrates the undriven generator only).
     t_span: (t0, t1); defaults to the envelope support.
     observables: mapping name -> Operator (tensor encodings) or a raw
@@ -321,43 +376,43 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                         rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step)
         if not sol.success:
             raise NumericsError(f"integration failed: {sol.message}")
-        ys = sol.y.T.copy()
+        ys = sol.y.T
         nfev = int(sol.nfev)
     else:
         ys, nfev = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval, opts.dt)
 
-    # per member and sector: trace and requested observable rows
-    rows = {}
-    if observables:
-        for name, ob in observables.items():
-            if isinstance(ob, Operator):
-                rows[name] = np.asarray(ob.matrix.T.toarray(), dtype=complex).reshape(-1)
-            else:
-                row = np.asarray(ob, dtype=complex).reshape(-1)
-                if row.size != vd:
-                    raise ConfigError(
-                        f"observable {name!r} row has length {row.size}, expected {vd}")
-                rows[name] = row
+    # per (member, sector) readout of a component row: kept index i lies in
+    # block blk[i] at position pos[i]
+    blk, pos = np.divmod(ode.keep, vd)
 
-    comp = ys.reshape(nt, -1, vd)
-    sector_traces = (comp @ ev.trace_row).reshape(nt, np1, np1, S)
-    sector_traces = np.moveaxis(sector_traces, 0, -1)  # (np1, np1, S, nt)
+    def readout(row):
+        r = sp.csr_matrix((row[pos], (blk, np.arange(total))),
+                          shape=(np1 * np1 * S, total))
+        return (r @ ys.T).reshape(np1, np1, S, nt)
+
     obs_tables = {}
-    for name, row in rows.items():
-        tab = (comp @ row).reshape(nt, np1, np1, S)
-        obs_tables[name] = np.moveaxis(tab, 0, -1)
+    for name, ob in (observables or {}).items():
+        if isinstance(ob, Operator):
+            row = np.asarray(ob.matrix.T.toarray(), dtype=complex).reshape(-1)
+        else:
+            row = np.asarray(ob, dtype=complex).reshape(-1)
+            if row.size != vd:
+                raise ConfigError(
+                    f"observable {name!r} row has length {row.size}, expected {vd}")
+        obs_tables[name] = readout(row)
 
     result = HierarchyResult(
         t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
-        field=field, sector_traces=sector_traces, observables=obs_tables,
-        states=ys if store else None, diagnostics={},
-        dense_shape=ev.dense_shape,
+        field=field, sector_traces=readout(ev.trace_row),
+        observables=obs_tables, states=ys if store else None, keep=ode.keep,
+        diagnostics={}, dense_shape=ev.dense_shape,
     )
 
     probs = result.count_probabilities()
     trace_defect = float(np.abs(probs.sum(axis=0) - 1.0).max())
     result.diagnostics.update(trace_defect=trace_defect, nfev=nfev,
-                              method=opts.method, size=total)
+                              method=opts.method, size=total,
+                              full_size=ode.full_size)
     if trace_defect > opts.trace_tol:
         raise NumericsError(
             f"physical trace drifted by {trace_defect:.2e} "
@@ -423,91 +478,3 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
     for j in exact_end:
         out[j] = y
     return out, nfev
-
-
-class TruncatedLiouvillian:
-    """A Liouvillian restricted to basis states within an excitation cap.
-
-    Valid when no undriven channel raises the total excitation grade and
-    the dynamics starting inside the cap stays inside it, which holds
-    when the cap is at least the photon number plus the initial matter
-    excitation. Restriction then commutes with the dynamics exactly.
-    """
-
-    def __init__(self, base, n_max):
-        space = getattr(base, "space", None)
-        if space is None:
-            raise ConfigError(
-                "truncation by excitation needs a tensor-encoded generator "
-                "with a labeled space")
-        grades = space.grades
-        kept = np.where(grades <= n_max)[0]
-        if kept.size == 0:
-            raise ConfigError(f"no basis states with grade <= {n_max}")
-        self.base = base
-        self.n_max_excitation = int(n_max)
-        self.kept = kept
-        self.space = space
-        self.dim = kept.size
-
-        src = base.base if hasattr(base, "base") else base
-        ops = []
-        if getattr(src, "hamiltonian", None) is not None:
-            ops.append(("hamiltonian", src.hamiltonian, True))
-        for c in src.channels:
-            ops.append((c.tag, c.op, False))
-        for a in src.amps:
-            ops.append((a.tag, a.op, True))
-        for tag, op, conserve in ops:
-            coo = op.matrix.tocoo()
-            bad = grades[coo.row] > grades[coo.col] if not conserve else \
-                grades[coo.row] != grades[coo.col]
-            if np.any(bad & (np.abs(coo.data) > 0)):
-                kind = "changes" if conserve else "raises"
-                raise ConfigError(
-                    f"channel {tag!r} {kind} the excitation grade; "
-                    f"truncation by excitation does not apply")
-
-        d = space.dim
-        p_basis = sp.csr_matrix(
-            (np.ones(kept.size), (np.arange(kept.size), kept)), shape=(kept.size, d))
-        self._pl = sp.kron(p_basis, p_basis, format="csr")
-
-    def _project(self, m):
-        if m is None:
-            return None
-        return (self._pl @ m @ self._pl.T).tocsr()
-
-    def engine_view(self, rho0=None):
-        ev = self.base.engine_view(rho0)
-        k = self.dim
-        y0 = np.asarray(self._pl @ ev.default_state)
-        lost = abs(np.linalg.norm(ev.default_state) - np.linalg.norm(y0))
-        if lost > 1e-12:
-            raise ConfigError(
-                "initial state has weight outside the excitation cap")
-        perm = (np.arange(k * k) % k) * k + np.arange(k * k) // k
-
-        def adjoint(y):
-            return np.conj(y[..., perm])
-
-        return replace(
-            ev,
-            vec_dim=k * k,
-            g0=self._project(ev.g0),
-            jump=self._project(ev.jump),
-            field_ket=self._project(ev.field_ket),
-            field_bra=self._project(ev.field_bra),
-            trace_row=np.asarray(self._pl @ ev.trace_row),
-            default_state=y0,
-            adjoint=adjoint,
-            dense_shape=(k, k),
-            amps=(),
-        )
-
-
-def truncate_by_excitation(liou, n_max):
-    """Restrict a (counting) Liouvillian to total excitation <= n_max."""
-    if n_max < 0:
-        raise ConfigError(f"excitation cap must be >= 0, got {n_max}")
-    return TruncatedLiouvillian(liou, int(n_max))

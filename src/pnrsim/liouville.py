@@ -108,6 +108,12 @@ class AmpChannel:
     def superop(self):
         return dissipator(np.sqrt(2.0 * self.k) * self.op.matrix)
 
+    @property
+    def backaction(self):
+        """rho -> X rho + rho X^dag, the measurement kick of a trajectory."""
+        x = self.op.matrix
+        return (lmult(x) + rmult(x.conj().T)).tocsr()
+
 
 @dataclass(frozen=True)
 class EngineView:

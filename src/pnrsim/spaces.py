@@ -3,8 +3,7 @@
 A space is an ordered list of subsystems, each with named basis states and
 an integer excitation grade per state. Composite basis indices follow the
 usual row-major tensor convention: the last subsystem varies fastest.
-Grades let the excitation-conserving truncation decide which composite
-states can ever be reached.
+Grades let the oracles tell bright excited states from dark ones.
 """
 
 from __future__ import annotations

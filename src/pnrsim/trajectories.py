@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericsError
 from .hierarchy import compile_hierarchy
-from .liouville import lmult, rmult
 
 _CHUNK = 256
 
@@ -34,8 +33,8 @@ class TrajectoryOptions:
     store_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and positive, got {self.dt}")
         if self.store_every < 1:
             raise ConfigError("store_every must be >= 1")
 
@@ -83,15 +82,16 @@ def _prepare(liou, field, t_span, opts, rho0):
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
     wvec = np.repeat(c.reshape(-1), ev.n_sectors)
     n_blocks = wvec.size
-    w_full = np.kron(wvec, ev.trace_row)
+    keep = ode.keep
+    w_full = np.kron(wvec, ev.trace_row)[keep]
 
     sx_full = []
     two_x_rows = []
     for a in amps:
-        x = a.op.matrix
-        sx_block = (lmult(x) + rmult(x.conj().T)).tocsr()
-        sx_full.append(sp.kron(sp.identity(n_blocks), sx_block, format="csr"))
-        two_x_rows.append(np.kron(wvec, ev.trace_row @ sx_block))
+        sx_block = a.backaction
+        sx_full.append(sp.kron(sp.identity(n_blocks), sx_block,
+                               format="csr")[keep][:, keep])
+        two_x_rows.append(np.kron(wvec, ev.trace_row @ sx_block)[keep])
 
     p = _Prepared()
     p.n_steps = max(1, math.ceil((t1 - t0) / opts.dt))

@@ -9,8 +9,7 @@ from pnrsim.architectures import (ArchitectureSpec, DosModel, build_architecture
                                   cw_single_photon_efficiency, discretize_dos,
                                   ideal_total_coupling)
 from pnrsim.errors import ConfigError, ResourceLimitError
-from pnrsim.hierarchy import (IntegratorOptions, integrate_hierarchy,
-                              truncate_by_excitation)
+from pnrsim.hierarchy import IntegratorOptions, integrate_hierarchy
 from pnrsim.metrics import detection_probabilities, efficiency
 from pnrsim.pulses import fock_input, gaussian_envelope
 
@@ -156,6 +155,27 @@ def test_rates_must_be_finite():
             build_symmetric_reduced(2, 1, 1.0, bad)
 
 
+def test_non_rate_parameters_must_be_finite():
+    # detunings, record amplitudes and DOS spans are checked like rates:
+    # a NaN detuning used to build and then stall the solver
+    dos = DosModel("flat2d", width=1.0)
+    builds = {
+        "single": lambda **kw: build_single_element(1.0, 1.0, **kw),
+        "band": lambda **kw: build_band_element(dos, 2, 1.0, 1.0, **kw),
+        "array": lambda **kw: build_array(2, 1.0, 1.0, **kw),
+        "pnr": lambda **kw: build_pnr(1, 1, **kw),
+    }
+    cases = [(kind, name) for kind in builds for name in ("delta_omega", "chi")]
+    cases += [("band", "span"), ("pnr", "span")]
+    for kind, name in cases:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match=name):
+                builds[kind](**{name: bad})
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ConfigError, match="detuning"):
+            build_symmetric_reduced(2, 1, 1.0, 1.0, detuning=bad)
+
+
 def test_band_with_one_level_reduces_to_single_element():
     dos = DosModel("flat2d", width=1.0)
     band = build_band_element(dos, 1, 0.8, 1.1, delta_omega=0.3)
@@ -190,7 +210,7 @@ def test_collective_coupling_split_invariance():
     effs = []
     for n_D in (1, 2, 4):
         arch = build_array(n_D, np.sqrt(total / n_D), 1.0)
-        counting = truncate_by_excitation(arch.counting(1), 1)
+        counting = arch.counting(1)
         env = gaussian_envelope(3.0)
         lo, hi = env.support
         run = integrate_hierarchy(counting, fock_input(1, env), (lo, hi + 12.0),

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -550,3 +551,28 @@ def test_cli_non_finite_parameters_are_config_errors(tmp_path, capsys):
                                                "width": math.inf},
                                        "n_b": 2, "gamma": 1.0,
                                        "Gamma": 1.0}}))
+
+
+def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
+    # a NaN rtol spun RK45 without end, a NaN trace_tol switched the trace
+    # check off, and a trapezoid NaN dt died in an uncaught ValueError
+    cases = [
+        ("simulate", {"integrator": {"rtol": math.nan}}, "rtol"),
+        ("simulate", {"integrator": {"trace_tol": math.nan}}, "trace_tol"),
+        ("simulate", {"integrator": {"method": "trapezoid", "dt": math.nan}},
+         "dt"),
+        ("trajectories", {
+            "architecture": {"kind": "single",
+                             "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
+            "trajectories": {"n_traj": 2, "dt": math.nan}}, "dt"),
+    ]
+    for i, (cmd, over, name) in enumerate(cases):
+        path = write_cfg(tmp_path, name=f"opt{i}.json", **over)
+        out = tmp_path / f"opt{i}"
+        extra = ["--workers", "1"] if cmd == "trajectories" else []
+        start = time.perf_counter()
+        assert main([cmd, path, "--out", str(out), *extra]) == 2
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert not out.exists()

@@ -4,18 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from pnrsim.architectures import (build_array, build_single_element,
                                   build_symmetric_reduced)
 from pnrsim.errors import ConfigError, ResourceLimitError
 from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
-                              integrate_hierarchy, reduced_matter_state,
-                              truncate_by_excitation)
+                              integrate_hierarchy, reduced_matter_state)
+from pnrsim.liouville import assemble_liouvillian, counting_resolve
 from pnrsim.pulses import fock_input, gaussian_envelope, superposition_input
-from pnrsim.spaces import projector
+from pnrsim.spaces import build_space, projector, transition
+from pnrsim.trajectories import TrajectoryOptions
 
-from helpers import expm_evolve, random_density
+from helpers import (dense_count_probabilities, dense_hierarchy, expm_evolve,
+                     random_architecture, random_density)
 
 
 def test_vacuum_input_matches_dense_expm():
@@ -118,26 +121,103 @@ def test_reduced_state_rejects_larger_field():
 def test_truncation_matches_full_space():
     arch = build_array(2, 1.0, 1.0)
     counting = arch.counting(1)
-    trunc = truncate_by_excitation(counting, 1)
-    assert trunc.dim < counting.space.dim
     env = gaussian_envelope(1.5)
     field = fock_input(1, env)
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13, n_points=31)
-    full = integrate_hierarchy(counting, field, None, opts)
-    small = integrate_hierarchy(trunc, field, None, opts)
-    assert np.abs(full.count_probabilities() - small.count_probabilities()).max() < 1e-10
+    small = integrate_hierarchy(counting, field, None, opts)
+    assert small.diagnostics["size"] < small.diagnostics["full_size"]
+    full = dense_count_probabilities(counting.engine_view(), field, small.t,
+                                     rtol=1e-11, atol=1e-13)
+    assert np.abs(full - small.count_probabilities()).max() < 1e-10
 
 
-def test_truncation_rejects_grade_raising_channel():
-    # amplification out of the counted shelf would leave the kept grades
+def test_grade_raising_channel_matches_dense_reference():
+    # a channel that raises the excitation grade needs no special case:
+    # the reduction follows whatever the generator reaches
     arch = build_single_element(1.0, 1.0)
     liou = arch.liouvillian()
     absorb = liou.channel("ABSORB")
     raising = type(absorb)("UP", absorb.op.dag())  # |1><0| raises the grade
-    with pytest.raises(ConfigError):
-        truncate_by_excitation(
-            type(liou)(liou.space, liou.hamiltonian,
-                       list(liou.channels) + [raising], field_tag=liou.field_tag), 0)
+    model = counting_resolve(
+        type(liou)(liou.space, liou.hamiltonian,
+                   list(liou.channels) + [raising], field_tag=liou.field_tag),
+        "SHELVE", 1)
+    field = fock_input(1, gaussian_envelope(1.5))
+    run = integrate_hierarchy(model, field, None, IntegratorOptions(
+        method="dop853", rtol=1e-11, atol=1e-13, n_points=31))
+    full = dense_count_probabilities(model.engine_view(), field, run.t,
+                                     method="DOP853", rtol=1e-11, atol=1e-13)
+    assert np.abs(full - run.count_probabilities()).max() < 1e-9
+
+
+def _assert_keep_is_invariant(ode, blocks):
+    """Every block maps span(keep) into span(keep), and y0 lies on keep."""
+    a0, am, ap, y0 = dense_hierarchy(ode.engine, ode.field)
+    out = np.setdiff1d(np.arange(y0.size), ode.keep)
+    for block in (a0, am, ap, *blocks):
+        assert not np.any(block[np.ix_(out, ode.keep)])
+    assert not np.any(y0[out]) and np.array_equal(y0[ode.keep], ode.y0)
+
+
+def test_reachable_subspace_on_random_architectures():
+    # dense references stay under ~1000 components (16 MB per block), so
+    # draws whose full grid is larger are passed over
+    cases = []
+    seed = 0
+    while len(cases) < 9:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        arch = random_architecture(rng)
+        n = int(rng.integers(1, 3))
+        model = arch.counting(n)
+        field = fock_input(n, gaussian_envelope(1.0))
+        ode = compile_hierarchy(model, field)
+        if ode.full_size > 1000:
+            continue
+        cases.append(arch.kind)
+        _assert_keep_is_invariant(ode, ())
+        run = integrate_hierarchy(model, field, None, IntegratorOptions(
+            method="dop853", rtol=1e-11, atol=1e-13, n_points=21))
+        assert run.diagnostics["size"] == ode.keep.size < ode.full_size
+        full = dense_count_probabilities(ode.engine, field, run.t,
+                                         method="DOP853", rtol=1e-11, atol=1e-13)
+        assert np.abs(full - run.count_probabilities()).max() < 1e-9
+    assert set(cases) == {"single", "band", "array", "pnr"}
+
+
+def test_reachable_subspace_is_closed_under_measurement_backaction():
+    # X = |1><2| + |2><1| is off-diagonal: its kick X rho + rho X carries
+    # |1><1| to the coherence |2><1|, which the generator never reaches
+    space = build_space([("element", ("0", "1", "2"))])
+    x = (transition(space, "element", "1", "2", 1.0)
+         + transition(space, "element", "2", "1", 1.0))
+    liou = assemble_liouvillian(
+        None, [("DECAY", transition(space, "element", "0", "2", 1.0))],
+        ("ABSORB", transition(space, "element", "0", "1", 1.0)),
+        [("AMP", x, 0.5)])
+    ode = compile_hierarchy(counting_resolve(liou, "DECAY", 1),
+                            fock_input(1, gaussian_envelope(1.0)))
+    n_blocks = ode.full_size // ode.engine.vec_dim
+    kick = sp.kron(sp.identity(n_blocks), liou.amps[0].backaction).toarray()
+    _assert_keep_is_invariant(ode, (kick,))
+    member_11 = (1 * 2 + 1) * 2 * 9          # member (1, 1), sector 0
+    assert member_11 + 2 * 3 + 1 in ode.keep
+
+
+def test_options_must_be_finite():
+    # a NaN slips past "<= 0" tests: NaN rtol spins RK45, NaN trace_tol
+    # turns the trace check off, NaN dt breaks the step count
+    for name in ("rtol", "atol", "dt", "trace_tol"):
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ConfigError, match=name):
+                IntegratorOptions(**{name: bad})
+    for bad in (np.nan, 0.0):
+        with pytest.raises(ConfigError, match="max_step"):
+            IntegratorOptions(max_step=bad)
+    assert IntegratorOptions(max_step=np.inf).max_step == np.inf
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ConfigError, match="dt"):
+            TrajectoryOptions(dt=bad)
 
 
 def test_trapezoid_matches_adaptive():
@@ -214,12 +294,13 @@ def test_compile_hierarchy_blocks_and_start_vector():
     ev = ode.engine
     assert (ode.t0, ode.t1) == env.support and ode.n_max == 2
     assert ev.n_sectors == 3 and ev.vec_dim == 9
-    total = 9 * 3 * 9                  # members x sectors x vec_dim
+    assert ode.full_size == 9 * 3 * 9    # members x sectors x vec_dim
+    kept = len(ode.keep)
     for block in (ode.a0, ode.am, ode.ap):
-        assert block.shape == (total, total)
+        assert block.shape == (kept, kept)
     # each diagonal member (n, n) starts in the ground state, sector 0
     starts = np.flatnonzero(ode.y0)
-    assert list(starts) == [g * 3 * 9 for g in (0, 4, 8)]
+    assert list(ode.keep[starts]) == [g * 3 * 9 for g in (0, 4, 8)]
     assert np.all(ode.y0[starts] == 1.0)
     # no photons: no drive blocks, and the span must be given
     vac = compile_hierarchy(counting, None, (0.0, 1.0))
@@ -241,7 +322,6 @@ def test_engine_views_are_frozen_and_state_their_amps():
     assert counted.n_sectors == 3 and counted.amps == liou.amps
     # resolving counts leaves the base model's own view untouched
     assert liou.engine_view().n_sectors == 1
-    assert truncate_by_excitation(arch.counting(1), 1).engine_view().amps == ()
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0, k_A=1.0)
     assert sym.liouvillian().amps == ()
     assert sym.counting(1).engine_view().amps == ()
