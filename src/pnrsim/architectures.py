@@ -149,6 +149,7 @@ def discretize_dos(dos, n_b, total_coupling, Gamma, span=8.0):
     Hove edge divergence is clipped at half the level spacing. All
     levels decay at the same Gamma.
     """
+    _check_count(n_b=n_b)
     n_b = int(n_b)
     if n_b < 1:
         raise ConfigError(f"n_b must be >= 1, got {n_b}")
@@ -287,6 +288,15 @@ def _check_finite(**values):
             raise ConfigError(f"{name} must be finite, got {val}")
 
 
+def _check_count(**counts):
+    """Integers, or floats with no fractional part; never bools."""
+    for name, val in counts.items():
+        whole = isinstance(val, (int, np.integer)) or (
+            isinstance(val, (float, np.floating)) and float(val).is_integer())
+        if not whole or isinstance(val, (bool, np.bool_)):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+
+
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):
     """Three-level absorbing element: ground, optically coupled excited
     state, monitored shelf. Channels: ABSORB (the optical coupling),
@@ -324,6 +334,7 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     single element."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
+    _check_count(n_b=n_b)
     n_b = int(n_b)
     disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
     states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
@@ -365,6 +376,7 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     shelve. Registration counts shelf entries across all elements."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega)
+    _check_count(n_D=n_D, max_dim=max_dim)
     n_D = int(n_D)
     if n_D < 1:
         raise ConfigError(f"need n_D >= 1, got {n_D}")
@@ -407,6 +419,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     use the symmetric reduction beyond that."""
     _check_rates(gamma=gamma, Gamma=Gamma, k_A=k_A, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
+    _check_count(n_D=n_D, n_A=n_A, n_b=n_b, max_dim=max_dim)
     n_D, n_A, n_b = int(n_D), int(n_A), int(n_b)
     if n_D < 1 or n_A < 1:
         raise ConfigError(f"need n_D >= 1 and n_A >= 1, got {n_D}, {n_A}")
@@ -473,6 +486,7 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
     entry instead of register transfer."""
     _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
     _check_finite(detuning=detuning)
+    _check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
     sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,
                                detuning=detuning, exc_cap=int(exc_cap))

@@ -20,15 +20,14 @@ delivery directory, so the same config and seed give byte-identical
 files wherever they are written. Tables are CSV; per-curve two-column
 .dat files go under plotdata/ so any plotting tool can render them.
 
-The worker count for sweeps and trajectory batches comes from
---workers, else the PNRSIM_WORKERS environment variable, else the CPU
-count (capped at 8); an explicit --workers overrides PNRSIM_WORKERS.
-The count must be an integer >= 1: 0, a negative value or a
-non-integer PNRSIM_WORKERS is a configuration error (exit 2) that
-names its source.
-Parallelism never changes results: sweep rows are ordered by point
-index and trajectory streams are keyed by (seed, trajectory index)
-alone.
+Sweeps and trajectory batches run serially in the calling thread.
+--workers and the PNRSIM_WORKERS environment variable are still parsed
+and validated, so existing command lines keep working, but they change
+neither what runs nor any output byte. Either must be an integer >= 1
+(an explicit --workers overrides PNRSIM_WORKERS): 0, a negative value
+or a non-integer PNRSIM_WORKERS is a configuration error (exit 2) that
+names its source. Trajectory streams are keyed by (seed, trajectory
+index) alone.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -114,13 +112,14 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _workers(args, n_jobs: int) -> int:
+def _workers(args) -> None:
+    """Validate --workers / PNRSIM_WORKERS; runs are serial either way."""
     if getattr(args, "workers", None) is not None:
         w, source = args.workers, "--workers"
     else:
         env = os.environ.get("PNRSIM_WORKERS", "").strip()
         if not env:
-            return min(8, os.cpu_count() or 1, max(n_jobs, 1))
+            return
         try:
             w = int(env)
         except ValueError:
@@ -129,7 +128,6 @@ def _workers(args, n_jobs: int) -> int:
         source = "PNRSIM_WORKERS"
     if w < 1:
         raise ConfigError(f"{source} must be >= 1, got {w}")
-    return min(w, max(n_jobs, 1))
 
 
 def _guard_dim(arch, limits, allow_large) -> None:
@@ -272,12 +270,9 @@ def cmd_sweep(args) -> int:
             f"{cfg.limits['max_points']}; pass --allow-large or raise "
             f"the limit")
     points = [cfg.with_values(dict(zip(names, c))) for c in combos]
-
-    def one(pt):
-        return _simulate_payloads(pt, args.allow_large, want_files=False)[0]
-
-    with ThreadPoolExecutor(max_workers=_workers(args, total)) as pool:
-        reports = list(pool.map(one, points))
+    _workers(args)
+    reports = [_simulate_payloads(pt, args.allow_large, want_files=False)[0]
+               for pt in points]
 
     sha = cfg.sha256
     files = {"resolved_config.json": _json_text(sha, {"config": cfg.raw})}
@@ -285,7 +280,8 @@ def cmd_sweep(args) -> int:
     for i, (combo, pt, rep) in enumerate(zip(combos, points, reports)):
         rows.append(",".join([str(i)] + [_fmt(v) if not isinstance(v, str)
                                          else v for v in combo]
-                             + rep.csv_row()))
+                             + [_fmt(getattr(rep, k))
+                                for k in MetricsReport.CSV_COLUMNS]))
         files[f"points/{i:04d}/metrics.json"] = _json_text(
             pt.sha256,
             {"config": pt.raw, "metrics": rep.to_dict(),
@@ -327,20 +323,10 @@ def cmd_trajectories(args) -> int:
     opts = cfg.trajectory_options()
     n = tspec["n_traj"]
 
-    workers = _workers(args, n)
+    _workers(args)
     _monitored(arch, "trajectories")
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-              if b > a]
-
-    def run_chunk(span):
-        lo, hi = span
-        return run_trajectories(liou, field, t_span=cfg.t_span,
-                                n_traj=hi - lo, seed=cfg.seed, opts=opts,
-                                first_index=lo)
-
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        recs = [r for batch in pool.map(run_chunk, chunks) for r in batch]
+    recs = run_trajectories(liou, field, t_span=cfg.t_span, n_traj=n,
+                            seed=cfg.seed, opts=opts)
 
     sha = cfg.sha256
     tags = list(recs[0].records)
@@ -504,8 +490,8 @@ def _add_run_args(p, seed=False):
     p.add_argument("--allow-large", action="store_true",
                    help="lift the resource guards")
     p.add_argument("--workers", type=int,
-                   help="worker threads, an integer >= 1 (overrides "
-                        "PNRSIM_WORKERS)")
+                   help="accepted for compatibility, an integer >= 1 "
+                        "(overrides PNRSIM_WORKERS); runs are serial")
     if seed:
         p.add_argument("--seed", type=int, help="override the config seed")
 

@@ -267,10 +267,15 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     driven by `field` (None: undriven) over `t_span` (default: the envelope
     support), restricted to the subspace reachable from its start. Every
     diagonal member starts from the engine's default matter state, or
-    rho0, in sector 0."""
+    rho0, in sector 0, which must be finite with unit trace."""
     if not hasattr(model, "engine_view"):
         raise ConfigError(f"cannot integrate object of type {type(model).__name__}")
     ev = model.engine_view(rho0)
+    if not np.all(np.isfinite(ev.default_state)):
+        raise ConfigError("rho0 has non-finite entries")
+    trace = complex(ev.trace_row @ ev.default_state)
+    if abs(trace - 1.0) > 1e-9:
+        raise ConfigError(f"rho0 must have unit trace, got {trace:.6g}")
     env = field.envelope if field is not None else None
     n_max = field.n_max if field is not None else 0
     if n_max > 0 and ev.field_ket is None:

@@ -335,16 +335,3 @@ class MetricsReport:
 
     CSV_COLUMNS = ("efficiency", "jitter_sigma", "jitter_sys", "dark_rate",
                    "count_rate", "bandwidth_width", "snr0")
-
-    def csv_row(self):
-        row = []
-        for key in self.CSV_COLUMNS:
-            val = getattr(self, key)
-            if val is None:
-                row.append("")
-            elif isinstance(val, complex):
-                row.append(f"{val.real:.12g}+{val.imag:.12g}j" if val.imag else
-                           f"{val.real:.12g}")
-            else:
-                row.append(f"{float(val):.12g}")
-        return row

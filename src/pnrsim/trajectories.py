@@ -250,15 +250,15 @@ def simulate_trajectory(liou, field=None, t_span=None, seed=0, opts=None, *,
 
 
 def run_trajectories(liou, field=None, t_span=None, n_traj=1, seed=0, opts=None,
-                     *, rho0=None, first_index=0):
-    """Batch of independent trajectories indexed first_index..+n_traj.
+                     *, rho0=None):
+    """Batch of independent trajectories indexed 0..n_traj-1.
 
     Preparation is shared; each trajectory is bit-identical to running
     simulate_trajectory with its (seed, traj_index) on its own.
     """
     opts = opts or TrajectoryOptions()
     p = _prepare(liou, field, t_span, opts, rho0)
-    return [_run_one(p, seed, first_index + i) for i in range(n_traj)]
+    return [_run_one(p, seed, i) for i in range(n_traj)]
 
 
 def ensemble_average(records, name):

@@ -155,6 +155,27 @@ def test_rates_must_be_finite():
             build_symmetric_reduced(2, 1, 1.0, bad)
 
 
+def test_counts_must_be_integers():
+    # int("abc") used to escape as a bare ValueError, and 2.7 elements
+    # silently built 2
+    for bad in ("abc", 2.7, True, np.nan):
+        with pytest.raises(ConfigError, match="n_D must be an integer"):
+            build_pnr(bad, 1)
+        with pytest.raises(ConfigError, match="n_D must be an integer"):
+            build_symmetric_reduced(bad, 1, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="n_A must be an integer"):
+        build_pnr(1, "1")
+    with pytest.raises(ConfigError, match="n_b must be an integer"):
+        build_pnr(1, 1, n_b="x")
+    with pytest.raises(ConfigError, match="max_dim must be an integer"):
+        build_pnr(1, 1, max_dim=4096.5)
+    with pytest.raises(ConfigError, match="exc_cap must be an integer"):
+        build_symmetric_reduced(2, 1, 1.0, 1.0, exc_cap=1.5)
+    # a float with no fractional part is a count
+    assert build_pnr(1.0, np.int64(1)).params["n_D"] == 1
+    assert build_symmetric_reduced(2.0, 0, 1.0, 1.0).params["n_D"] == 2
+
+
 def test_non_rate_parameters_must_be_finite():
     # detunings, record amplitudes and DOS spans are checked like rates:
     # a NaN detuning used to build and then stall the solver

@@ -553,6 +553,23 @@ def test_cli_non_finite_parameters_are_config_errors(tmp_path, capsys):
                                        "Gamma": 1.0}}))
 
 
+def test_cli_non_integer_counts_are_config_errors(tmp_path, capsys):
+    sym = {"n_D": 2, "n_A": 1, "gamma_eff": 1.0, "Gamma": 1.0}
+    cases = [
+        ({"kind": "pnr-symmetric", "params": {**sym, "n_D": "abc"}}, "n_D"),
+        ({"kind": "pnr-symmetric", "params": {**sym, "n_D": 2.7}}, "n_D"),
+        ({"kind": "pnr", "params": {"n_D": 1, "n_A": 1, "n_b": "x"}}, "n_b"),
+    ]
+    for i, (arch, name) in enumerate(cases):
+        path = write_cfg(tmp_path, name=f"cnt{i}.json", architecture=arch)
+        out = tmp_path / f"cnt{i}"
+        assert main(["simulate", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{name} must be an integer" in err
+        assert not out.exists()
+
+
 def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
     # a NaN rtol spun RK45 without end, a NaN trace_tol switched the trace
     # check off, and a trapezoid NaN dt died in an uncaught ValueError

@@ -15,7 +15,7 @@ from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
 from pnrsim.liouville import assemble_liouvillian, counting_resolve
 from pnrsim.pulses import fock_input, gaussian_envelope, superposition_input
 from pnrsim.spaces import build_space, projector, transition
-from pnrsim.trajectories import TrajectoryOptions
+from pnrsim.trajectories import TrajectoryOptions, run_trajectories
 
 from helpers import (dense_count_probabilities, dense_hierarchy, expm_evolve,
                      random_architecture, random_density)
@@ -218,6 +218,26 @@ def test_options_must_be_finite():
     for bad in (np.nan, np.inf, 0.0):
         with pytest.raises(ConfigError, match="dt"):
             TrajectoryOptions(dt=bad)
+
+
+def test_start_state_must_be_finite_with_unit_trace():
+    # a zero rho0 used to warn and end in a trace-drift NumericsError, a
+    # NaN entry in scipy's ValueError, and trajectories ran on regardless
+    arch = build_single_element(1.0, 1.0)  # k = 0: no monitored channel
+    field = fock_input(1, gaussian_envelope(1.0))
+    with_nan = np.diag([1.0, 0.0, 0.0])
+    with_nan[0, 1] = np.nan
+    cases = [(np.zeros((3, 3)), "unit trace"),
+             (np.diag([2.0, 0.0, 0.0]), "unit trace"),
+             (with_nan, "non-finite")]
+    for rho0, what in cases:
+        with pytest.raises(ConfigError, match=f"rho0.*{what}"):
+            integrate_hierarchy(arch.counting(1), field, rho0=rho0)
+        with pytest.raises(ConfigError, match=f"rho0.*{what}"):
+            run_trajectories(arch.liouvillian(), field, rho0=rho0)
+    run = integrate_hierarchy(arch.counting(1), field,
+                              rho0=np.diag([1.0, 0.0, 0.0]))
+    assert run.count_probabilities()[:, -1].sum() == pytest.approx(1.0)
 
 
 def test_trapezoid_matches_adaptive():

@@ -6,6 +6,7 @@ from scipy.special import erfc
 
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_single_element, ideal_total_coupling)
+from pnrsim.cli import _fmt
 from pnrsim.errors import ConfigError, NumericsError
 from pnrsim.hierarchy import IntegratorOptions, integrate_hierarchy
 from pnrsim.metrics import (DetectionDistribution, MetricsReport, bandwidth,
@@ -251,12 +252,15 @@ def test_metrics_report_serialization():
     d = rep.to_dict()
     assert d["jitter_sys"] == {"imaginary": 0.4}
     assert d["provenance"]["config_sha256"] == "ab"
-    row = rep.csv_row()
+
+    def csv_row(r):  # the sweep.csv metric cells
+        return [_fmt(getattr(r, k)) for k in MetricsReport.CSV_COLUMNS]
+    row = csv_row(rep)
     assert len(row) == len(MetricsReport.CSV_COLUMNS)
     assert row[0] == "0.95"
     rep2 = MetricsReport(efficiency=0.5, jitter_sys=0.7)
     assert rep2.to_dict()["jitter_sys"] == pytest.approx(0.7)
-    assert rep2.csv_row()[1] == ""
+    assert csv_row(rep2)[1] == ""
 
 
 def test_metrics_report_rejects_bad_efficiency():
