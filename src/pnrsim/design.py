@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import elementary_charge
-from scipy.optimize import brentq
 
 from .errors import ConfigError
 
@@ -275,6 +274,7 @@ class TradeoffCurve:
                 f"infeasible target: r_DC <= {r_dc_max:g} not reached for "
                 f"t_MIN up to {t_hi:g} s (n_A={self.n_A})"
             )
+        from scipy.optimize import brentq
         u = brentq(
             lambda x: self.point_at(10.0**x).r_DC - r_dc_max,
             math.log10(t_lo),

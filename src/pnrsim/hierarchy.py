@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
@@ -262,12 +261,32 @@ def _reachable(y0, blocks):
     return np.sort(order[1:])
 
 
+def _check_density(ev):
+    """A given start state must be Hermitian (every encoding, through its
+    adjoint) and, on tensor encodings, positive semidefinite, both within
+    1e-9. Positivity of the symmetric encoding's class vector is not
+    checked."""
+    y = ev.default_state
+    if ev.adjoint is not None:
+        defect = float(np.abs(ev.adjoint(y) - y).max())
+        if defect > 1e-9:
+            raise ConfigError(f"rho0 must be Hermitian; rho0 - rho0^dag "
+                              f"has an entry of size {defect:.3g}")
+    if ev.dense_shape is not None:
+        rho = y.reshape(ev.dense_shape)
+        low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        if low < -1e-9:
+            raise ConfigError(f"rho0 must be positive semidefinite; its "
+                              f"smallest eigenvalue is {low:.6g}")
+
+
 def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     """The hierarchy ODE of `model` (anything with `engine_view(rho0)`)
     driven by `field` (None: undriven) over `t_span` (default: the envelope
     support), restricted to the subspace reachable from its start. Every
     diagonal member starts from the engine's default matter state, or
-    rho0, in sector 0, which must be finite with unit trace."""
+    rho0, in sector 0, which must be finite with unit trace; a given rho0
+    must also be a density matrix (see _check_density)."""
     if not hasattr(model, "engine_view"):
         raise ConfigError(f"cannot integrate object of type {type(model).__name__}")
     ev = model.engine_view(rho0)
@@ -276,6 +295,8 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     trace = complex(ev.trace_row @ ev.default_state)
     if abs(trace - 1.0) > 1e-9:
         raise ConfigError(f"rho0 must have unit trace, got {trace:.6g}")
+    if rho0 is not None:
+        _check_density(ev)
     env = field.envelope if field is not None else None
     n_max = field.n_max if field is not None else 0
     if n_max > 0 and ev.field_ket is None:
@@ -376,9 +397,14 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             return a0 @ y
 
     if opts.method in ("adaptive", "dop853"):
+        from scipy.integrate import solve_ivp
         method = "RK45" if opts.method == "adaptive" else "DOP853"
+        max_step = opts.max_step
+        if env is not None:
+            # an adaptive step wider than the pulse can step over it unseen
+            max_step = min(max_step, env.step_bound)
         sol = solve_ivp(rhs, (t0, t1), ode.y0, method=method, t_eval=t_eval,
-                        rtol=opts.rtol, atol=opts.atol, max_step=opts.max_step)
+                        rtol=opts.rtol, atol=opts.atol, max_step=max_step)
         if not sol.success:
             raise NumericsError(f"integration failed: {sol.message}")
         ys = sol.y.T

@@ -128,6 +128,13 @@ class PulseEnvelope:
             return (self.t_stop - 40.0 / self.rate, self.t_stop)
         return (float(self.times[0]), float(self.times[-1]))
 
+    @property
+    def step_bound(self):
+        """Longest time step that still resolves the pulse: 1/64 of the
+        support width, which is sigma0 / 4 for a Gaussian."""
+        lo, hi = self.support
+        return (hi - lo) / 64
+
     def to_dict(self):
         d = {"schema_version": 1, "shape": self.shape, "detuning": self.detuning}
         if self.shape == "gaussian":

@@ -120,3 +120,63 @@ def random_architecture(rng):
     return build_pnr(int(rng.integers(1, 3)), 1, gamma=gamma, Gamma=Gamma,
                      k_A=float(rng.uniform(0.4, 1.2)), Delta=Delta, k=k,
                      delta_omega=dw)
+
+
+def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
+                    rho0=None):
+    """One trajectory stepped on its own with dense 1-d algebra, the
+    reference the batched engine must match bitwise on dense blocks.
+    Returns the stored <X> and cumulative records per monitored channel."""
+    from pnrsim.hierarchy import compile_hierarchy
+    ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
+    ev, env, keep = ode.engine, ode.envelope, ode.keep
+    amps = [a for a in ev.amps if a.k > 0]
+    c = field.coefficients if field is not None else np.ones(1, dtype=complex)
+    wvec = np.repeat(c.reshape(-1), ev.n_sectors)
+    w = np.kron(wvec, ev.trace_row)[keep]
+    rows = [np.kron(wvec, ev.trace_row @ a.backaction)[keep] for a in amps]
+    sx = [sp.kron(sp.identity(wvec.size), a.backaction,
+                  format="csr")[keep][:, keep].toarray() for a in amps]
+    a0 = ode.a0.toarray()
+    n_steps = max(1, int(np.ceil((ode.t1 - ode.t0) / dt)))
+    h = (ode.t1 - ode.t0) / n_steps
+    prop0 = la.expm(a0 * h)
+    rng = np.random.Generator(np.random.Philox(key=[seed, traj_index]))
+
+    def expectations(y):
+        tr = (w @ y).real
+        return [0.5 * (row @ y).real / tr for row in rows]
+
+    y = ode.y0.copy()
+    r_cum = np.zeros(len(amps))
+    obs, rec = [expectations(y)], [r_cum.copy()]
+    for step in range(n_steps):
+        e = env(ode.t0 + h * (step + 0.5)) if ode.am is not None else 0.0
+        if e == 0:
+            y = prop0 @ y
+        else:
+            a = ode.am.toarray() * e + ode.ap.toarray() * np.conj(e) + a0
+            out = y + (h / 4) * (a @ y)
+            out = y + (h / 3) * (a @ out)
+            out = y + (h / 2) * (a @ out)
+            y = y + h * (a @ out)
+        if step % 256 == 0:
+            dws = rng.standard_normal((256, len(amps))) * np.sqrt(h)
+        dw = dws[step % 256]
+        tr = (w @ y).real
+        kick, c_y = None, 0.0
+        for i in range(len(amps)):
+            ex = 0.5 * (rows[i] @ y).real / tr
+            gd = np.sqrt(2.0 * amps[i].k) * dw[i]
+            v = gd * (sx[i] @ y)
+            kick = v if kick is None else kick + v
+            c_y -= 2.0 * gd * ex
+            r_cum[i] += ex * h + 1.0 / np.sqrt(8.0 * amps[i].k) * dw[i]
+        y = y + kick + c_y * y
+        y = y / (w @ y).real
+        if (step + 1) % store_every == 0 or step + 1 == n_steps:
+            obs.append(expectations(y))
+            rec.append(r_cum.copy())
+    tags = [a.tag for a in amps]
+    return ({t: np.array(obs)[:, i] for i, t in enumerate(tags)},
+            {t: np.array(rec)[:, i] for i, t in enumerate(tags)})

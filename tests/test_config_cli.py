@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from pnrsim.config import (RunConfig, build_envelope, canonical_json,
 from pnrsim.errors import ConfigError
 from pnrsim.hierarchy import IntegratorOptions
 from pnrsim.pulses import FieldInput
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_doc(**over):
@@ -593,3 +599,30 @@ def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err
         assert not out.exists()
+
+
+def test_cli_trajectory_step_over_pulse_is_config_error(tmp_path, capsys):
+    # dt = 100 ran one 20-unit step and wrote mean_x_AMP = -5.8e6 with exit 0
+    path = write_cfg(
+        tmp_path,
+        architecture={"kind": "single",
+                      "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
+        field={"photons": 1, "envelope": {"shape": "gaussian",
+                                          "sigma0": 1.0}},
+        t_span=[-8.0, 12.0],
+        trajectories={"n_traj": 4, "dt": 100})
+    out = tmp_path / "big_dt"
+    assert main(["trajectories", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "dt" in err
+    assert not out.exists()
+
+
+def test_import_leaves_optimizers_and_integrators_unloaded():
+    code = ("import sys, pnrsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.optimize', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"

@@ -345,3 +345,48 @@ def test_engine_views_are_frozen_and_state_their_amps():
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0, k_A=1.0)
     assert sym.liouvillian().amps == ()
     assert sym.counting(1).engine_view().amps == ()
+
+
+def test_start_state_must_be_a_density_matrix():
+    # both ran without complaint; the first gave count probabilities
+    # 0.236 / 0.764 that looked physical
+    arch = build_single_element(1.0, 1.0)
+    field = fock_input(1, gaussian_envelope(1.0))
+    not_hermitian = np.zeros((3, 3))
+    not_hermitian[0, :2] = [1.0, 0.5]
+    cases = [(np.diag([2.0, -1.0, 0.0]), "positive semidefinite"),
+             (not_hermitian, "Hermitian")]
+    for rho0, what in cases:
+        with pytest.raises(ConfigError, match=f"rho0.*{what}"):
+            integrate_hierarchy(arch.counting(1), field, rho0=rho0)
+        with pytest.raises(ConfigError, match=f"rho0.*{what}"):
+            run_trajectories(arch.liouvillian(), field, rho0=rho0)
+    mixed = np.array([[0.5, 0.25j, 0], [-0.25j, 0.5, 0], [0, 0, 0]])
+    run = integrate_hierarchy(arch.counting(1), field, rho0=mixed)
+    assert run.count_probabilities()[:, -1].sum() == pytest.approx(1.0)
+    # the symmetric encoding is checked through its adjoint map
+    sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
+    ev = sym.engine_view()
+    slots = np.arange(ev.vec_dim, dtype=complex)
+    one_sided = ev.default_state.copy()
+    one_sided[np.flatnonzero(ev.adjoint(slots) != slots)[0]] = 0.1
+    with pytest.raises(ConfigError, match="rho0.*Hermitian"):
+        integrate_hierarchy(sym, field, rho0=one_sided)
+    integrate_hierarchy(sym, field, rho0=ev.default_state)
+
+
+def test_narrow_pulse_on_a_wide_span_is_not_stepped_over():
+    # with an uncapped step RK45 never sampled these pulses and reported
+    # efficiency 0
+    arch = build_single_element(1.0, 1.0, k=0.5)
+    for sigma0, expected in ((0.1, 0.21519), (0.02, 0.0486)):
+        field = fock_input(1, gaussian_envelope(sigma0))
+        run = integrate_hierarchy(arch.counting(1), field, (-8.0, 12.0),
+                                  IntegratorOptions(n_points=2))
+        ref = integrate_hierarchy(
+            arch.counting(1), field, (-8.0, 12.0),
+            IntegratorOptions(rtol=1e-10, atol=1e-12, max_step=sigma0 / 20,
+                              n_points=2))
+        eff = run.count_probabilities()[1, -1]
+        assert eff == pytest.approx(expected, abs=5e-5)
+        assert abs(eff - ref.count_probabilities()[1, -1]) < 1e-6

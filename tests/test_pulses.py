@@ -179,3 +179,10 @@ def test_field_input_validation():
     f = FieldInput(np.diag([0.5, 0.5]).astype(complex), env)
     with pytest.raises(ValueError):
         f.coefficients[0, 0] = 2.0  # frozen
+
+
+def test_step_bound_is_a_sixty_fourth_of_the_support():
+    assert gaussian_envelope(1.0).step_bound == pytest.approx(0.25)
+    assert square_envelope(2.0).step_bound == pytest.approx(2.0 / 64)
+    assert rising_exponential_envelope(4.0).step_bound == pytest.approx(
+        10.0 / 64)

@@ -4,9 +4,10 @@ reproducibility, and click extraction."""
 import numpy as np
 import pytest
 
-from pnrsim.architectures import build_single_element
-from pnrsim.errors import ConfigError
-from pnrsim.hierarchy import IntegratorOptions, integrate_hierarchy
+from pnrsim.architectures import build_array, build_pnr, build_single_element
+from pnrsim.errors import ConfigError, NumericsError
+from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
+                              integrate_hierarchy)
 from pnrsim.liouville import AmpChannel, assemble_liouvillian
 from pnrsim.pulses import fock_input, gaussian_envelope
 from pnrsim.spaces import Operator, build_space, projector, transition
@@ -14,6 +15,8 @@ from pnrsim.trajectories import (TrajectoryOptions, TrajectoryRecord,
                                  ensemble_average, extract_clicks,
                                  run_trajectories, simulate_trajectory,
                                  window_averages)
+
+from helpers import loop_trajectory
 
 SHELF = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
@@ -214,3 +217,77 @@ def test_option_and_input_validation():
         None, [AmpChannel("AMP", projector(space, "element", "C"), 0.5, 1.0)])
     with pytest.raises(ConfigError):
         simulate_trajectory(undriven, fock_input(1, gaussian_envelope(1.0)))
+
+
+def assert_batch_matches_solo(liou, field, opts, n_traj, seed):
+    batch = run_trajectories(liou, field, n_traj=n_traj, seed=seed, opts=opts)
+    tags = batch[0].meta["tags"]
+    assert tags
+    for i, rec in enumerate(batch):
+        solo = simulate_trajectory(liou, field, seed=seed, opts=opts,
+                                   traj_index=i)
+        for tag in tags:
+            assert np.array_equal(rec.records[tag], solo.records[tag])
+            assert np.array_equal(rec.observables[tag], solo.observables[tag])
+    assert not np.array_equal(batch[0].records[tags[0]],
+                              batch[1].records[tags[0]])
+
+
+def test_two_channel_batch_matches_solo_bitwise():
+    # two monitored channels on dense blocks (state 12)
+    liou = build_array(2, 1, 1, k=0.5).liouvillian()
+    field = fock_input(1, gaussian_envelope(1.0))
+    assert compile_hierarchy(liou, field).y0.size == 12
+    assert_batch_matches_solo(liou, field, TrajectoryOptions(
+        dt=0.01, store_every=10), n_traj=3, seed=4)
+
+
+def test_sparse_batch_matches_solo_bitwise():
+    # PNR(2,2) under two photons has state 62, which runs on CSR blocks
+    liou = build_pnr(2, 2, k=0.5).liouvillian()
+    field = fock_input(2, gaussian_envelope(1.0))
+    assert compile_hierarchy(liou, field).y0.size == 62
+    assert_batch_matches_solo(liou, field, TrajectoryOptions(
+        dt=0.01, store_every=10), n_traj=3, seed=7)
+
+
+def test_step_must_resolve_the_pulse():
+    # support of a sigma0 = 1 Gaussian is 16 wide: dt may be at most 0.25
+    liou = build_single_element(1.0, 1.0).liouvillian()
+    field = fock_input(1, gaussian_envelope(1.0))
+    with pytest.raises(ConfigError, match="dt"):
+        simulate_trajectory(liou, field, opts=TrajectoryOptions(dt=0.26))
+    rec = simulate_trajectory(liou, field, opts=TrajectoryOptions(dt=0.25))
+    assert rec.meta["n_steps"] == 64
+
+
+def test_oversized_steps_are_numerics_errors():
+    rho0 = np.diag([0.5, 0.0, 0.5]).astype(complex)
+    # these runs wrote <X> down to -9036 (seed 0); X's range is [0, 1]
+    liou = build_single_element(1.0, 1.0, k=20.0).liouvillian()
+    for seed in range(4):
+        with pytest.raises(NumericsError, match="spectral range"):
+            simulate_trajectory(liou, t_span=(0.0, 2.0), seed=seed,
+                                opts=TrajectoryOptions(dt=0.5), rho0=rho0)
+    # here the renormalization divided by a zero trace with a warning
+    liou = build_single_element(1.0, 1.0, k=50.0).liouvillian()
+    with pytest.raises(NumericsError, match="trace"):
+        simulate_trajectory(liou, t_span=(0.0, 2.0),
+                            opts=TrajectoryOptions(dt=0.2), rho0=rho0)
+
+
+def test_batch_matches_plain_loop_bitwise():
+    # the batched kernel does the plain loop's arithmetic, column by column
+    field = fock_input(1, gaussian_envelope(1.0))
+    cases = [(build_single_element(1.0, 1.0, k=0.5), field, None, 0.01),
+             (build_array(2, 1, 1, k=0.5), field, None, 0.01),
+             (build_single_element(1.0, 1.0, k=2.0), None, (0.0, 2.0), 0.01)]
+    for arch, fld, span, dt in cases:
+        liou = arch.liouvillian()
+        recs = run_trajectories(liou, fld, t_span=span, n_traj=2, seed=3,
+                                opts=TrajectoryOptions(dt=dt, store_every=7))
+        for rec in recs:
+            obs, r = loop_trajectory(liou, fld, span, 3, rec.traj_index, dt, 7)
+            for tag in obs:
+                assert np.array_equal(rec.observables[tag], obs[tag])
+                assert np.array_equal(rec.records[tag], r[tag])
