@@ -184,7 +184,11 @@ def _simulate_payloads(cfg, allow_large, want_files=True):
     compute = mspec["compute"]
     vacuum = cfg.n_photons == 0
     eff = jit = jsys = dark = rate = snr0 = None
-    prov = {"settled": bool(dist.meta.get("settled", True)), "vacuum": vacuum}
+    diag = run.diagnostics
+    prov = {"settled": bool(dist.meta.get("settled", True)), "vacuum": vacuum,
+            # solver record only: wall times would break byte-identical reruns
+            "run": {"size": diag["size"], "full_size": diag["full_size"],
+                    "segments": diag["segments"]}}
     if "efficiency" in compute:
         eff = efficiency(dist)
     if "jitter" in compute and not vacuum:

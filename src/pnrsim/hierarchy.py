@@ -13,6 +13,14 @@ splits into sectors 0..max_count; counted jumps feed sector s into s+1
 and the last sector collects "max_count or more". The whole grid is one
 sparse linear ODE, integrated jointly.
 
+`integrate_hierarchy` splits the span at the envelope support. Only the
+driven segment caps the step, so that a narrow pulse is not stepped
+over; the right-hand side is the same on every segment. Collective
+coupling makes the generator stiff, so the adaptive method moves to BDF
+when a one-off estimate of the spectral radius says so (see
+`IntegratorOptions`), and the diagnostics record each segment's method
+and its nfev, njev and nlu.
+
 `compile_hierarchy` is the single step from a model and an input field
 to that ODE (`HierarchyODE`); the integrator here and the trajectory
 engine both start from it. Most of the member x sector x component grid
@@ -41,16 +49,24 @@ from .pulses import FieldInput
 from .spaces import Operator
 
 _METHODS = ("adaptive", "dop853", "trapezoid")
+_DENSE_EIG_MAX = 32     # states up to this size take dense eigenvalues
+_STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     """Knobs for the hierarchy integrator.
 
-    method "adaptive" is an embedded Runge-Kutta pair; "dop853" is the
-    higher-order variant for tight tolerances; "trapezoid" is an
-    unconditionally stable fixed-step fallback for stiff generators
-    (strong amplification), using `dt` as the step.
+    method "adaptive" chooses its solver once per run from the eigenvalue
+    lambda* of largest modulus of the undriven generator: BDF with the
+    exact sparse Jacobian when |lambda*| * envelope.step_bound > 20 and
+    lambda* lies within 45 degrees of the negative real axis (stiff,
+    damped spectra such as strong collective coupling), the embedded
+    Runge-Kutta pair RK45 otherwise. "dop853" is the higher-order explicit
+    pair for tight tolerances. Both split the span at the envelope support
+    and cap the step at envelope.step_bound on the driven segment only.
+    "trapezoid" is an unconditionally stable fixed-step rule, using `dt`
+    as the step.
     """
 
     method: str = "adaptive"
@@ -263,9 +279,9 @@ def _reachable(y0, blocks):
 
 def _check_density(ev):
     """A given start state must be Hermitian (every encoding, through its
-    adjoint) and, on tensor encodings, positive semidefinite, both within
-    1e-9. Positivity of the symmetric encoding's class vector is not
-    checked."""
+    adjoint) and have no negative populations, both within 1e-9: on tensor
+    encodings its smallest eigenvalue, on the symmetric encoding the
+    weight of each diagonal-type class (the classes the trace row reads)."""
     y = ev.default_state
     if ev.adjoint is not None:
         defect = float(np.abs(ev.adjoint(y) - y).max())
@@ -278,6 +294,13 @@ def _check_density(ev):
         if low < -1e-9:
             raise ConfigError(f"rho0 must be positive semidefinite; its "
                               f"smallest eigenvalue is {low:.6g}")
+    else:
+        # the adjoint maps each diagonal-type class to itself, so the
+        # Hermiticity check above already made these weights real
+        low = float(y[ev.trace_row != 0].real.min())
+        if low < -1e-9:
+            raise ConfigError(f"rho0 class populations must be nonnegative; "
+                              f"the smallest is {low:.6g}")
 
 
 def compile_hierarchy(model, field, t_span=None, *, rho0=None):
@@ -396,21 +419,26 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         def rhs(t, y):
             return a0 @ y
 
-    if opts.method in ("adaptive", "dop853"):
-        from scipy.integrate import solve_ivp
-        method = "RK45" if opts.method == "adaptive" else "DOP853"
-        max_step = opts.max_step
-        if env is not None:
-            # an adaptive step wider than the pulse can step over it unseen
-            max_step = min(max_step, env.step_bound)
-        sol = solve_ivp(rhs, (t0, t1), ode.y0, method=method, t_eval=t_eval,
-                        rtol=opts.rtol, atol=opts.atol, max_step=max_step)
-        if not sol.success:
-            raise NumericsError(f"integration failed: {sol.message}")
-        ys = sol.y.T
-        nfev = int(sol.nfev)
-    else:
+    stiffness = None
+    if opts.method == "trapezoid":
         ys, nfev = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval, opts.dt)
+        segments = [dict(t_span=[t0, t1], method="trapezoid", nfev=nfev,
+                         njev=0, nlu=nfev if am is not None else 1)]
+    else:
+        method = "DOP853" if opts.method == "dop853" else "RK45"
+        jac = None
+        if opts.method == "adaptive" and am is not None:
+            stiffness = _dominant_eigenvalue(a0)
+            if _is_stiff(stiffness, env.step_bound):
+                method = "BDF"
+
+                def jac(t, y):
+                    e = env(t)
+                    return a0 + e * am + np.conj(e) * ap
+        ys, segments = _solve_segments(rhs, jac, ode.y0, t0, t1, t_eval,
+                                       env if am is not None else None,
+                                       method, opts)
+        nfev = sum(seg["nfev"] for seg in segments)
 
     # per (member, sector) readout of a component row: kept index i lies in
     # block blk[i] at position pos[i]
@@ -443,12 +471,13 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     trace_defect = float(np.abs(probs.sum(axis=0) - 1.0).max())
     result.diagnostics.update(trace_defect=trace_defect, nfev=nfev,
                               method=opts.method, size=total,
-                              full_size=ode.full_size)
+                              full_size=ode.full_size, segments=segments,
+                              stiffness=stiffness)
     if trace_defect > opts.trace_tol:
         raise NumericsError(
             f"physical trace drifted by {trace_defect:.2e} "
-            f"(tolerance {opts.trace_tol:.1e}); tighten rtol/atol or use "
-            f"the trapezoid method with a smaller dt")
+            f"(tolerance {opts.trace_tol:.1e}) with "
+            f"{'/'.join(seg['method'] for seg in segments)}; tighten rtol/atol")
     if store and ev.adjoint is not None:
         result.diagnostics["hermiticity_defect"] = _hermiticity_defect(result, ev)
     return result
@@ -464,6 +493,70 @@ def _hermiticity_defect(result, ev):
             b = ev.adjoint(result._member_vec(last, m, n))
             worst = max(worst, float(np.abs(a - b).max()))
     return worst
+
+
+def _dominant_eigenvalue(a):
+    """Eigenvalue of largest modulus of the sparse matrix `a`: ARPACK from
+    a fixed start vector (so repeated runs agree), dense for tiny matrices
+    or when ARPACK does not converge."""
+    n = a.shape[0]
+    if n > _DENSE_EIG_MAX:
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+        try:
+            lam = spla.eigs(a, k=1, which="LM", v0=v0, tol=1e-6,
+                            return_eigenvectors=False)
+            return complex(lam[0])
+        except spla.ArpackError:
+            pass
+    lam = np.linalg.eigvals(a.toarray())
+    return complex(lam[np.argmax(np.abs(lam))])
+
+
+def _is_stiff(lam, step_bound):
+    """Whether BDF beats RK45: the stability limit of an explicit step,
+    about 1/|lam|, is far below the step that resolves the pulse, and lam
+    lies within 45 degrees of the negative real axis. Oscillatory
+    (band-like) spectra stay explicit: there BDF's step is held down by
+    accuracy, not stability, and each step costs a factorization."""
+    return abs(lam) * step_bound > _STIFF_RATIO and -lam.real >= abs(lam.imag)
+
+
+def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
+    """Integrate on [t0, t1] split at the support of `env` (None: one
+    segment) with solve_ivp's `method` (and `jac`, unless None). The
+    right-hand side is the same on every segment; only the driven one caps
+    the step at `env.step_bound`, so that the pulse is not stepped over.
+    Returns the states at t_eval and one record per segment (method, nfev,
+    njev, nlu)."""
+    from scipy.integrate import solve_ivp
+    cuts, lo, hi = [t0, t1], np.inf, -np.inf
+    if env is not None:
+        lo, hi = env.support
+        cuts = [t0] + [c for c in (lo, hi) if t0 < c < t1] + [t1]
+    # each requested time is read from the first segment that reaches it
+    owner = np.minimum(np.searchsorted(cuts[1:], t_eval), len(cuts) - 2)
+    ys = np.empty((len(t_eval), y0.size), dtype=complex)
+    segments = []
+    y = y0
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        sel = np.flatnonzero(owner == i)
+        # the segment end is always evaluated: it starts the next segment
+        te, back = np.unique(np.append(np.clip(t_eval[sel], a, b), b),
+                             return_inverse=True)
+        max_step = opts.max_step
+        if a < hi and b > lo:
+            max_step = min(max_step, env.step_bound)
+        kw = {} if jac is None else dict(jac=jac)
+        sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
+                        rtol=opts.rtol, atol=opts.atol, max_step=max_step, **kw)
+        if not sol.success:
+            raise NumericsError(
+                f"{method} integration on [{a:.6g}, {b:.6g}] failed: {sol.message}")
+        ys[sel] = sol.y.T[back[:-1]]
+        y = sol.y[:, -1]
+        segments.append(dict(t_span=[a, b], method=method, nfev=int(sol.nfev),
+                             njev=int(sol.njev), nlu=int(sol.nlu)))
+    return ys, segments
 
 
 def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):

@@ -251,6 +251,22 @@ def test_cli_simulate_writes_outputs(tmp_path, capsys):
     assert head[2].startswith("t,P_sector_0,P_sector_1,P_reg_ge_1")
 
 
+def test_cli_metrics_record_the_solver(tmp_path):
+    path = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", path, "--out", str(out)]) == 0
+    run = json.loads((out / "metrics.json").read_text())[
+        "metrics"]["provenance"]["run"]
+    assert set(run) == {"size", "full_size", "segments"}
+    assert 0 < run["size"] <= run["full_size"]
+    # the gaussian support [-16, 16] splits the span [-16, 28]
+    assert [seg["t_span"] for seg in run["segments"]] == [[-16.0, 16.0],
+                                                          [16.0, 28.0]]
+    for seg in run["segments"]:
+        assert seg["method"] == "RK45" and seg["nfev"] > 0
+        assert seg["njev"] == seg["nlu"] == 0
+
+
 def test_cli_simulate_is_deterministic(tmp_path):
     path = write_cfg(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

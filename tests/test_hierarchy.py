@@ -7,12 +7,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from pnrsim.architectures import (build_array, build_single_element,
+from pnrsim.architectures import (DosModel, build_array, build_band_element,
+                                  build_pnr, build_single_element,
                                   build_symmetric_reduced)
 from pnrsim.errors import ConfigError, ResourceLimitError
 from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
                               integrate_hierarchy, reduced_matter_state)
 from pnrsim.liouville import assemble_liouvillian, counting_resolve
+from pnrsim.metrics import detection_probabilities, efficiency, jitter
 from pnrsim.pulses import fock_input, gaussian_envelope, superposition_input
 from pnrsim.spaces import build_space, projector, transition
 from pnrsim.trajectories import TrajectoryOptions, run_trajectories
@@ -375,6 +377,23 @@ def test_start_state_must_be_a_density_matrix():
     integrate_hierarchy(sym, field, rho0=ev.default_state)
 
 
+def test_symmetric_start_state_must_have_nonnegative_populations():
+    # unit trace and Hermitian, but one diagonal-type class holds -0.5
+    sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
+    ev = sym.engine_view()
+    ground = int(np.flatnonzero(ev.default_state)[0])
+    other = [i for i in np.flatnonzero(ev.trace_row) if i != ground][0]
+    negative = ev.default_state.copy()
+    negative[other] = -0.5
+    negative[ground] += 0.5 * ev.trace_row[other].real
+    assert complex(ev.trace_row @ negative) == pytest.approx(1.0)
+    field = fock_input(1, gaussian_envelope(1.0))
+    with pytest.raises(ConfigError, match="rho0.*nonnegative"):
+        integrate_hierarchy(sym, field, rho0=negative)
+    with pytest.raises(ConfigError, match="rho0.*nonnegative"):
+        compile_hierarchy(sym, field, rho0=negative)
+
+
 def test_narrow_pulse_on_a_wide_span_is_not_stepped_over():
     # with an uncapped step RK45 never sampled these pulses and reported
     # efficiency 0
@@ -390,3 +409,64 @@ def test_narrow_pulse_on_a_wide_span_is_not_stepped_over():
         eff = run.count_probabilities()[1, -1]
         assert eff == pytest.approx(expected, abs=5e-5)
         assert abs(eff - ref.count_probabilities()[1, -1]) < 1e-6
+
+
+def test_narrow_pulse_caps_the_step_only_under_the_pulse():
+    # a step cap over the whole span took nfev 96,026 here
+    arch = build_single_element(1.0, 1.0, k=0.5)
+    field = fock_input(1, gaussian_envelope(0.005))
+    run = integrate_hierarchy(arch.counting(1), field, (-8.0, 12.0),
+                              IntegratorOptions(n_points=2))
+    assert run.diagnostics["nfev"] < 5000
+    assert [seg["t_span"] for seg in run.diagnostics["segments"]] == [
+        [-8.0, -0.04], [-0.04, 0.04], [0.04, 12.0]]
+    # reference: rtol 1e-10, atol 1e-12 and max_step = sigma0 / 20 over
+    # the whole span (nfev 480,020)
+    ref = 0.012433764712017247
+    assert run.count_probabilities()[1, -1] == pytest.approx(ref, abs=1e-8)
+
+
+def _methods(arch, field, t_span, opts=IntegratorOptions(n_points=2)):
+    run = integrate_hierarchy(arch, field, t_span, opts)
+    return {seg["method"] for seg in run.diagnostics["segments"]}
+
+
+def _sym_sweep_model(gamma_eff):
+    """One point of a collective sweep: 200 elements, 8 registers."""
+    return build_symmetric_reduced(200, 8, gamma_eff, 1.0, k_A=1.0,
+                                   exc_cap=2).counting(2)
+
+
+def test_stiff_collective_coupling_switches_to_bdf():
+    field = fock_input(2, gaussian_envelope(2.0))
+    # spectral radius of a0 is 400 at gamma_eff 1 and 16 at 0.0707, against
+    # a pulse step bound of 0.5
+    assert _methods(_sym_sweep_model(1.0), field, (-16, 28)) == {"BDF"}
+    assert _methods(_sym_sweep_model(0.0707), field, (-16, 28)) == {"RK45"}
+    # a mildly stiff tensor model and an oscillatory band spectrum stay
+    # explicit: BDF took 5x and 40x longer on models like these
+    assert _methods(build_pnr(2, 3).counting(2), field, (-16, 28)) == {"RK45"}
+    band = build_band_element(DosModel("lorentzian", width=1.0), 16,
+                              np.sqrt(2.0 / 16), 1.0)
+    env = gaussian_envelope(25.0)
+    lo, hi = env.support
+    assert _methods(band.counting(1), fock_input(1, env), (lo, hi + 10.0),
+                    IntegratorOptions(n_points=2, store_states=False)) == {"RK45"}
+    # the choice is recorded with its estimate
+    run = integrate_hierarchy(_sym_sweep_model(1.0), field, (-16, 28),
+                              IntegratorOptions(n_points=2))
+    assert run.diagnostics["stiffness"] == pytest.approx(-400.0, rel=1e-3)
+    assert all(seg["nlu"] > 0 for seg in run.diagnostics["segments"])
+
+
+def test_bdf_point_matches_tight_explicit_reference():
+    env = gaussian_envelope(2.0)
+    field = fock_input(2, env)
+    arch = _sym_sweep_model(0.4)
+    got = integrate_hierarchy(arch, field, (-16, 28))
+    ref = integrate_hierarchy(arch, field, (-16, 28), IntegratorOptions(
+        method="dop853", rtol=1e-12, atol=1e-14))
+    assert got.diagnostics["segments"][0]["method"] == "BDF"
+    a, b = (detection_probabilities(r, 0.0, 0.0) for r in (got, ref))
+    assert abs(efficiency(a) - efficiency(b)) < 1e-8
+    assert abs(jitter(a, env)[0] - jitter(b, env)[0]) < 1e-6
