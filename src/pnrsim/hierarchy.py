@@ -31,6 +31,15 @@ trajectory engine applies). The generator at any time is a combination
 of those blocks, so it maps the kept coordinates into themselves and the
 dropped ones stay exactly zero: the restriction is exact, not a
 truncation with a tolerance.
+
+The reduction is found block by block (`_BlockGraph`), a block being one
+(member, sector) pair: the search follows the component-level patterns
+of g0 and each backaction within a block, of the jump operator from
+sector s to s+1 (and within the last sector), and of the field operators
+from member (n-1, m) and (n, m-1) to (n, m), and the restricted blocks
+are assembled from slices of those operators. The full grid is never
+built: its length `full_size` is only a count, and one flag per grid
+index is the only array of that length.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .liouville import EngineView
@@ -92,35 +100,113 @@ class IntegratorOptions:
             raise ConfigError("n_points must be at least 2")
 
 
-def _member_wiring(n_max, which):
-    """Sparse coupling matrix between members of the (n, m) grid.
+class _BlockGraph:
+    """The hierarchy's operators on the full (member, sector, component)
+    layout, held block by block. Block b = (n (n_max+1) + m) S + s is
+    member (n, m) in sector s, and full index b * vec_dim + c is its
+    component c.
 
-    which = "ket": (n, m) <- (n-1, m) with weight sqrt(n).
-    which = "bra": (n, m) <- (n, m-1) with weight sqrt(m).
-    """
-    np1 = n_max + 1
-    rows, cols, vals = [], [], []
-    for n in range(np1):
-        for m in range(np1):
-            g = n * np1 + m
-            if which == "ket" and n >= 1:
-                rows.append(g)
-                cols.append((n - 1) * np1 + m)
-                vals.append(np.sqrt(n))
-            if which == "bra" and m >= 1:
-                rows.append(g)
-                cols.append(n * np1 + (m - 1))
-                vals.append(np.sqrt(m))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(np1 * np1, np1 * np1))
+    Each part (label, op, target, weight) maps component c of block b to
+    the rows of op's column c in block target[b] (no block where -1),
+    scaled by weight[b]; parts with the same label sum to one operator.
+    `graph` stacks the parts' sparsity patterns into one CSC matrix whose
+    data are positions in each op's own `data`, so the entries of any set
+    of full-layout columns come out of one gather, whatever blocks they
+    lie in, and no operator on the full layout is built."""
+
+    def __init__(self, parts, vec_dim):
+        self.vd = vec_dim
+        self.labels, self.ops, target, weight = zip(*parts)
+        self.target, self.weight = np.array(target), np.array(weight)
+        where = [sp.csr_matrix((np.arange(op.nnz, dtype=np.int32), op.indices,
+                                op.indptr), shape=op.shape) for op in self.ops]
+        self.graph = sp.vstack(where, format="csr").tocsc()
+
+    def _entries(self, cols):
+        """Every stored entry of the parts in the full-layout columns
+        `cols`: its position in cols, part, source block, full-layout row
+        (-1 where the part has no target block) and position in the
+        part's op.data."""
+        blk, comp = np.divmod(cols, self.vd)
+        lo = self.graph.indptr[comp]
+        count = self.graph.indptr[comp + 1] - lo
+        src = np.repeat(np.arange(cols.size), count)
+        at = np.arange(src.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        part, row = np.divmod(self.graph.indices[at], self.vd)
+        blk = blk[src]
+        to = self.target[part, blk]
+        return (src, part, blk, np.where(to >= 0, to * self.vd + row, -1),
+                self.graph.data[at])
+
+    def reach(self, seeds, full_size):
+        """Sorted full-layout indices reachable from `seeds` along every
+        part: the smallest coordinate subspace that holds the seeds and
+        that each part maps into itself. Every block's frontier advances
+        in the same step; `seen` is one flag per full-layout index."""
+        seen = np.zeros(full_size, dtype=bool)
+        seen[seeds] = True
+        found = front = seeds
+        while front.size:
+            row = self._entries(front)[3]
+            row = row[row >= 0]
+            front = np.unique(row[~seen[row]])
+            seen[front] = True
+            found = np.concatenate([found, front])
+        return np.sort(found)
+
+    def restrict(self, keep):
+        """label -> the labelled operator restricted to the rows and
+        columns `keep`, a set the parts map into itself (CSR, sorted)."""
+        src, part, blk, row, at = self._entries(keep)
+        part = np.where(row >= 0, part, -1)
+        row = np.searchsorted(keep, row)
+        out = {}
+        for p, label in enumerate(self.labels):
+            i = np.flatnonzero(part == p)
+            m = sp.csr_matrix((self.weight[p, blk[i]] * self.ops[p].data[at[i]],
+                               (row[i], src[i])), shape=(keep.size, keep.size))
+            out[label] = out[label] + m if label in out else m
+        return out
 
 
-def _sector_feed(n_sectors):
-    """Counted jumps move sector s -> s+1; the last sector self-feeds so
-    block-column sums reproduce the unresolved generator exactly."""
-    rows = list(range(1, n_sectors)) + [n_sectors - 1]
-    cols = list(range(0, n_sectors - 1)) + [n_sectors - 1]
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                         shape=(n_sectors, n_sectors))
+def _block_parts(ev, n_max):
+    """Parts of a0, am, ap and of each monitored channel's backaction (the
+    kick of the trajectory engine, labelled by its index among the
+    monitored channels) for `_BlockGraph`. Counted jumps move sector s to
+    s+1 and the last sector keeps "S-1 or more", so its diagonal block is
+    g0 + jump; the field moves member (n-1, m) to (n, m) with weight
+    sqrt(n) through field_ket and (n, m-1) to (n, m) with weight sqrt(m)
+    through field_bra."""
+    np1, S = n_max + 1, ev.n_sectors
+    n, m, s = np.unravel_index(np.arange(np1 * np1 * S), (np1, np1, S))
+    b = np.arange(n.size)
+    one = np.ones(b.size)
+    parts = [("a0", ev.g0, b, one)]
+    if S > 1:
+        if ev.jump is None:
+            raise ConfigError("n_sectors > 1 but the engine has no jump part")
+        parts.append(("a0", ev.jump, np.where(s < S - 1, b + 1, b), one))
+    if n_max > 0:
+        parts += [("am", ev.field_ket, np.where(n < n_max, b + np1 * S, -1),
+                   np.sqrt(n + 1.0)),
+                  ("ap", ev.field_bra, np.where(m < n_max, b + S, -1),
+                   np.sqrt(m + 1.0))]
+    monitored = [a for a in ev.amps if a.k > 0]
+    parts += [(i, a.backaction, b, one) for i, a in enumerate(monitored)]
+    return parts
+
+
+def union_pattern(mats, fmt="csr"):
+    """One sparse matrix of format `fmt` (sorted indices) on the union
+    sparsity pattern of `mats`, and each matrix's values on that pattern
+    (0 where it has no entry). A combination of the matrices is then a
+    few vector operations written into the pattern's `data`, with no
+    sparse-object construction."""
+    pattern = sum(abs(m) for m in mats).asformat(fmt)    # abs: nothing cancels
+    pattern.sort_indices()
+    pattern.data = pattern.data.astype(complex)
+    at = pattern.tocoo()
+    return pattern, [np.asarray(m.tocsr()[at.row, at.col]).ravel() for m in mats]
 
 
 class HierarchyState:
@@ -240,8 +326,13 @@ class HierarchyODE:
     0. `engine` is the model's EngineView the blocks were built from.
 
     The blocks and y0 live on the reachable subspace: `keep` holds its
-    sorted indices into the full (member, sector, component) layout of
-    length `full_size`, and every other full-layout entry stays zero."""
+    sorted indices into the full (member, sector, component) layout, and
+    every other full-layout entry stays zero. `full_size` is only the
+    length of that layout; no operator on that layout is built.
+    `kicks` holds, on the same subspace, the backaction X y + y X^dag of
+    each monitored channel (k > 0) in every (member, sector) block, in
+    the order of `engine.amps`; the reachable subspace is closed under
+    these as well."""
 
     engine: EngineView
     field: FieldInput
@@ -254,27 +345,11 @@ class HierarchyODE:
     ap: object
     y0: np.ndarray
     keep: np.ndarray
+    kicks: tuple = ()
 
     @property
     def full_size(self):
         return (self.n_max + 1) ** 2 * self.engine.n_sectors * self.engine.vec_dim
-
-
-def _reachable(y0, blocks):
-    """Sorted indices reachable from the nonzeros of y0 along the union
-    sparsity pattern of `blocks`: the smallest coordinate subspace that
-    holds y0 and that every linear combination of the blocks maps into
-    itself."""
-    n = y0.size
-    seeds = np.flatnonzero(y0)
-    coos = [b.tocoo() for b in blocks]
-    # edge j -> i wherever a block has an (i, j) entry; the extra node n
-    # feeds every seed, so one search covers them all
-    src = np.concatenate([c.col for c in coos] + [np.full(seeds.size, n)])
-    dst = np.concatenate([c.row for c in coos] + [seeds])
-    graph = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n + 1, n + 1))
-    order = breadth_first_order(graph, n, return_predecessors=False)
-    return np.sort(order[1:])
 
 
 def _check_density(ev):
@@ -333,41 +408,19 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     if not t1 > t0:
         raise ConfigError(f"empty time span ({t0}, {t1})")
 
-    np1 = n_max + 1
-    n_members = np1 * np1
-    S = ev.n_sectors
-    vd = ev.vec_dim
-    if S > 1:
-        if ev.jump is None:
-            raise ConfigError("n_sectors > 1 but the engine has no jump part")
-        sector_block = sp.kron(sp.identity(S), ev.g0) + sp.kron(_sector_feed(S), ev.jump)
-    else:
-        sector_block = ev.g0
-    a0 = sp.kron(sp.identity(n_members), sector_block, format="csr")
-    am = ap = None
-    if n_max > 0:
-        eye_s = sp.identity(S)
-        am = sp.kron(_member_wiring(n_max, "ket"), sp.kron(eye_s, ev.field_ket),
-                     format="csr")
-        ap = sp.kron(_member_wiring(n_max, "bra"), sp.kron(eye_s, ev.field_bra),
-                     format="csr")
-    y0 = np.zeros(n_members * S * vd, dtype=complex)
-    for n in range(np1):
-        lo = (n * np1 + n) * S * vd
-        y0[lo:lo + vd] = ev.default_state
-
-    blocks = [b for b in (a0, am, ap) if b is not None]
-    # the trajectory engine kicks the state with each monitored backaction
-    blocks += [sp.kron(sp.identity(n_members * S), a.backaction)
-               for a in ev.amps if a.k > 0]
-    keep = _reachable(y0, blocks)
-
-    def restrict(m):
-        return None if m is None else m[keep][:, keep]
-
+    np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
+    graph = _BlockGraph(_block_parts(ev, n_max), vd)
+    # every diagonal member (n, n) starts from the matter state in sector 0
+    nz = np.flatnonzero(ev.default_state)
+    starts = (np.arange(np1) * (np1 + 1) * S * vd)[:, None] + nz
+    keep = graph.reach(starts.ravel(), np1 * np1 * S * vd)
+    ops = graph.restrict(keep)
+    y0 = np.zeros(keep.size, dtype=complex)
+    y0[np.searchsorted(keep, starts)] = ev.default_state[nz]
     return HierarchyODE(engine=ev, field=field, envelope=env, t0=t0, t1=t1,
-                        n_max=n_max, a0=restrict(a0), am=restrict(am),
-                        ap=restrict(ap), y0=y0[keep], keep=keep)
+                        n_max=n_max, a0=ops["a0"], am=ops.get("am"),
+                        ap=ops.get("ap"), y0=y0, keep=keep,
+                        kicks=tuple(ops[k] for k in ops if not isinstance(k, str)))
 
 
 def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
@@ -408,22 +461,25 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             f"max_store_bytes or request fewer points")
 
     if am is not None:
+        # one product gives a0 y, am y and ap y, stacked
+        blocks = sp.vstack([a0, am, ap], format="csr")
+
         def rhs(t, y):
-            out = a0 @ y
             e = env(t)
-            if e != 0:
-                out = out + e * (am @ y)
-                out = out + np.conj(e) * (ap @ y)
-            return out
+            if e == 0:
+                return a0 @ y
+            u = blocks @ y
+            return u[:total] + e * u[total:2 * total] + np.conj(e) * u[2 * total:]
     else:
         def rhs(t, y):
             return a0 @ y
 
     stiffness = None
     if opts.method == "trapezoid":
-        ys, nfev = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval, opts.dt)
+        ys, nfev, nlu = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval,
+                                   opts.dt)
         segments = [dict(t_span=[t0, t1], method="trapezoid", nfev=nfev,
-                         njev=0, nlu=nfev if am is not None else 1)]
+                         njev=0, nlu=nlu)]
     else:
         method = "DOP853" if opts.method == "dop853" else "RK45"
         jac = None
@@ -431,10 +487,12 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             stiffness = _dominant_eigenvalue(a0)
             if _is_stiff(stiffness, env.step_bound):
                 method = "BDF"
+                gen, (g0, gm, gp) = union_pattern([a0, am, ap])
 
                 def jac(t, y):
                     e = env(t)
-                    return a0 + e * am + np.conj(e) * ap
+                    return sp.csr_matrix((g0 + e * gm + np.conj(e) * gp,
+                                          gen.indices, gen.indptr), shape=gen.shape)
         ys, segments = _solve_segments(rhs, jac, ode.y0, t0, t1, t_eval,
                                        env if am is not None else None,
                                        method, opts)
@@ -563,18 +621,23 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
     """Fixed-step trapezoid rule with the drive frozen at midpoints.
 
     Solves (I - dt/2 A(tm)) y' = (I + dt/2 A(tm)) y each step; stable for
-    stiff generators at the cost of one sparse factorization per step
-    (one total when there is no drive).
+    stiff generators. The steps where the drive is zero share one sparse
+    factorization; every other step writes A(tm) and I - dt/2 A(tm) into
+    fixed union patterns (see union_pattern) and factorizes afresh.
+    Returns the states at t_eval, the number of driven-run steps and the
+    number of factorizations.
     """
     n_steps = max(int(np.ceil((t1 - t0) / dt)), 1)
     h = (t1 - t0) / n_steps
     total = y0.size
     eye = sp.identity(total, dtype=complex, format="csc")
 
-    lu = None
+    lu0, nlu = spla.splu((eye - 0.5 * h * a0).tocsc()), 1
     if am is None:
-        lu = spla.splu((eye - 0.5 * h * a0).tocsc())
         rhs_mat = (eye + 0.5 * h * a0).tocsr()
+    else:
+        gen, (g0, gm, gp) = union_pattern([a0, am, ap])
+        lhs, (l1, l0, lm, lp) = union_pattern([eye, a0, am, ap], fmt="csc")
 
     out = np.empty((len(t_eval), total), dtype=complex)
     grid = t0 + h * np.arange(n_steps + 1)
@@ -587,12 +650,16 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
     for step in range(n_steps):
         tm = grid[step] + 0.5 * h
         if am is None:
-            ynew = lu.solve(rhs_mat @ y)
+            ynew = lu0.solve(rhs_mat @ y)
         else:
             e = env(tm)
-            a_mid = a0 + e * am + np.conj(e) * ap
-            lu_step = spla.splu((eye - 0.5 * h * a_mid).tocsc())
-            ynew = lu_step.solve(y + 0.5 * h * (a_mid @ y))
+            lu, a = lu0, a0
+            if e != 0:
+                gen.data[:] = g0 + e * gm + np.conj(e) * gp
+                lhs.data[:] = l1 - 0.5 * h * (l0 + e * lm + np.conj(e) * lp)
+                lu, a = spla.splu(lhs), gen
+                nlu += 1
+            ynew = lu.solve(y + 0.5 * h * (a @ y))
             nfev += 1
         sel = np.where(idx == step)[0]
         for j in sel:
@@ -601,4 +668,4 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
     exact_end = np.where(np.isclose(t_eval, grid[-1]))[0]
     for j in exact_end:
         out[j] = y
-    return out, nfev
+    return out, nfev, nlu

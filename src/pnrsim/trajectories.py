@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericsError
-from .hierarchy import compile_hierarchy
+from .hierarchy import compile_hierarchy, union_pattern
 
 _CHUNK = 256
 
@@ -73,7 +73,7 @@ class _Prepared:
     of column states, one per trajectory. `a0`, `am`, `ap` hold the
     generator blocks' values on one layout: dense arrays when d is at
     most _DENSE_MAX, otherwise the `.data` of CSR matrices on the union
-    sparsity pattern of the three. The driven generator of a step is then
+    sparsity pattern of the three (`union_pattern`). The driven generator of a step is then
     a few vector operations into `gen_vals`, the storage of the operator
     `gen`, and `mul(a, y)` applies such an operator to every column.
     `readout` (shape (1 + n_amps, 1, 1, d)) stacks the trace row over each
@@ -108,12 +108,10 @@ def _prepare(liou, field, t_span, opts, rho0):
             f"resolve the pulse")
     amps = [a for a in ev.amps if a.k > 0]
 
-    # physical weights per (member, sector) block
+    # physical weight of the (member, sector) block of each kept index
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
-    wvec = np.repeat(c.reshape(-1), ev.n_sectors)
-    keep = ode.keep
-    sx = [sp.kron(sp.identity(wvec.size), a.backaction,
-                  format="csr")[keep][:, keep] for a in amps]
+    blk, pos = np.divmod(ode.keep, ev.vec_dim)
+    weight = np.repeat(c.reshape(-1), ev.n_sectors)[blk]
     rows = [ev.trace_row] + [ev.trace_row @ a.backaction for a in amps]
 
     p = _Prepared()
@@ -121,8 +119,7 @@ def _prepare(liou, field, t_span, opts, rho0):
     p.dt = (t1 - t0) / p.n_steps
     p.sqdt = math.sqrt(p.dt)
     p.y0 = ode.y0
-    p.readout = np.array([np.kron(wvec, r)[keep]
-                          for r in rows])[:, None, None, :]
+    p.readout = np.array([weight * r[pos] for r in rows])[:, None, None, :]
     xs = [a.op.matrix.toarray() for a in amps]
     p.x_range = np.array([np.linalg.eigvalsh(0.5 * (x + x.conj().T))[[0, -1]]
                           for x in xs]).reshape(-1, 2)
@@ -140,21 +137,15 @@ def _prepare(liou, field, t_span, opts, rho0):
     if p.y0.size <= _DENSE_MAX:
         p.a0, p.am, p.ap = a0.toarray(), am.toarray(), ap.toarray()
         p.gen = p.gen_vals = np.empty_like(p.a0)
-        p.sx = [m.toarray() for m in sx]
+        p.sx = [m.toarray() for m in ode.kicks]
         p.mul = np.matmul
         # the tail propagator: exact exponential wherever the drive vanishes
         import scipy.linalg as la
         p.prop0 = la.expm(p.a0 * p.dt)
     else:
-        pattern = (abs(a0) + abs(am) + abs(ap)).tocsr()
-        pattern.sort_indices()
-        r = np.repeat(np.arange(a0.shape[0]), np.diff(pattern.indptr))
-        p.a0, p.am, p.ap = (np.asarray(m[r, pattern.indices]).ravel()
-                            for m in (a0, am, ap))
-        p.gen = sp.csr_matrix((p.a0.copy(), pattern.indices, pattern.indptr),
-                              shape=a0.shape)
+        p.gen, (p.a0, p.am, p.ap) = union_pattern([a0, am, ap])
         p.gen_vals = p.gen.data
-        p.sx = sx
+        p.sx = list(ode.kicks)
         p.mul = _csr_mul
         p.prop0 = None
     p.buf = np.empty_like(p.gen_vals)

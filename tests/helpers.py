@@ -9,6 +9,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import breadth_first_order
 
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element)
@@ -68,6 +69,55 @@ def dense_hierarchy(ev, field):
         lo = (n * np1 + n) * S * vd
         y0[lo:lo + vd] = ev.default_state
     return a0, am, ap, y0
+
+
+def full_grid_hierarchy(ev, field):
+    """Reference reduction on the full grid: the sparse blocks of the whole
+    (member, sector, component) layout built with kron, and a
+    breadth-first search from the start vector's nonzeros along the union
+    pattern of the blocks and of each monitored backaction. Returns keep
+    and the blocks and start vector restricted to it (am, ap None when the
+    field carries no photons)."""
+    n_max = field.n_max if field is not None else 0
+    np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
+    if S > 1:
+        feed = sp.diags([np.ones(S - 1)], [-1], shape=(S, S), format="lil")
+        feed[S - 1, S - 1] = 1.0   # the last sector keeps "S-1 or more"
+        sector = (sp.kron(sp.identity(S), ev.g0, format="csr")
+                  + sp.kron(feed, ev.jump, format="csr"))
+    else:
+        sector = ev.g0
+    a0 = sp.kron(sp.identity(np1 * np1), sector, format="csr")
+    am = ap = None
+    if n_max > 0:
+        up = sp.diags([np.sqrt(np.arange(1.0, np1))], [-1])  # n <- n-1, sqrt(n)
+        # format="csr" throughout: kron's default may store the zeros of
+        # a dense-looking factor, which would count as coupling here
+        ket = sp.kron(up, sp.identity(np1), format="csr")
+        bra = sp.kron(sp.identity(np1), up, format="csr")
+        eye_s = sp.identity(S)
+        am = sp.kron(ket, sp.kron(eye_s, ev.field_ket, format="csr"), format="csr")
+        ap = sp.kron(bra, sp.kron(eye_s, ev.field_bra, format="csr"), format="csr")
+    y0 = np.zeros(a0.shape[0], dtype=complex)
+    for n in range(np1):
+        lo = (n * np1 + n) * S * vd
+        y0[lo:lo + vd] = ev.default_state
+    blocks = [b for b in (a0, am, ap) if b is not None]
+    blocks += [sp.kron(sp.identity(np1 * np1 * S), a.backaction, format="csr")
+               for a in ev.amps if a.k > 0]
+    # edge j -> i wherever a block has an (i, j) entry; node N feeds the seeds
+    size = y0.size
+    seeds = np.flatnonzero(y0)
+    coos = [b.tocoo() for b in blocks]
+    src = np.concatenate([c.col for c in coos] + [np.full(seeds.size, size)])
+    dst = np.concatenate([c.row for c in coos] + [seeds])
+    graph = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(size + 1, size + 1))
+    keep = np.sort(breadth_first_order(graph, size, return_predecessors=False)[1:])
+
+    def restrict(m):
+        return None if m is None else m[keep][:, keep]
+
+    return keep, restrict(a0), restrict(am), restrict(ap), y0[keep]
 
 
 def dense_count_probabilities(ev, field, t_eval, **solve_kw):

@@ -20,7 +20,7 @@ from pnrsim.spaces import build_space, projector, transition
 from pnrsim.trajectories import TrajectoryOptions, run_trajectories
 
 from helpers import (dense_count_probabilities, dense_hierarchy, expm_evolve,
-                     random_architecture, random_density)
+                     full_grid_hierarchy, random_architecture, random_density)
 
 
 def test_vacuum_input_matches_dense_expm():
@@ -204,6 +204,72 @@ def test_reachable_subspace_is_closed_under_measurement_backaction():
     _assert_keep_is_invariant(ode, (kick,))
     member_11 = (1 * 2 + 1) * 2 * 9          # member (1, 1), sector 0
     assert member_11 + 2 * 3 + 1 in ode.keep
+
+
+def _assert_same_csr(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_block_compile_matches_full_grid_reference():
+    # the block-by-block compile must give exactly what kron-then-search
+    # over the whole (member, sector, component) grid gives
+    space = build_space([("element", ("0", "1", "2"))])
+    x = (transition(space, "element", "1", "2", 1.0)
+         + transition(space, "element", "2", "1", 1.0))
+    liou = assemble_liouvillian(
+        None, [("DECAY", transition(space, "element", "0", "2", 1.0))],
+        ("ABSORB", transition(space, "element", "0", "1", 1.0)),
+        [("AMP", x, 0.5)])
+    cases = [(counting_resolve(liou, "DECAY", 1), fock_input(1, gaussian_envelope(1.0))),
+             (build_symmetric_reduced(6, 2, 0.4, 1.0, k_A=1.0, exc_cap=2).counting(2),
+              fock_input(2, gaussian_envelope(2.0))),
+             # more photons than count sectors: the last sector feeds itself
+             (build_single_element(0.8, 1.1, Delta=0.3, k=0.4).counting(1),
+              fock_input(2, gaussian_envelope(1.0)))]
+    kinds, seed = set(), 0
+    while len(cases) < 10 or len(kinds) < 4:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        arch = random_architecture(rng)
+        n = int(rng.integers(1, 3))
+        if not any(a.k > 0 for a in arch.liouvillian().amps):
+            continue
+        kinds.add(arch.kind)
+        cases.append((arch.counting(n), fock_input(n, gaussian_envelope(1.0))))
+    for model, field in cases:
+        ode = compile_hierarchy(model, field)
+        keep, a0, am, ap, y0 = full_grid_hierarchy(ode.engine, field)
+        assert np.array_equal(ode.keep, keep) and keep.size < ode.full_size
+        assert np.array_equal(ode.y0, y0)
+        for got, want in ((ode.a0, a0), (ode.am, am), (ode.ap, ap)):
+            _assert_same_csr(got, want)
+        amps = [a for a in ode.engine.amps if a.k > 0]
+        assert len(ode.kicks) == len(amps)
+        n_blocks = ode.full_size // ode.engine.vec_dim
+        for kick, a in zip(ode.kicks, amps):
+            full = sp.kron(sp.identity(n_blocks), a.backaction, format="csr")
+            _assert_same_csr(kick, full[keep][:, keep])
+
+
+def test_compile_memory_follows_the_kept_size():
+    # PNR(4, 2) under two photons: 282 of 2,834,352 grid components are
+    # reachable; building the whole grid took about 1.9 GB
+    import tracemalloc
+    model = build_pnr(4, 2, gamma=0.7071067811865476, Gamma=1.0, k_A=1.0).counting(2)
+    field = fock_input(2, gaussian_envelope(2.0))
+    tracemalloc.start()
+    try:
+        ode = compile_hierarchy(model, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ode.full_size == 2_834_352 and ode.keep.size == 282
+    assert peak < 64 * 2 ** 20
 
 
 def test_options_must_be_finite():
