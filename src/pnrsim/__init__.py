@@ -46,7 +46,6 @@ from .hierarchy import (
 )
 from .liouville import (
     AmpChannel,
-    CountingLiouvillian,
     JumpChannel,
     Liouvillian,
     assemble_liouvillian,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ResourceLimitError
-from .liouville import AmpChannel, assemble_liouvillian, counting_resolve
+from .liouville import AmpChannel, assemble_liouvillian, check_count, counting_resolve
 from .spaces import Operator, Subsystem, build_space, embed, projector, transition
 from .symmetric import SymmetricLiouvillian
 
@@ -149,7 +149,7 @@ def discretize_dos(dos, n_b, total_coupling, Gamma, span=8.0):
     Hove edge divergence is clipped at half the level spacing. All
     levels decay at the same Gamma.
     """
-    _check_count(n_b=n_b)
+    check_count(n_b=n_b)
     n_b = int(n_b)
     if n_b < 1:
         raise ConfigError(f"n_b must be >= 1, got {n_b}")
@@ -217,7 +217,9 @@ class ArchitectureSpec:
     kind: single | band | array | pnr | pnr-symmetric.
     `liouvillian()` returns the assembled generator (tensor encodings
     yield a Liouvillian, the symmetric reduction a SymmetricLiouvillian);
-    `counting(max_count)` resolves the registration channels' jumps.
+    `counting(max_count, tags=None)` returns its engine view with the jumps
+    of `tags` (default: the registration channels) resolved into
+    max_count + 1 count sectors, ready for `integrate_hierarchy`.
     `params` holds exactly the builder arguments, so `with_params`
     rebuilds the architecture with selected values replaced.
     """
@@ -237,7 +239,8 @@ class ArchitectureSpec:
         return self._liou
 
     def counting(self, max_count, tags=None):
-        return counting_resolve(self._liou, tags or self.registration_tags, max_count)
+        return counting_resolve(
+            self._liou, self.registration_tags if tags is None else tags, max_count)
 
     @property
     def dim(self):
@@ -288,15 +291,6 @@ def _check_finite(**values):
             raise ConfigError(f"{name} must be finite, got {val}")
 
 
-def _check_count(**counts):
-    """Integers, or floats with no fractional part; never bools."""
-    for name, val in counts.items():
-        whole = isinstance(val, (int, np.integer)) or (
-            isinstance(val, (float, np.floating)) and float(val).is_integer())
-        if not whole or isinstance(val, (bool, np.bool_)):
-            raise ConfigError(f"{name} must be an integer, got {val!r}")
-
-
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):
     """Three-level absorbing element: ground, optically coupled excited
     state, monitored shelf. Channels: ABSORB (the optical coupling),
@@ -334,7 +328,7 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     single element."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
-    _check_count(n_b=n_b)
+    check_count(n_b=n_b)
     n_b = int(n_b)
     disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
     states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
@@ -376,7 +370,7 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     shelve. Registration counts shelf entries across all elements."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega)
-    _check_count(n_D=n_D, max_dim=max_dim)
+    check_count(n_D=n_D, max_dim=max_dim)
     n_D = int(n_D)
     if n_D < 1:
         raise ConfigError(f"need n_D >= 1, got {n_D}")
@@ -419,7 +413,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     use the symmetric reduction beyond that."""
     _check_rates(gamma=gamma, Gamma=Gamma, k_A=k_A, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
-    _check_count(n_D=n_D, n_A=n_A, n_b=n_b, max_dim=max_dim)
+    check_count(n_D=n_D, n_A=n_A, n_b=n_b, max_dim=max_dim)
     n_D, n_A, n_b = int(n_D), int(n_A), int(n_b)
     if n_D < 1 or n_A < 1:
         raise ConfigError(f"need n_D >= 1 and n_A >= 1, got {n_D}, {n_A}")
@@ -486,7 +480,7 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
     entry instead of register transfer."""
     _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
     _check_finite(detuning=detuning)
-    _check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
+    check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
     sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,
                                detuning=detuning, exc_cap=int(exc_cap))

@@ -21,9 +21,9 @@ when a one-off estimate of the spectral radius says so (see
 `IntegratorOptions`), and the diagnostics record each segment's method
 and its nfev, njev and nlu.
 
-`compile_hierarchy` is the single step from a model and an input field
-to that ODE (`HierarchyODE`); the integrator here and the trajectory
-engine both start from it. Most of the member x sector x component grid
+`compile_hierarchy` is the single step from a model's engine view and an
+input field to that ODE (`HierarchyODE`); the integrator here and the
+trajectory engine both start from it. Most of the member x sector x component grid
 can never become nonzero, so `compile_hierarchy` keeps only the indices
 reachable from the nonzeros of the start vector along the union sparsity
 pattern of the generator blocks (and of the measurement backaction the
@@ -45,7 +45,7 @@ index is the only array of that length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -352,17 +352,31 @@ class HierarchyODE:
         return (self.n_max + 1) ** 2 * self.engine.n_sectors * self.engine.vec_dim
 
 
-def _check_density(ev):
-    """A given start state must be Hermitian (every encoding, through its
-    adjoint) and have no negative populations, both within 1e-9: on tensor
-    encodings its smallest eigenvalue, on the symmetric encoding the
-    weight of each diagonal-type class (the classes the trace row reads)."""
-    y = ev.default_state
-    if ev.adjoint is not None:
-        defect = float(np.abs(ev.adjoint(y) - y).max())
-        if defect > 1e-9:
-            raise ConfigError(f"rho0 must be Hermitian; rho0 - rho0^dag "
-                              f"has an entry of size {defect:.3g}")
+def _start_view(ev, rho0):
+    """`ev` with the start state `rho0` (`ev` itself when rho0 is None): a
+    density matrix of shape `ev.dense_shape` or a vector of length
+    `ev.vec_dim`. It must be finite with unit trace, Hermitian (every
+    encoding, through the adjoint) and have no negative populations, both
+    within 1e-9: on tensor encodings its smallest eigenvalue, on the
+    symmetric encoding the weight of each diagonal-type class (the classes
+    the trace row reads)."""
+    if rho0 is None:
+        return ev
+    y = np.array(rho0, dtype=complex)
+    shapes = [s for s in (ev.dense_shape, (ev.vec_dim,)) if s is not None]
+    if y.shape not in shapes:
+        raise ConfigError(f"rho0 has shape {y.shape}, expected "
+                          f"{' or '.join(map(str, shapes))}")
+    y = y.reshape(-1)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("rho0 has non-finite entries")
+    trace = complex(ev.trace_row @ y)
+    if abs(trace - 1.0) > 1e-9:
+        raise ConfigError(f"rho0 must have unit trace, got {trace:.6g}")
+    defect = float(np.abs(ev.adjoint(y) - y).max())
+    if defect > 1e-9:
+        raise ConfigError(f"rho0 must be Hermitian; rho0 - rho0^dag "
+                          f"has an entry of size {defect:.3g}")
     if ev.dense_shape is not None:
         rho = y.reshape(ev.dense_shape)
         low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
@@ -376,25 +390,24 @@ def _check_density(ev):
         if low < -1e-9:
             raise ConfigError(f"rho0 class populations must be nonnegative; "
                               f"the smallest is {low:.6g}")
+    return replace(ev, default_state=y)
 
 
 def compile_hierarchy(model, field, t_span=None, *, rho0=None):
-    """The hierarchy ODE of `model` (anything with `engine_view(rho0)`)
-    driven by `field` (None: undriven) over `t_span` (default: the envelope
-    support), restricted to the subspace reachable from its start. Every
-    diagonal member starts from the engine's default matter state, or
-    rho0, in sector 0, which must be finite with unit trace; a given rho0
-    must also be a density matrix (see _check_density)."""
-    if not hasattr(model, "engine_view"):
+    """The hierarchy ODE of `model` (an EngineView, such as a counted view
+    from `counting_resolve`, or a model with `engine_view()`) driven by
+    `field` (None: undriven) over `t_span` (default: the envelope support),
+    restricted to the subspace reachable from its start. Every diagonal
+    member starts in sector 0 from the view's default matter state, or
+    from rho0: a density matrix of the view's `dense_shape`, or a vector
+    of length `vec_dim` (see _start_view for the checks)."""
+    if isinstance(model, EngineView):
+        ev = model
+    elif hasattr(model, "engine_view"):
+        ev = model.engine_view()
+    else:
         raise ConfigError(f"cannot integrate object of type {type(model).__name__}")
-    ev = model.engine_view(rho0)
-    if not np.all(np.isfinite(ev.default_state)):
-        raise ConfigError("rho0 has non-finite entries")
-    trace = complex(ev.trace_row @ ev.default_state)
-    if abs(trace - 1.0) > 1e-9:
-        raise ConfigError(f"rho0 must have unit trace, got {trace:.6g}")
-    if rho0 is not None:
-        _check_density(ev)
+    ev = _start_view(ev, rho0)
     env = field.envelope if field is not None else None
     n_max = field.n_max if field is not None else 0
     if n_max > 0 and ev.field_ket is None:
@@ -427,8 +440,10 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                         t_eval=None, observables=None):
     """Integrate the driven member grid of `liou` under the input `field`.
 
-    liou: assembled Liouvillian, its counting resolution, or a
-        symmetry-reduced variant.
+    liou: an EngineView (a counted view from `counting_resolve` or
+        `ArchitectureSpec.counting` resolves jump counts) or a model with
+        `engine_view()` (the tensor Liouvillian or the symmetric
+        reduction), as for `compile_hierarchy`.
     field: FieldInput (None integrates the undriven generator only).
     t_span: (t0, t1); defaults to the envelope support.
     observables: mapping name -> Operator (tensor encodings) or a raw
@@ -536,7 +551,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             f"physical trace drifted by {trace_defect:.2e} "
             f"(tolerance {opts.trace_tol:.1e}) with "
             f"{'/'.join(seg['method'] for seg in segments)}; tighten rtol/atol")
-    if store and ev.adjoint is not None:
+    if store:
         result.diagnostics["hermiticity_defect"] = _hermiticity_defect(result, ev)
     return result
 

@@ -6,6 +6,11 @@ A rho B -> (A kron B^T) vec(rho).
 Generators are standard Lindblad form. Each decay channel keeps its
 sandwich part separately addressable so jump counting can move it
 between counting sectors instead of summing it into the generator.
+
+The engines consume one object, the frozen `EngineView`. A model (the
+tensor `Liouvillian` here, or the symmetric reduction) builds its view
+once; `counting_resolve` returns a copy of it with the counted channels'
+jumps split out of the generator and resolved into count sectors.
 """
 
 from __future__ import annotations
@@ -119,11 +124,18 @@ class AmpChannel:
 class EngineView:
     """What the integrators need, independent of how states are encoded.
 
+    Each model builds its view once and returns that same object from
+    `engine_view()`; `counting_resolve` and the start state of
+    `compile_hierarchy` derive new views with `dataclasses.replace`, so
+    nothing writes into a view's arrays (the dense ones are read-only).
+
     `vec_dim` is the length of one (member, sector) component. For tensor
     encodings it is d**2 and `dense_shape` is (d, d); reduced encodings
-    leave `dense_shape` None. `adjoint` maps a component vector to the
-    vector of its conjugated density matrix; integrators use it for
-    hermiticity checks. `amps` are the monitored amplifier channels, whose
+    leave `dense_shape` None. `adjoint_perm` is the index permutation that,
+    with a complex conjugate, maps a component vector to the vector of its
+    conjugated density matrix (`adjoint`); integrators use it for
+    hermiticity checks. `default_state` is the start vector of every
+    diagonal member. `amps` are the monitored amplifier channels, whose
     operators act on the d-dimensional space; encodings that cannot carry
     measurement backaction leave it empty.
     """
@@ -136,25 +148,16 @@ class EngineView:
     field_bra: object
     trace_row: np.ndarray
     default_state: np.ndarray
-    adjoint: object = None
+    adjoint_perm: np.ndarray
     dense_shape: tuple = None
     amps: tuple = ()
 
+    def __post_init__(self):
+        for a in (self.trace_row, self.default_state, self.adjoint_perm):
+            a.flags.writeable = False
 
-def _transpose_perm(d):
-    idx = np.arange(d * d)
-    return (idx % d) * d + idx // d
-
-
-def _tensor_engine_bits(d):
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[np.arange(d) * d + np.arange(d)] = 1.0
-    perm = _transpose_perm(d)
-
-    def adjoint(y):
-        return np.conj(y[..., perm])
-
-    return trace_row, adjoint
+    def adjoint(self, y):
+        return np.conj(y[..., self.adjoint_perm])
 
 
 class Liouvillian:
@@ -176,7 +179,7 @@ class Liouvillian:
             if op is not None and op.space != space:
                 raise ConfigError("all operators must share the Liouvillian's space")
         self.dim = space.dim
-        self._generator = None
+        self._generator = self._view = None
 
     @property
     def field_op(self):
@@ -211,72 +214,24 @@ class Liouvillian:
             j = j + self.channel(tag).jump_superop
         return j.tocsr()
 
-    def engine_view(self, rho0=None):
-        d = self.dim
-        trace_row, adjoint = _tensor_engine_bits(d)
-        if rho0 is None:
+    def engine_view(self):
+        if self._view is None:
+            d = self.dim
+            idx = np.arange(d * d)
+            trace_row = np.zeros(d * d, dtype=complex)
+            trace_row[idx[::d + 1]] = 1.0
             y0 = np.zeros(d * d, dtype=complex)
             y0[0] = 1.0
-        else:
-            y0 = vectorize(rho0, d)
-        fk = fb = None
-        if self.field_op is not None:
-            fk = field_ket_superop(self.field_op)
-            fb = field_bra_superop(self.field_op)
-        return EngineView(
-            vec_dim=d * d,
-            n_sectors=1,
-            g0=self.generator,
-            jump=None,
-            field_ket=fk,
-            field_bra=fb,
-            trace_row=trace_row,
-            default_state=y0,
-            adjoint=adjoint,
-            dense_shape=(d, d),
-            amps=self.amps,
-        )
-
-
-class CountingLiouvillian:
-    """A Liouvillian with selected channels' jumps resolved by count.
-
-    The state becomes a list of sectors 0..max_count; counted jumps feed
-    sector s into s+1. The last sector also feeds itself, so it holds
-    "max_count or more" and the block generator conserves total trace
-    exactly (its block-column sums reproduce the base generator).
-    """
-
-    def __init__(self, base, counted_tags, max_count):
-        if isinstance(counted_tags, str):
-            counted_tags = (counted_tags,)
-        counted_tags = tuple(counted_tags)
-        if not counted_tags:
-            raise ConfigError("counting needs at least one counted tag")
-        max_count = int(max_count)
-        if max_count < 1:
-            raise ConfigError(f"max_count must be >= 1, got {max_count}")
-        self.base = base
-        self.counted_tags = counted_tags
-        self.max_count = max_count
-        self.jump = base.jump_sum(counted_tags)
-        self.g0 = (base.generator - self.jump).tocsr()
-
-    @property
-    def space(self):
-        return getattr(self.base, "space", None)
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def n_sectors(self):
-        return self.max_count + 1
-
-    def engine_view(self, rho0=None):
-        return replace(self.base.engine_view(rho0), n_sectors=self.n_sectors,
-                       g0=self.g0, jump=self.jump)
+            fk = fb = None
+            if self.field_op is not None:
+                fk = field_ket_superop(self.field_op)
+                fb = field_bra_superop(self.field_op)
+            self._view = EngineView(
+                vec_dim=d * d, n_sectors=1, g0=self.generator, jump=None,
+                field_ket=fk, field_bra=fb, trace_row=trace_row,
+                default_state=y0, adjoint_perm=(idx % d) * d + idx // d,
+                dense_shape=(d, d), amps=self.amps)
+        return self._view
 
 
 def assemble_liouvillian(hamiltonian, baths=(), field_coupling=None, amps=()):
@@ -326,18 +281,37 @@ def assemble_liouvillian(hamiltonian, baths=(), field_coupling=None, amps=()):
     return Liouvillian(space, hamiltonian, channels, amp_channels, field_tag)
 
 
-def counting_resolve(liou, counted_tags, max_count):
-    """Resolve the jumps of the given channel tags into count sectors.
+def counting_resolve(model, counted_tags, max_count):
+    """The engine view of `model` (a Liouvillian or the symmetric
+    reduction) with the jumps of the given channel tags resolved by count.
 
-    Works on any assembled generator exposing `generator`, `jump_sum`,
-    and `engine_view` (the tensor Liouvillian and the symmetric
-    reduction both do)."""
-    for attr in ("generator", "jump_sum", "engine_view"):
-        if not hasattr(liou, attr):
-            raise ConfigError(
-                f"counting_resolve needs an assembled generator; "
-                f"{type(liou).__name__} has no {attr!r}")
-    return CountingLiouvillian(liou, counted_tags, max_count)
+    The state becomes a list of sectors 0..max_count; counted jumps feed
+    sector s into s+1. The last sector also feeds itself, so it holds
+    "max_count or more" and the block generator conserves total trace
+    exactly (g0 + jump is the base generator)."""
+    if not hasattr(model, "jump_sum"):
+        raise ConfigError(f"counting_resolve needs an assembled generator, "
+                          f"got {type(model).__name__}")
+    if isinstance(counted_tags, str):
+        counted_tags = (counted_tags,)
+    if not counted_tags:
+        raise ConfigError("counting needs at least one counted tag")
+    check_count(max_count=max_count)
+    if max_count < 1:
+        raise ConfigError(f"max_count must be >= 1, got {max_count}")
+    view = model.engine_view()
+    jump = model.jump_sum(tuple(counted_tags))
+    return replace(view, n_sectors=int(max_count) + 1,
+                   g0=(view.g0 - jump).tocsr(), jump=jump)
+
+
+def check_count(**counts):
+    """Integers, or floats with no fractional part; never bools."""
+    for name, val in counts.items():
+        whole = isinstance(val, (int, np.integer)) or (
+            isinstance(val, (float, np.floating)) and float(val).is_integer())
+        if not whole or isinstance(val, (bool, np.bool_)):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
 
 
 def vectorize(rho, d=None):

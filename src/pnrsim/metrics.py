@@ -210,8 +210,9 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
 
     method "cw" uses the long-pulse steady-state response (fast, exact
     in the quasi-static limit, single and band kinds only); method
-    "hierarchy" rebuilds the architecture at each detuning and runs the
-    driven integrator.
+    "hierarchy" rebuilds the architecture at each detuning (its `detuning`
+    parameter for the symmetric reduction, `delta_omega` for the tensor
+    kinds) and runs the driven integrator.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if method == "cw":
@@ -234,9 +235,10 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
     if sigma0 is None:
         raise ConfigError("hierarchy efficiency curve needs sigma0")
     from .pulses import gaussian_envelope
+    key = "detuning" if "detuning" in arch.params else "delta_omega"
     out = np.empty(delta_grid.size)
     for i, d in enumerate(delta_grid):
-        a = arch.with_params(delta_omega=float(d))
+        a = arch.with_params(**{key: float(d)})
         env = gaussian_envelope(sigma0)
         f = fock_input(field_photons, env)
         lo, hi = env.support

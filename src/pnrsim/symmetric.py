@@ -165,7 +165,6 @@ class SymmetricLiouvillian:
         return self.k_transfer ** 2 * m
 
     def _build(self):
-        g2 = self.gamma ** 2
         G2 = self.Gamma ** 2
         T = self._element_move
         Nt = self._count
@@ -176,8 +175,6 @@ class SymmetricLiouvillian:
         rm_l = self.gamma * (T("b", "g") + T("e", "k"))
         lm_ld = self.gamma * (T("k", "g") + T("e", "b"))
         rm_ld = self.gamma * (T("k", "e") + T("g", "b"))
-        self._field_ket = (rm_ld - lm_ld).tocsr()
-        self._field_bra = (lm_l - rm_l).tocsr()
 
         sandwiches = {}
         sandwiches["ABSORB"] = (lm_l @ rm_ld).tocsr()
@@ -199,7 +196,6 @@ class SymmetricLiouvillian:
         # trace and diagonal observables live on diagonal-type classes;
         # a normalized class vector contributes sqrt(multiplicity)
         tr = np.zeros(self.dim)
-        self._diag_weights = {}
         counts = {name: np.zeros(self.dim) for name in _DIAG_OBSERVABLES}
         for c, i in self.classes.items():
             nk, nb, ne, nc, a = c
@@ -217,7 +213,6 @@ class SymmetricLiouvillian:
             counts["excited"][i] = ne * w
             counts["shelved"][i] = nc * w
             counts["registered"][i] = a * w
-        self.trace_row = tr.astype(complex)
         self._rows = {k: v.astype(complex) for k, v in counts.items()}
 
         # bra <-> ket swap permutation, for hermiticity diagnostics
@@ -225,17 +220,18 @@ class SymmetricLiouvillian:
         for c, i in self.classes.items():
             nk, nb, ne, nc, a = c
             perm[i] = self.classes[(nb, nk, ne, nc, a)]
-        self._adjoint_perm = perm
 
         x0 = np.zeros(self.dim, dtype=complex)
         x0[self.classes[(0, 0, 0, 0, 0)]] = 1.0
-        self.ground_state = x0
+        self._view = EngineView(
+            vec_dim=self.dim, n_sectors=1, g0=self.generator, jump=None,
+            field_ket=(rm_ld - lm_ld).tocsr(), field_bra=(lm_l - rm_l).tocsr(),
+            trace_row=tr.astype(complex), default_state=x0, adjoint_perm=perm)
 
     # engine interface -----------------------------------------------
 
-    @property
-    def channel_tags(self):
-        return tuple(self._sandwiches)
+    def engine_view(self):
+        return self._view
 
     def jump_sum(self, tags):
         if isinstance(tags, str):
@@ -254,29 +250,3 @@ class SymmetricLiouvillian:
             raise ConfigError(f"unknown observable {name!r}; "
                               f"have {sorted(self._rows)}")
         return self._rows[name]
-
-    def engine_view(self, rho0=None):
-        if rho0 is None:
-            y0 = self.ground_state
-        else:
-            y0 = np.asarray(rho0, dtype=complex).reshape(-1)
-            if y0.size != self.dim:
-                raise ConfigError(
-                    f"initial class vector has length {y0.size}, expected {self.dim}")
-        perm = self._adjoint_perm
-
-        def adjoint(y):
-            return np.conj(y[..., perm])
-
-        return EngineView(
-            vec_dim=self.dim,
-            n_sectors=1,
-            g0=self.generator,
-            jump=None,
-            field_ket=self._field_ket,
-            field_bra=self._field_bra,
-            trace_row=self.trace_row,
-            default_state=y0,
-            adjoint=adjoint,
-            dense_shape=None,
-        )

@@ -286,3 +286,5 @@ def test_counting_tag_override():
     assert default.jump.nnz > only_first.jump.nnz
     with pytest.raises(ConfigError):
         arch.counting(1, ("SHELVE9",))
+    with pytest.raises(ConfigError, match="at least one counted tag"):
+        arch.counting(1, ())

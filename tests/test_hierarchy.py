@@ -128,7 +128,7 @@ def test_truncation_matches_full_space():
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13, n_points=31)
     small = integrate_hierarchy(counting, field, None, opts)
     assert small.diagnostics["size"] < small.diagnostics["full_size"]
-    full = dense_count_probabilities(counting.engine_view(), field, small.t,
+    full = dense_count_probabilities(counting, field, small.t,
                                      rtol=1e-11, atol=1e-13)
     assert np.abs(full - small.count_probabilities()).max() < 1e-10
 
@@ -147,7 +147,7 @@ def test_grade_raising_channel_matches_dense_reference():
     field = fock_input(1, gaussian_envelope(1.5))
     run = integrate_hierarchy(model, field, None, IntegratorOptions(
         method="dop853", rtol=1e-11, atol=1e-13, n_points=31))
-    full = dense_count_probabilities(model.engine_view(), field, run.t,
+    full = dense_count_probabilities(model, field, run.t,
                                      method="DOP853", rtol=1e-11, atol=1e-13)
     assert np.abs(full - run.count_probabilities()).max() < 1e-9
 
@@ -406,13 +406,18 @@ def test_engine_views_are_frozen_and_state_their_amps():
     with pytest.raises(dataclasses.FrozenInstanceError):
         base.n_sectors = 4
     assert base.amps == liou.amps and base.amps[0].tag == "AMP"
-    counted = arch.counting(2).engine_view()
+    counted = arch.counting(2)
     assert counted.n_sectors == 3 and counted.amps == liou.amps
     # resolving counts leaves the base model's own view untouched
     assert liou.engine_view().n_sectors == 1
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0, k_A=1.0)
     assert sym.liouvillian().amps == ()
-    assert sym.counting(1).engine_view().amps == ()
+    assert sym.counting(1).amps == ()
+    # each model builds its view once, and nothing writes into it
+    assert liou.engine_view() is base
+    assert sym.liouvillian().engine_view() is sym.liouvillian().engine_view()
+    with pytest.raises(ValueError):
+        base.default_state[0] = 0.0
 
 
 def test_start_state_must_be_a_density_matrix():
@@ -434,7 +439,7 @@ def test_start_state_must_be_a_density_matrix():
     assert run.count_probabilities()[:, -1].sum() == pytest.approx(1.0)
     # the symmetric encoding is checked through its adjoint map
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
-    ev = sym.engine_view()
+    ev = sym
     slots = np.arange(ev.vec_dim, dtype=complex)
     one_sided = ev.default_state.copy()
     one_sided[np.flatnonzero(ev.adjoint(slots) != slots)[0]] = 0.1
@@ -443,10 +448,25 @@ def test_start_state_must_be_a_density_matrix():
     integrate_hierarchy(sym, field, rho0=ev.default_state)
 
 
+def test_start_state_must_have_the_encoding_shape():
+    field = fock_input(1, gaussian_envelope(1.0))
+    tensor = build_single_element(1.0, 1.0)        # d = 3: (3, 3) or (9,)
+    sym = build_symmetric_reduced(2, 1, 1.0, 1.0)
+    n = sym.liouvillian().engine_view().vec_dim    # (n,) only
+    cases = [(tensor, np.eye(4) / 4), (tensor, np.full(8, 0.125)),
+             (tensor, np.eye(3).reshape(3, 3, 1) / 3),
+             (sym, np.eye(1, n + 1)), (sym, np.eye(1, n).reshape(n, 1))]
+    for arch, rho0 in cases:
+        with pytest.raises(ConfigError, match="rho0"):
+            integrate_hierarchy(arch.counting(1), field, rho0=rho0)
+        with pytest.raises(ConfigError, match="rho0"):
+            run_trajectories(arch.liouvillian(), field, rho0=rho0)
+
+
 def test_symmetric_start_state_must_have_nonnegative_populations():
     # unit trace and Hermitian, but one diagonal-type class holds -0.5
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
-    ev = sym.engine_view()
+    ev = sym
     ground = int(np.flatnonzero(ev.default_state)[0])
     other = [i for i in np.flatnonzero(ev.trace_row) if i != ground][0]
     negative = ev.default_state.copy()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnrsim.errors import ConfigError
-from pnrsim.liouville import (AmpChannel, CountingLiouvillian, JumpChannel,
+from pnrsim.liouville import (AmpChannel, JumpChannel,
                               Liouvillian, assemble_liouvillian, counting_resolve,
                               dissipator, lmult, rmult, sandwich, unvectorize,
                               vectorize)
@@ -212,6 +212,12 @@ def test_counting_argument_validation():
         counting_resolve(liou, "MISSING", 1)
     with pytest.raises(ConfigError):
         counting_resolve(decay, "OUT", 1)
+    # counts must be whole numbers: no silent truncation of 1.5 or True
+    for bad in (1.5, True, np.bool_(True), np.nan, np.inf):
+        with pytest.raises(ConfigError, match="max_count"):
+            counting_resolve(liou, "OUT", bad)
+    for good in (2.0, np.int64(2)):
+        assert counting_resolve(liou, "OUT", good).n_sectors == 3
 
 
 def test_vectorize_round_trip_and_shape_checks():

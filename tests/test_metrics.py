@@ -5,7 +5,8 @@ import pytest
 from scipy.special import erfc
 
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
-                                  build_single_element, ideal_total_coupling)
+                                  build_single_element, build_symmetric_reduced,
+                                  ideal_total_coupling)
 from pnrsim.cli import _fmt
 from pnrsim.errors import ConfigError, NumericsError
 from pnrsim.hierarchy import IntegratorOptions, integrate_hierarchy
@@ -243,6 +244,18 @@ def test_efficiency_curve_cw_matches_hierarchy():
                                                    n_points=2,
                                                    store_states=False))
     assert np.abs(cw - hier).max() < 1e-3
+
+
+def test_efficiency_curve_sweeps_the_symmetric_detuning():
+    # the symmetric reduction names its detuning `detuning`, the tensor
+    # kinds `delta_omega`; both builds describe the same two-element array
+    deltas = [-0.6, 0.0, 0.6]
+    sym = efficiency_curve(build_symmetric_reduced(2, 0, 1.0, 1.0), deltas,
+                           method="hierarchy", sigma0=2.0)
+    full = efficiency_curve(build_array(2, 1.0, 1.0), deltas,
+                            method="hierarchy", sigma0=2.0)
+    assert np.abs(sym - full).max() < 1e-6
+    assert sym[1] > sym[0] + 0.01
 
 
 def test_metrics_report_serialization():
