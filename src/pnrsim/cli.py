@@ -76,6 +76,13 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _float_lines(columns, sep=",") -> list[str]:
+    """One line per row of the float arrays `columns`, each value written
+    as _fmt writes a float."""
+    return [sep.join([f"{v:.12g}" for v in row])
+            for row in np.column_stack(columns).tolist()]
+
+
 def _header(sha: str) -> list[str]:
     return [f"# schema_version={SCHEMA_VERSION}", f"# config_sha256={sha}"]
 
@@ -92,7 +99,7 @@ def _json_text(sha, payload: dict) -> str:
 
 def _dat_text(sha, xname, yname, xs, ys) -> str:
     lines = _header(sha) + [f"# columns: {xname} {yname}"]
-    lines += [f"{_fmt(a)} {_fmt(b)}" for a, b in zip(xs, ys)]
+    lines += _float_lines([xs, ys], sep=" ")
     return "\n".join(lines) + "\n"
 
 
@@ -338,33 +345,25 @@ def cmd_trajectories(args) -> int:
 
     for rec in recs[:_RECORD_FILE_CAP]:
         cols = ["t"] + [f"x_{tg}" for tg in tags] + [f"R_{tg}" for tg in tags]
-        rows = []
-        for i in range(rec.t.size):
-            row = ([_fmt(rec.t[i])]
-                   + [_fmt(rec.observables[tg][i]) for tg in tags]
-                   + [_fmt(rec.records[tg][i]) for tg in tags])
-            rows.append(",".join(row))
+        rows = _float_lines([rec.t] + [rec.observables[tg] for tg in tags]
+                            + [rec.records[tg] for tg in tags])
         files[f"records/traj_{rec.traj_index:04d}.csv"] = _csv_text(
             sha, cols, rows,
             comments=(f"# seed={cfg.seed}", f"# traj_index={rec.traj_index}"))
 
     means = {}
-    cols = ["t"]
+    cols, values = ["t"], [recs[0].t]
     for tg in tags:
-        t, mean, stderr, _ = ensemble_average(recs, tg)
-        means[tg] = (mean, stderr)
+        _, mean, stderr, _ = ensemble_average(recs, tg)
+        means[tg] = mean
         cols += [f"mean_x_{tg}", f"stderr_x_{tg}"]
-    rows = []
-    for i in range(recs[0].t.size):
-        row = [_fmt(recs[0].t[i])]
-        for tg in tags:
-            row += [_fmt(means[tg][0][i]), _fmt(means[tg][1][i])]
-        rows.append(",".join(row))
+        values += [mean, stderr]
+    rows = _float_lines(values)
     files["ensemble.csv"] = _csv_text(sha, cols, rows,
                                       comments=(f"# n_traj={n}",))
     for tg in tags:
         files[f"plotdata/ensemble_{tg}.dat"] = _dat_text(
-            sha, "t", f"mean_x_{tg}", recs[0].t, means[tg][0])
+            sha, "t", f"mean_x_{tg}", recs[0].t, means[tg])
 
     click_counts = None
     if tspec["t_m"] is not None and tspec["threshold"] is not None:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import elementary_charge
 
 from .errors import ConfigError
 
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# elementary charge in C, exact in the SI since 2019
+elementary_charge = 1.602176634e-19
 
 
 def effective_coupling(lam: float, area: float, n_d: float, gamma_free2: float) -> float:

@@ -49,7 +49,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .liouville import EngineView
@@ -572,14 +571,15 @@ def _dominant_eigenvalue(a):
     """Eigenvalue of largest modulus of the sparse matrix `a`: ARPACK from
     a fixed start vector (so repeated runs agree), dense for tiny matrices
     or when ARPACK does not converge."""
+    from scipy.sparse.linalg import ArpackError, eigs
     n = a.shape[0]
     if n > _DENSE_EIG_MAX:
         v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
         try:
-            lam = spla.eigs(a, k=1, which="LM", v0=v0, tol=1e-6,
-                            return_eigenvectors=False)
+            lam = eigs(a, k=1, which="LM", v0=v0, tol=1e-6,
+                       return_eigenvectors=False)
             return complex(lam[0])
-        except spla.ArpackError:
+        except ArpackError:
             pass
     lam = np.linalg.eigvals(a.toarray())
     return complex(lam[np.argmax(np.abs(lam))])
@@ -642,12 +642,13 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
     Returns the states at t_eval, the number of driven-run steps and the
     number of factorizations.
     """
+    from scipy.sparse.linalg import splu
     n_steps = max(int(np.ceil((t1 - t0) / dt)), 1)
     h = (t1 - t0) / n_steps
     total = y0.size
     eye = sp.identity(total, dtype=complex, format="csc")
 
-    lu0, nlu = spla.splu((eye - 0.5 * h * a0).tocsc()), 1
+    lu0, nlu = splu((eye - 0.5 * h * a0).tocsc()), 1
     if am is None:
         rhs_mat = (eye + 0.5 * h * a0).tocsr()
     else:
@@ -672,7 +673,7 @@ def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
             if e != 0:
                 gen.data[:] = g0 + e * gm + np.conj(e) * gp
                 lhs.data[:] = l1 - 0.5 * h * (l0 + e * lm + np.conj(e) * lp)
-                lu, a = spla.splu(lhs), gen
+                lu, a = splu(lhs), gen
                 nlu += 1
             ynew = lu.solve(y + 0.5 * h * (a @ y))
             nfev += 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .architectures import ArchitectureSpec, BandDiscretization, cw_single_photon_efficiency
 from .errors import ConfigError, NumericsError
@@ -186,6 +185,7 @@ def dark_count_rate(internal_probs, t_m, snr0=None, k=None, chi=None):
         if k is None or chi is None:
             raise ConfigError("give either snr0 or both k and chi")
         snr0 = np.sqrt(8.0 * k * t_m) * chi
+    from scipy.special import erfc
     noise = 0.5 / t_m * erfc(snr0 / np.sqrt(2.0))
     rates = probs / t_m + noise
     return float(np.sum(rates))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError
 
@@ -104,6 +103,7 @@ class PulseEnvelope:
         """int_{-inf}^{t} |E|^2 dt', in [0, 1]."""
         t = np.asarray(t, dtype=float)
         if self.shape == "gaussian":
+            from scipy.special import erf
             z = (t - self.t_center) / (np.sqrt(2.0) * self.sigma0)
             out = 0.5 * (1.0 + erf(z))
         elif self.shape == "square":

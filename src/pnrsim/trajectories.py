@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericsError
 from .hierarchy import compile_hierarchy, union_pattern
+from .liouville import check_count
 
 _CHUNK = 256
 
@@ -35,8 +36,17 @@ class TrajectoryOptions:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be finite and positive, got {self.dt}")
-        if self.store_every < 1:
-            raise ConfigError("store_every must be >= 1")
+        object.__setattr__(self, "store_every",
+                           _positive_count("store_every", self.store_every))
+
+
+def _positive_count(name, value):
+    """`value` as an int >= 1 (a float with no fractional part counts);
+    a ConfigError naming `name` otherwise."""
+    check_count(**{name: value})
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -70,18 +80,21 @@ class _Prepared:
     blocks, the backaction operators and the readout rows.
 
     A batch advances as one state array of shape (n_traj, d, 1): a stack
-    of column states, one per trajectory. `a0`, `am`, `ap` hold the
-    generator blocks' values on one layout: dense arrays when d is at
-    most _DENSE_MAX, otherwise the `.data` of CSR matrices on the union
-    sparsity pattern of the three (`union_pattern`). The driven generator of a step is then
-    a few vector operations into `gen_vals`, the storage of the operator
-    `gen`, and `mul(a, y)` applies such an operator to every column.
-    `readout` (shape (1 + n_amps, 1, 1, d)) stacks the trace row over each
-    channel's row of 2X, and `x_range` holds the smallest and largest
-    eigenvalue of each channel's X.
+    of column states, one per trajectory, and `mul(a, y)` applies an
+    operator to every column. `a0`, `am`, `ap` hold the generator blocks'
+    values on one layout. When d is at most _DENSE_MAX they are dense
+    arrays, and `_propagators` turns them into one drift propagator per
+    step, a chunk of steps at a time; `prop0` is the exact propagator of
+    the undriven steps. Otherwise they are the `.data` of CSR matrices on
+    the union sparsity pattern of the three (`union_pattern`), and
+    `_drift` writes each step's driven generator into the storage of the
+    operator `gen` (with `buf` as scratch) and applies its Taylor
+    polynomial. `readout` (shape (1 + n_amps, 1, 1, d)) stacks the trace
+    row over each channel's row of 2X, and `x_range` holds the smallest
+    and largest eigenvalue of each channel's X.
     """
 
-    __slots__ = ("a0", "am", "ap", "gen", "gen_vals", "buf", "mul", "prop0",
+    __slots__ = ("a0", "am", "ap", "gen", "buf", "mul", "prop0",
                  "e_mid", "sx", "readout", "x_range", "gains", "rec_noise",
                  "tags", "y0", "dt", "sqdt", "n_steps", "store_idx",
                  "stored_t")
@@ -92,8 +105,10 @@ class _Prepared:
 # columns, which makes one BLAS call per column (gemv for an operator, dot
 # for a readout row); `a @ Y` on a (d, n_traj) matrix (gemm) is not
 # column-for-column equal to that, and np.einsum("ij,jk->ik", a, Y) is but
-# ran 2-5x slower. CSR blocks use `a @ Y`, whose sparse kernel sums every
-# column in the order it uses for a single vector.
+# ran 2-5x slower. The drift propagators themselves depend on the step
+# only, never on the batch, so every column of a step meets the same
+# matrix. CSR blocks use `a @ Y`, whose sparse kernel sums every column in
+# the order it uses for a single vector.
 def _csr_mul(a, y):
     return (a @ y[:, :, 0].T).T[:, :, None]
 
@@ -136,7 +151,6 @@ def _prepare(liou, field, t_span, opts, rho0):
                              dtype=complex)
     if p.y0.size <= _DENSE_MAX:
         p.a0, p.am, p.ap = a0.toarray(), am.toarray(), ap.toarray()
-        p.gen = p.gen_vals = np.empty_like(p.a0)
         p.sx = [m.toarray() for m in ode.kicks]
         p.mul = np.matmul
         # the tail propagator: exact exponential wherever the drive vanishes
@@ -144,11 +158,10 @@ def _prepare(liou, field, t_span, opts, rho0):
         p.prop0 = la.expm(p.a0 * p.dt)
     else:
         p.gen, (p.a0, p.am, p.ap) = union_pattern([a0, am, ap])
-        p.gen_vals = p.gen.data
+        p.buf = np.empty_like(p.gen.data)
         p.sx = list(ode.kicks)
         p.mul = _csr_mul
         p.prop0 = None
-    p.buf = np.empty_like(p.gen_vals)
 
     p.store_idx = list(range(0, p.n_steps, opts.store_every))
     if p.store_idx[-1] != p.n_steps:
@@ -157,20 +170,41 @@ def _prepare(liou, field, t_span, opts, rho0):
     return p
 
 
+def _propagators(p, start, count):
+    """Drift propagators of steps start .. start + count - 1 on dense
+    blocks, shape (count, d, d): the generator frozen at the step midpoint,
+    A = a0 + e am + conj(e) ap, through its order-4 Taylor polynomial
+    I + h A (I + h/2 A (I + h/3 A (I + h/4 A))), or the exact prop0 where
+    the drive is 0. Freezing keeps ensemble means free of O(dt) drift bias;
+    only the O(dt^2) midpoint error is left."""
+    props = np.broadcast_to(p.prop0, (count,) + p.prop0.shape)
+    if p.e_mid is None:
+        return props
+    e = p.e_mid[start:start + count]
+    on = np.flatnonzero(e)
+    if not on.size:
+        return props
+    props = props.copy()
+    e = e[on, None, None]
+    a = p.am * e + p.ap * np.conj(e) + p.a0
+    eye, h = np.eye(len(p.a0)), p.dt
+    q = eye + (h / 4) * a
+    q = eye + (h / 3) * (a @ q)
+    q = eye + (h / 2) * (a @ q)
+    props[on] = eye + h * (a @ q)
+    return props
+
+
 def _drift(p, step, y):
-    """Deterministic part of one step, for every column state: the
-    generator frozen at the step midpoint, applied through its order-4
-    Taylor propagator, or the exact propagator prop0 where the drive is 0.
-    Freezing keeps ensemble means free of O(dt) drift bias; only the
-    O(dt^2) midpoint error is left."""
+    """Deterministic part of one step on CSR blocks, for every column
+    state: the propagator of `_propagators`, applied as four products
+    without forming it."""
     e = p.e_mid[step] if p.e_mid is not None else 0.0
-    mul = p.mul
-    if e == 0 and p.prop0 is not None:
-        return mul(p.prop0, y)
-    np.multiply(p.am, e, out=p.gen_vals)
+    mul, gen_vals = p.mul, p.gen.data
+    np.multiply(p.am, e, out=gen_vals)
     np.multiply(p.ap, np.conj(e), out=p.buf)
-    np.add(p.gen_vals, p.buf, out=p.gen_vals)
-    np.add(p.gen_vals, p.a0, out=p.gen_vals)
+    np.add(gen_vals, p.buf, out=gen_vals)
+    np.add(gen_vals, p.a0, out=gen_vals)
     a, dt = p.gen, p.dt
     out = y + (dt / 4) * mul(a, y)
     out = y + (dt / 3) * mul(a, out)
@@ -192,7 +226,7 @@ def _run_batch(p, seed, indices):
     obs = np.zeros((n_amps, n, n_store))
     rec = np.zeros((n_amps, n, n_store))
     trace_row = p.readout[:1]
-    mul = p.mul
+    mul, dense = p.mul, p.prop0 is not None
 
     def checked(tr, step):
         """Physical traces must stay positive; each one is divided by."""
@@ -217,10 +251,16 @@ def _run_batch(p, seed, indices):
                 obs[:, :, 0] = expectations(y, 0)[..., 0, 0]
             ptr = 1
             for step in range(p.n_steps):
-                y = _drift(p, step, y)
+                pos = step % _CHUNK
+                if dense:
+                    if pos == 0:
+                        props = _propagators(
+                            p, step, min(_CHUNK, p.n_steps - step))
+                    y = mul(props[pos], y)
+                else:
+                    y = _drift(p, step, y)
 
                 if n_amps:
-                    pos = step % _CHUNK
                     if pos == 0:
                         # per-trajectory Wiener increments, scaled per chunk
                         dw = np.stack([g.standard_normal((_CHUNK, n_amps))
@@ -301,6 +341,7 @@ def run_trajectories(liou, field=None, t_span=None, n_traj=1, seed=0, opts=None,
     trajectory is bit-identical to running simulate_trajectory with its
     (seed, traj_index) alone.
     """
+    n_traj = _positive_count("n_traj", n_traj)
     opts = opts or TrajectoryOptions()
     p = _prepare(liou, field, t_span, opts, rho0)
     return _run_batch(p, seed, range(n_traj))

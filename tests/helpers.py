@@ -202,14 +202,16 @@ def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
     obs, rec = [expectations(y)], [r_cum.copy()]
     for step in range(n_steps):
         e = env(ode.t0 + h * (step + 0.5)) if ode.am is not None else 0.0
-        if e == 0:
-            y = prop0 @ y
-        else:
+        prop = prop0
+        if e != 0:
+            # order-4 Taylor propagator of the midpoint generator, Horner form
             a = ode.am.toarray() * e + ode.ap.toarray() * np.conj(e) + a0
-            out = y + (h / 4) * (a @ y)
-            out = y + (h / 3) * (a @ out)
-            out = y + (h / 2) * (a @ out)
-            y = y + h * (a @ out)
+            eye = np.eye(a0.shape[0])
+            prop = eye + (h / 4) * a
+            prop = eye + (h / 3) * (a @ prop)
+            prop = eye + (h / 2) * (a @ prop)
+            prop = eye + h * (a @ prop)
+        y = prop @ y
         if step % 256 == 0:
             dws = rng.standard_normal((256, len(amps))) * np.sqrt(h)
         dw = dws[step % 256]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnrsim.cli import main
+from pnrsim.cli import _float_lines, _fmt, main
 from pnrsim.config import (RunConfig, build_envelope, canonical_json,
                            config_sha256)
 from pnrsim.errors import ConfigError
@@ -642,3 +642,22 @@ def test_import_leaves_optimizers_and_integrators_unloaded():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_unused_scipy_submodules_unloaded():
+    code = ("import sys, pnrsim.cli; "
+            "print(sorted(m for m in sys.modules if m in ("
+            "'scipy.special', 'scipy.sparse.linalg', 'scipy.linalg', "
+            "'scipy.constants')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
+
+
+def test_float_lines_write_floats_as_fmt_does():
+    values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 3.0, 0.1]
+    col = np.array(values)
+    assert _float_lines([col]) == [_fmt(v) for v in values]
+    assert _float_lines([col, col[::-1]], sep=" ") == [
+        f"{_fmt(a)} {_fmt(b)}" for a, b in zip(col, col[::-1])]

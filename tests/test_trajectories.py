@@ -9,7 +9,7 @@ from pnrsim.errors import ConfigError, NumericsError
 from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
                               integrate_hierarchy)
 from pnrsim.liouville import AmpChannel, assemble_liouvillian
-from pnrsim.pulses import fock_input, gaussian_envelope
+from pnrsim.pulses import fock_input, gaussian_envelope, square_envelope
 from pnrsim.spaces import Operator, build_space, projector, transition
 from pnrsim.trajectories import (TrajectoryOptions, TrajectoryRecord,
                                  ensemble_average, extract_clicks,
@@ -219,6 +219,23 @@ def test_option_and_input_validation():
         simulate_trajectory(undriven, fock_input(1, gaussian_envelope(1.0)))
 
 
+def test_trajectory_counts_are_validated():
+    liou = build_single_element(1.0, 1.0, k=0.5).liouvillian()
+    span = (0.0, 0.1)
+    for bad in (0, -1, 1.5, True, np.bool_(True), np.nan, np.inf, "2"):
+        with pytest.raises(ConfigError, match="store_every"):
+            TrajectoryOptions(dt=0.05, store_every=bad)
+        with pytest.raises(ConfigError, match="n_traj"):
+            run_trajectories(liou, t_span=span, n_traj=bad)
+    opts = TrajectoryOptions(dt=0.05, store_every=2.0)
+    assert opts.store_every == 2 and type(opts.store_every) is int
+    recs = run_trajectories(liou, t_span=span, n_traj=2.0, opts=opts)
+    assert [r.traj_index for r in recs] == [0, 1]
+    assert recs[0].t.size == 2
+    assert len(run_trajectories(liou, t_span=span, n_traj=np.int64(3),
+                                opts=opts)) == 3
+
+
 def assert_batch_matches_solo(liou, field, opts, n_traj, seed):
     batch = run_trajectories(liou, field, n_traj=n_traj, seed=seed, opts=opts)
     tags = batch[0].meta["tags"]
@@ -279,9 +296,13 @@ def test_oversized_steps_are_numerics_errors():
 def test_batch_matches_plain_loop_bitwise():
     # the batched kernel does the plain loop's arithmetic, column by column
     field = fock_input(1, gaussian_envelope(1.0))
+    # 550 steps: the 256-step chunks mix undriven and driven steps, and
+    # the last chunk is partial
+    square = fock_input(1, square_envelope(2.0))
     cases = [(build_single_element(1.0, 1.0, k=0.5), field, None, 0.01),
              (build_array(2, 1, 1, k=0.5), field, None, 0.01),
-             (build_single_element(1.0, 1.0, k=2.0), None, (0.0, 2.0), 0.01)]
+             (build_single_element(1.0, 1.0, k=2.0), None, (0.0, 2.0), 0.01),
+             (build_single_element(1.0, 1.0, k=0.5), square, (-2.0, 3.5), 0.01)]
     for arch, fld, span, dt in cases:
         liou = arch.liouvillian()
         recs = run_trajectories(liou, fld, t_span=span, n_traj=2, seed=3,
