@@ -15,11 +15,13 @@ sparse linear ODE, integrated jointly.
 
 `integrate_hierarchy` splits the span at the envelope support. Only the
 driven segment caps the step, so that a narrow pulse is not stepped
-over; the right-hand side is the same on every segment. Collective
-coupling makes the generator stiff, so the adaptive method moves to BDF
-when a one-off estimate of the spectral radius says so (see
-`IntegratorOptions`), and the diagnostics record each segment's method
-and its nfev, njev and nlu.
+over; the right-hand side is the same on every segment. Non-stiff runs
+step with the Dormand-Prince 5(4) pair written here (`_rk45`, step for
+step scipy's RK45), so they need neither scipy.integrate nor
+scipy.sparse.linalg. Collective coupling makes the generator stiff, so
+the adaptive method moves to scipy's BDF when a one-off Arnoldi estimate
+of the spectral radius says so (see `IntegratorOptions`), and the
+diagnostics record each segment's method and its nfev, njev and nlu.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +59,7 @@ from .pulses import FieldInput
 from .spaces import Operator
 
 _METHODS = ("adaptive", "dop853", "trapezoid")
-_DENSE_EIG_MAX = 32     # states up to this size take dense eigenvalues
+_ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
 
 
@@ -65,15 +68,19 @@ class IntegratorOptions:
     """Knobs for the hierarchy integrator.
 
     method "adaptive" chooses its solver once per run from the eigenvalue
-    lambda* of largest modulus of the undriven generator: BDF with the
-    exact sparse Jacobian when |lambda*| * envelope.step_bound > 20 and
-    lambda* lies within 45 degrees of the negative real axis (stiff,
-    damped spectra such as strong collective coupling), the embedded
-    Runge-Kutta pair RK45 otherwise. "dop853" is the higher-order explicit
-    pair for tight tolerances. Both split the span at the envelope support
-    and cap the step at envelope.step_bound on the driven segment only.
-    "trapezoid" is an unconditionally stable fixed-step rule, using `dt`
-    as the step.
+    lambda* of largest modulus of the undriven generator, estimated by an
+    Arnoldi iteration: scipy's BDF with the exact sparse Jacobian when
+    |lambda*| * envelope.step_bound > 20 and lambda* lies within 45
+    degrees of the negative real axis (stiff, damped spectra such as
+    strong collective coupling), the in-package Dormand-Prince pair RK45
+    otherwise. "dop853" is scipy's higher-order explicit pair for tight
+    tolerances. Both split the span at the envelope support and cap the
+    step at envelope.step_bound on the driven segment only. "trapezoid" is
+    an unconditionally stable fixed-step rule, using `dt` as the step.
+
+    rtol, atol, max_step, dt and trace_tol are real numbers, n_points and
+    max_store_bytes integers (never bools), store_states None (store when
+    the states fit max_store_bytes) or a bool.
     """
 
     method: str = "adaptive"
@@ -89,6 +96,17 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {_METHODS}")
+        for names, kind, what in (
+                (("rtol", "atol", "max_step", "dt", "trace_tol"), Real,
+                 "a real number"),
+                (("n_points", "max_store_bytes"), Integral, "an integer")):
+            for name in names:
+                v = getattr(self, name)
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    raise ConfigError(f"{name} must be {what}, got {v!r}")
+        if not (self.store_states is None or isinstance(self.store_states, bool)):
+            raise ConfigError(f"store_states must be true, false or null, "
+                              f"got {self.store_states!r}")
         for name in ("rtol", "atol", "dt", "trace_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -568,20 +586,31 @@ def _hermiticity_defect(result, ev):
 
 
 def _dominant_eigenvalue(a):
-    """Eigenvalue of largest modulus of the sparse matrix `a`: ARPACK from
-    a fixed start vector (so repeated runs agree), dense for tiny matrices
-    or when ARPACK does not converge."""
-    from scipy.sparse.linalg import ArpackError, eigs
+    """Eigenvalue of largest modulus of the sparse matrix `a`: the Ritz
+    value of largest modulus after m = min(n, _ARNOLDI_STEPS) Arnoldi
+    steps from a fixed start vector (so repeated runs agree), each new
+    direction orthogonalised twice against the basis. If the Krylov space
+    closes early it is invariant and its Ritz values are eigenvalues; with
+    n <= m the basis spans the whole space and the estimate is the dense
+    one."""
     n = a.shape[0]
-    if n > _DENSE_EIG_MAX:
-        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-        try:
-            lam = eigs(a, k=1, which="LM", v0=v0, tol=1e-6,
-                       return_eigenvectors=False)
-            return complex(lam[0])
-        except ArpackError:
-            pass
-    lam = np.linalg.eigvals(a.toarray())
+    m = min(n, _ARNOLDI_STEPS)
+    v = np.random.default_rng(0).standard_normal(n).astype(complex)
+    basis = np.zeros((m, n), dtype=complex)
+    hess = np.zeros((m + 1, m), dtype=complex)
+    basis[0] = v / np.linalg.norm(v)
+    for j in range(m):
+        w = a @ basis[j]
+        size = np.linalg.norm(w)
+        for _ in range(2):
+            c = (basis[:j + 1] @ w.conj()).conj()
+            w = w - c @ basis[:j + 1]
+            hess[:j + 1, j] += c
+        hess[j + 1, j] = h = np.linalg.norm(w)
+        if j + 1 == m or h <= 1e-12 * size:
+            break
+        basis[j + 1] = w / h
+    lam = np.linalg.eigvals(hess[:j + 1, :j + 1])
     return complex(lam[np.argmax(np.abs(lam))])
 
 
@@ -596,12 +625,11 @@ def _is_stiff(lam, step_bound):
 
 def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
     """Integrate on [t0, t1] split at the support of `env` (None: one
-    segment) with solve_ivp's `method` (and `jac`, unless None). The
-    right-hand side is the same on every segment; only the driven one caps
-    the step at `env.step_bound`, so that the pulse is not stepped over.
-    Returns the states at t_eval and one record per segment (method, nfev,
-    njev, nlu)."""
-    from scipy.integrate import solve_ivp
+    segment): "RK45" with the in-package `_rk45`, any other `method`
+    ("BDF" with `jac`, "DOP853") with scipy's solve_ivp. The right-hand
+    side is the same on every segment; only the driven one caps the step
+    at `env.step_bound`, so that the pulse is not stepped over. Returns the
+    states at t_eval and one record per segment (method, nfev, njev, nlu)."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
     if env is not None:
         lo, hi = env.support
@@ -619,17 +647,117 @@ def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
         max_step = opts.max_step
         if a < hi and b > lo:
             max_step = min(max_step, env.step_bound)
-        kw = {} if jac is None else dict(jac=jac)
-        sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
-                        rtol=opts.rtol, atol=opts.atol, max_step=max_step, **kw)
-        if not sol.success:
-            raise NumericsError(
-                f"{method} integration on [{a:.6g}, {b:.6g}] failed: {sol.message}")
-        ys[sel] = sol.y.T[back[:-1]]
-        y = sol.y[:, -1]
-        segments.append(dict(t_span=[a, b], method=method, nfev=int(sol.nfev),
-                             njev=int(sol.njev), nlu=int(sol.nlu)))
+        if method == "RK45":
+            out, nfev = _rk45(rhs, y, a, b, te, opts.rtol, opts.atol, max_step)
+            njev = nlu = 0
+        else:
+            from scipy.integrate import solve_ivp
+            kw = {} if jac is None else dict(jac=jac)
+            sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
+                            rtol=opts.rtol, atol=opts.atol, max_step=max_step,
+                            **kw)
+            if not sol.success:
+                raise NumericsError(f"{method} integration on [{a:.6g}, "
+                                    f"{b:.6g}] failed: {sol.message}")
+            out, nfev, njev, nlu = sol.y, sol.nfev, sol.njev, sol.nlu
+        ys[sel] = out.T[back[:-1]]
+        y = out[:, -1]
+        segments.append(dict(t_span=[a, b], method=method, nfev=int(nfev),
+                             njev=int(njev), nlu=int(nlu)))
     return ys, segments
+
+
+# Dormand-Prince 5(4): nodes, stage weights, 5th-order weights, the error
+# row (5th minus embedded 4th order, on the 7 stages including the FSAL
+# one) and the quartic dense-output matrix (Dormand & Prince, J. Comput.
+# Appl. Math. 6, 19 (1980); Shampine, Math. Comp. 46, 135 (1986)).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
+    """Dormand-Prince 5(4) on [t0, t1] from y, with solve_ivp's RK45
+    step by step, so that states and nfev are the same: the starting step
+    of Hairer, Norsett & Wanner (Solving ODEs I, II.4), local extrapolation,
+    the RMS norm of the error scaled by atol + rtol max(|y|, |y_new|), step
+    factors 0.9 err^(-1/5) clipped to [0.2, 10] with no growth right after
+    a rejection, and the quartic dense output onto `t_eval` (sorted, inside
+    the span). Returns the states at t_eval, shape (n, len(t_eval)), and
+    the number of rhs calls; a step below 10 ulp of t is a NumericsError."""
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    t, f = t0, rhs(t0, y)
+    span = t1 - t0
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span, max_step)
+    nfev, done, out = 2, 0, []
+    K = np.empty((7, y.size), dtype=complex)
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericsError(
+                    f"RK45 integration on [{t0:.6g}, {t1:.6g}] failed: the "
+                    f"step fell below 10 ulp of t = {t:.6g}")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(t + _DP_C[s] * h,
+                           y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[6] = f_new = rhs(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        stop = np.searchsorted(t_eval, t, side="right")
+        if stop > done:
+            x = (t_eval[done:stop] - t_old) / (t - t_old)
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            out.append((t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None])
+            done = stop
+    return np.hstack(out), nfev
 
 
 def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):

@@ -296,6 +296,15 @@ def test_cli_exit_codes_and_no_partial_outputs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
 
+    # the step cap is below the spacing of floats near t
+    tiny = write_cfg(tmp_path, name="tiny.json",
+                     integrator={"max_step": 1e-300})
+    out = tmp_path / "o2b"
+    assert main(["simulate", tiny, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: RK45 integration on [-16, ")
+    assert not out.exists()
+
     # resource guard, lifted by --allow-large
     guarded = write_cfg(tmp_path, name="guarded.json",
                         limits={"max_dim": 2})
@@ -604,6 +613,15 @@ def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
             "architecture": {"kind": "single",
                              "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
             "trajectories": {"n_traj": 2, "dt": math.nan}}, "dt"),
+        # wrong types ended in a TypeError traceback (exit 1), or, for
+        # store_states, were taken as true
+        ("simulate", {"integrator": {"n_points": 2.5}}, "n_points"),
+        ("simulate", {"integrator": {"n_points": 1e9}}, "n_points"),
+        ("simulate", {"integrator": {"rtol": "1e-8"}}, "rtol"),
+        ("simulate", {"integrator": {"max_step": "abc"}}, "max_step"),
+        ("simulate", {"integrator": {"max_store_bytes": "big"}},
+         "max_store_bytes"),
+        ("simulate", {"integrator": {"store_states": "yes"}}, "store_states"),
     ]
     for i, (cmd, over, name) in enumerate(cases):
         path = write_cfg(tmp_path, name=f"opt{i}.json", **over)
@@ -661,3 +679,31 @@ def test_float_lines_write_floats_as_fmt_does():
     assert _float_lines([col]) == [_fmt(v) for v in values]
     assert _float_lines([col, col[::-1]], sep=" ") == [
         f"{_fmt(a)} {_fmt(b)}" for a, b in zip(col, col[::-1])]
+
+
+def test_only_stiff_simulate_loads_scipy_solvers(tmp_path, capsys):
+    # the explicit solve and the stiffness estimate run on numpy alone;
+    # importing scipy.sparse.linalg and scipy.integrate added about 0.3 s to
+    # start-up
+    path = write_cfg(tmp_path)
+    code = ("import sys; from pnrsim.cli import main; "
+            f"assert main(['simulate', {path!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m in ("
+            "'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg', "
+            "'scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+    # a stiff collective model still runs on scipy's BDF
+    stiff = write_cfg(tmp_path, name="stiff.json", architecture={
+        "kind": "pnr-symmetric",
+        "params": {"n_D": 200, "n_A": 8, "exc_cap": 2, "Gamma": 1.0,
+                   "k_A": 1.0, "gamma_eff": 1.0}})
+    assert main(["simulate", stiff, "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    for out, method in (("o", "RK45"), ("s", "BDF")):
+        run = json.loads((tmp_path / out / "metrics.json").read_text())
+        segments = run["metrics"]["provenance"]["run"]["segments"]
+        assert {seg["method"] for seg in segments} == {method}

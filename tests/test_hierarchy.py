@@ -7,11 +7,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from pnrsim import hierarchy
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element,
                                   build_symmetric_reduced)
 from pnrsim.errors import ConfigError, ResourceLimitError
-from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
+from pnrsim.hierarchy import (IntegratorOptions, _dominant_eigenvalue,
+                              _is_stiff, compile_hierarchy,
                               integrate_hierarchy, reduced_matter_state)
 from pnrsim.liouville import assemble_liouvillian, counting_resolve
 from pnrsim.metrics import detection_probabilities, efficiency, jitter
@@ -283,6 +285,16 @@ def test_options_must_be_finite():
         with pytest.raises(ConfigError, match="max_step"):
             IntegratorOptions(max_step=bad)
     assert IntegratorOptions(max_step=np.inf).max_step == np.inf
+    # wrong types are ConfigErrors naming the field, not TypeErrors later
+    for name, bad in (("rtol", "1e-8"), ("atol", None), ("max_step", "abc"),
+                      ("dt", True), ("trace_tol", [1e-6]), ("n_points", 2.5),
+                      ("n_points", 1e9), ("n_points", True),
+                      ("max_store_bytes", "big"), ("max_store_bytes", 1.0),
+                      ("store_states", "yes"), ("store_states", 1)):
+        with pytest.raises(ConfigError, match=name):
+            IntegratorOptions(**{name: bad})
+    assert IntegratorOptions(n_points=np.int64(3), rtol=np.float32(1e-6),
+                             store_states=False).n_points == 3
     for bad in (np.nan, np.inf, 0.0):
         with pytest.raises(ConfigError, match="dt"):
             TrajectoryOptions(dt=bad)
@@ -556,3 +568,74 @@ def test_bdf_point_matches_tight_explicit_reference():
     a, b = (detection_probabilities(r, 0.0, 0.0) for r in (got, ref))
     assert abs(efficiency(a) - efficiency(b)) < 1e-8
     assert abs(jitter(a, env)[0] - jitter(b, env)[0]) < 1e-6
+
+
+def _scipy_rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
+    """solve_ivp's RK45 in place of the in-package integrator."""
+    sol = solve_ivp(rhs, (t0, t1), y, method="RK45", t_eval=t_eval,
+                    rtol=rtol, atol=atol, max_step=max_step)
+    assert sol.success
+    return sol.y, sol.nfev
+
+
+def test_in_package_rk45_matches_solve_ivp(monkeypatch):
+    wide = gaussian_envelope(25.0)
+    lo, hi = wide.support
+    band = build_band_element(DosModel("lorentzian", width=1.0), 16,
+                              np.sqrt(2.0 / 16), 1.0)
+    single = build_single_element(0.8, 1.1, Delta=0.4, k=0.3)
+    runs = [
+        (build_pnr(2, 3).counting(2), fock_input(2, gaussian_envelope(2.0)),
+         (-16, 28), IntegratorOptions(store_states=True), {}),
+        (band.counting(1), fock_input(1, wide), (lo, hi + 10.0),
+         IntegratorOptions(rtol=1e-6, atol=1e-9, store_states=True), {}),
+        (single.liouvillian(), None, (0.0, 2.5),
+         IntegratorOptions(max_step=0.1, store_states=True),
+         dict(rho0=np.diag([0.2, 0.5, 0.3]))),
+    ]
+    for model, field, span, opts, kw in runs:
+        got = integrate_hierarchy(model, field, span, opts, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "_rk45", _scipy_rk45)
+            ref = integrate_hierarchy(model, field, span, opts, **kw)
+        segs = got.diagnostics["segments"]
+        assert {seg["method"] for seg in segs} == {"RK45"}
+        assert segs == ref.diagnostics["segments"]
+        assert np.abs(got.states - ref.states).max() < 1e-12
+
+
+def test_arnoldi_estimate_is_the_dense_eigenvalue_on_small_states():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 23, 40):
+        a = sp.random(n, n, density=0.3, random_state=rng, format="csr")
+        a = a + 1j * sp.random(n, n, density=0.3, random_state=rng) - sp.identity(n)
+        lam = np.linalg.eigvals(a.toarray())
+        dense = lam[np.argmax(np.abs(lam))]
+        assert _dominant_eigenvalue(a.tocsr()) == pytest.approx(dense, rel=1e-10)
+    # an invariant Krylov space closes the iteration early
+    a = sp.diags([-3.0, -1.0, -1.0, -1.0] * 20).tocsr().astype(complex)
+    assert _dominant_eigenvalue(a) == pytest.approx(-3.0, rel=1e-12)
+
+
+def test_arnoldi_estimate_keeps_the_stiffness_decisions():
+    # moduli from dense eigenvalues; BDF only on the three stiffest
+    # collective points, as with the ARPACK estimate it replaced
+    env = gaussian_envelope(2.0)
+    wide = gaussian_envelope(25.0)
+    cases = [(build_pnr(2, 3).counting(2), fock_input(2, env), 6.0, False),
+             (build_pnr(3, 3).counting(3), fock_input(3, env), 9.0, False),
+             (build_pnr(4, 2).counting(2), fock_input(2, env), 8.0, False)]
+    for n_b, radius in ((16, 7.5645481), (32, 7.8133789)):
+        band = build_band_element(DosModel("lorentzian", width=1.0), n_b,
+                                  np.sqrt(2.0 / n_b), 1.0)
+        cases.append((band.counting(1), fock_input(1, wide), radius, False))
+    for g, radius, stiff in ((0.0707, 16.0, False), (0.1, 16.0, False),
+                             (0.2, 17.92, False), (0.4, 65.68, True),
+                             (0.7, 197.02, True), (1.0, 400.0, True)):
+        cases.append((_sym_sweep_model(g), fock_input(2, env), radius, stiff))
+    for model, field, radius, stiff in cases:
+        a0 = compile_hierarchy(model, field).a0
+        lam = _dominant_eigenvalue(a0)
+        assert abs(lam) == pytest.approx(radius, rel=1e-6)
+        assert _is_stiff(lam, field.envelope.step_bound) == stiff
+        assert _dominant_eigenvalue(a0) == lam
