@@ -19,9 +19,12 @@ over; the right-hand side is the same on every segment. Non-stiff runs
 step with the Dormand-Prince 5(4) pair written here (`_rk45`, step for
 step scipy's RK45), so they need neither scipy.integrate nor
 scipy.sparse.linalg. Collective coupling makes the generator stiff, so
-the adaptive method moves to scipy's BDF when a one-off Arnoldi estimate
-of the spectral radius says so (see `IntegratorOptions`), and the
-diagnostics record each segment's method and its nfev, njev and nlu.
+the adaptive method moves to the variable-order NDF of Shampine &
+Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) written here (`_bdf`, step
+for step scipy's BDF, factorizing with scipy.sparse.linalg.splu) when a
+one-off Arnoldi estimate of the spectral radius says so (see
+`IntegratorOptions`). The diagnostics record each segment's method and
+its nfev, njev, nlu and rejected steps.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -69,7 +72,8 @@ class IntegratorOptions:
 
     method "adaptive" chooses its solver once per run from the eigenvalue
     lambda* of largest modulus of the undriven generator, estimated by an
-    Arnoldi iteration: scipy's BDF with the exact sparse Jacobian when
+    Arnoldi iteration: the in-package NDF/BDF of Shampine & Reichelt
+    (1997) with the exact sparse Jacobian, as scipy's BDF, when
     |lambda*| * envelope.step_bound > 20 and lambda* lies within 45
     degrees of the negative real axis (stiff, damped spectra such as
     strong collective coupling), the in-package Dormand-Prince pair RK45
@@ -511,7 +515,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         ys, nfev, nlu = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval,
                                    opts.dt)
         segments = [dict(t_span=[t0, t1], method="trapezoid", nfev=nfev,
-                         njev=0, nlu=nlu)]
+                         njev=0, nlu=nlu, rejected=0)]
     else:
         method = "DOP853" if opts.method == "dop853" else "RK45"
         jac = None
@@ -519,11 +523,11 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             stiffness = _dominant_eigenvalue(a0)
             if _is_stiff(stiffness, env.step_bound):
                 method = "BDF"
-                gen, (g0, gm, gp) = union_pattern([a0, am, ap])
+                gen, (g0, gm, gp) = union_pattern([a0, am, ap], fmt="csc")
 
                 def jac(t, y):
                     e = env(t)
-                    return sp.csr_matrix((g0 + e * gm + np.conj(e) * gp,
+                    return sp.csc_matrix((g0 + e * gm + np.conj(e) * gp,
                                           gen.indices, gen.indptr), shape=gen.shape)
         ys, segments = _solve_segments(rhs, jac, ode.y0, t0, t1, t_eval,
                                        env if am is not None else None,
@@ -625,11 +629,13 @@ def _is_stiff(lam, step_bound):
 
 def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
     """Integrate on [t0, t1] split at the support of `env` (None: one
-    segment): "RK45" with the in-package `_rk45`, any other `method`
-    ("BDF" with `jac`, "DOP853") with scipy's solve_ivp. The right-hand
-    side is the same on every segment; only the driven one caps the step
-    at `env.step_bound`, so that the pulse is not stepped over. Returns the
-    states at t_eval and one record per segment (method, nfev, njev, nlu)."""
+    segment): "RK45" with the in-package `_rk45`, "BDF" with the in-package
+    NDF `_bdf` on the sparse Jacobian `jac`, and "DOP853" with scipy's
+    solve_ivp. The right-hand side is the same on every segment; only the
+    driven one caps the step at `env.step_bound`, so that the pulse is not
+    stepped over. Returns the states at t_eval and one record per segment:
+    method, nfev, njev, nlu and the rejected steps (None for DOP853, whose
+    solve_ivp does not report them)."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
     if env is not None:
         lo, hi = env.support
@@ -648,22 +654,22 @@ def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
         if a < hi and b > lo:
             max_step = min(max_step, env.step_bound)
         if method == "RK45":
-            out, nfev = _rk45(rhs, y, a, b, te, opts.rtol, opts.atol, max_step)
-            njev = nlu = 0
+            out, counts = _rk45(rhs, y, a, b, te, opts.rtol, opts.atol, max_step)
+        elif method == "BDF":
+            out, counts = _bdf(rhs, jac, y, a, b, te, opts.rtol, opts.atol,
+                               max_step)
         else:
             from scipy.integrate import solve_ivp
-            kw = {} if jac is None else dict(jac=jac)
             sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
-                            rtol=opts.rtol, atol=opts.atol, max_step=max_step,
-                            **kw)
+                            rtol=opts.rtol, atol=opts.atol, max_step=max_step)
             if not sol.success:
                 raise NumericsError(f"{method} integration on [{a:.6g}, "
                                     f"{b:.6g}] failed: {sol.message}")
-            out, nfev, njev, nlu = sol.y, sol.nfev, sol.njev, sol.nlu
+            out, counts = sol.y, dict(nfev=sol.nfev, njev=sol.njev,
+                                      nlu=sol.nlu, rejected=None)
         ys[sel] = out.T[back[:-1]]
         y = out[:, -1]
-        segments.append(dict(t_span=[a, b], method=method, nfev=int(nfev),
-                             njev=int(njev), nlu=int(nlu)))
+        segments.append(dict(t_span=[a, b], method=method, **counts))
     return ys, segments
 
 
@@ -700,18 +706,13 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
-    """Dormand-Prince 5(4) on [t0, t1] from y, with solve_ivp's RK45
-    step by step, so that states and nfev are the same: the starting step
-    of Hairer, Norsett & Wanner (Solving ODEs I, II.4), local extrapolation,
-    the RMS norm of the error scaled by atol + rtol max(|y|, |y_new|), step
-    factors 0.9 err^(-1/5) clipped to [0.2, 10] with no growth right after
-    a rejection, and the quartic dense output onto `t_eval` (sorted, inside
-    the span). Returns the states at t_eval, shape (n, len(t_eval)), and
-    the number of rhs calls; a step below 10 ulp of t is a NumericsError."""
-    rtol = max(rtol, 100 * np.finfo(float).eps)
-    t, f = t0, rhs(t0, y)
-    span = t1 - t0
+def _initial_step(rhs, t, y, f, t1, max_step, order, rtol, atol):
+    """Starting step of Hairer, Norsett & Wanner (Solving ODEs I, II.4) for
+    a method whose error estimate is of order `order`, as solve_ivp's
+    select_initial_step: an Euler probe at h0 (one rhs call) sizes the
+    second derivative, and the step is capped at 100 h0, the span and
+    max_step."""
+    span = t1 - t
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
@@ -719,9 +720,29 @@ def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span, max_step)
-    nfev, done, out = 2, 0, []
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, span, max_step)
+
+
+def _too_small(method, t0, t1, t):
+    return NumericsError(f"{method} integration on [{t0:.6g}, {t1:.6g}] "
+                         f"failed: the step fell below 10 ulp of t = {t:.6g}")
+
+
+def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
+    """Dormand-Prince 5(4) on [t0, t1] from y, with solve_ivp's RK45
+    step by step, so that states and nfev are the same: the starting step
+    of `_initial_step`, local extrapolation, the RMS norm of the error
+    scaled by atol + rtol max(|y|, |y_new|), step factors 0.9 err^(-1/5)
+    clipped to [0.2, 10] with no growth right after a rejection, and the
+    quartic dense output onto `t_eval` (sorted, inside the span). Returns
+    the states at t_eval, shape (n, len(t_eval)), and the counts nfev,
+    njev, nlu (both 0) and rejected (steps that failed the error test); a
+    step below 10 ulp of t is a NumericsError."""
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    t, f = t0, rhs(t0, y)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 4, rtol, atol)
+    nfev, n_rejected, done, out = 2, 0, 0, []
     K = np.empty((7, y.size), dtype=complex)
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -729,9 +750,7 @@ def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise NumericsError(
-                    f"RK45 integration on [{t0:.6g}, {t1:.6g}] failed: the "
-                    f"step fell below 10 ulp of t = {t:.6g}")
+                raise _too_small("RK45", t0, t1, t)
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)
@@ -750,6 +769,7 @@ def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+            n_rejected += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         stop = np.searchsorted(t_eval, t, side="right")
         if stop > done:
@@ -757,7 +777,163 @@ def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
             out.append((t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None])
             done = stop
-    return np.hstack(out), nfev
+    return np.hstack(out), dict(nfev=nfev, njev=0, nlu=0, rejected=n_rejected)
+
+
+# The NDF family of Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)),
+# orders 1-5, with the kappa constants of their Table 1 (order 5 is plain
+# BDF): gamma_k = sum 1/j, alpha_k = (1 - kappa_k) gamma_k, and the error
+# constants kappa_k gamma_k + 1/(k+1) of the difference-form estimate.
+_NDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
+_NDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, 6))))
+_NDF_ALPHA = (1 - _NDF_KAPPA) * _NDF_GAMMA
+_NDF_ERROR = _NDF_KAPPA * _NDF_GAMMA + 1 / np.arange(1, 7)
+_NEWTON_MAXITER = 4
+
+
+def _change_D(D, order, factor):
+    """Rescale the backward differences D[:order+1] in place from step h
+    to factor h (Shampine & Reichelt, section 2.3)."""
+    def r(f):
+        i = np.arange(1, order + 1)[:, None]
+        m = np.zeros((order + 1, order + 1))
+        m[1:, 1:] = (i - 1 - f * np.arange(1, order + 1)) / i
+        m[0] = 1
+        return np.cumprod(m, axis=0)
+    D[:order + 1] = np.dot(r(factor).dot(r(1)).T, D[:order + 1])
+
+
+def _newton(rhs, t, y_predict, c, psi, lu, scale, tol):
+    """Simplified Newton iteration for y = y_predict + d with
+    (I - c J) dy = c f(t, y) - psi - d, at most _NEWTON_MAXITER times,
+    stopped when the contraction rate predicts a miss of `tol`. Returns
+    whether it converged, the number of rhs calls, y and d."""
+    d, y, dy_norm_old = 0, y_predict.copy(), None
+    for k in range(_NEWTON_MAXITER):
+        f = rhs(t, y)
+        if not np.all(np.isfinite(f)):
+            break
+        dy = lu.solve(c * f - psi - d)
+        dy_norm = _rms(dy / scale)
+        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
+        if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k)
+                                 / (1 - rate) * dy_norm > tol):
+            break
+        y += dy
+        d += dy
+        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
+            return True, k + 1, y, d
+        dy_norm_old = dy_norm
+    return False, k + 1, y, d
+
+
+def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
+    """Variable-order NDF on [t0, t1] from y, with solve_ivp's BDF step by
+    step, so that states, nfev, njev and nlu are the same: orders 1-5 in
+    backward-difference form D, the starting step of `_initial_step` for
+    error order 1, D rescaled on every step change (`_change_D`), at most
+    4 Newton iterations on splu factors of I - c J with J the sparse CSC
+    `jac(t, y)`, refreshed once per step when Newton fails before the step
+    is halved, the error test with safety 0.9 (2 N + 1) / (2 N + n_iter),
+    factors in [0.2, 10] and an order change after order + 1 equal steps,
+    and dense output onto `t_eval` from the D, order and step after that
+    update. Returns the states at t_eval, shape (n, len(t_eval)), and the
+    counts nfev, njev, nlu and rejected (steps that failed the error test
+    or were halved after Newton failed); a step below 10 ulp of t is a
+    NumericsError."""
+    from scipy.sparse.linalg import splu
+    eps = np.finfo(float).eps
+    rtol = max(rtol, 100 * eps)
+    newton_tol = max(10 * eps / rtol, min(0.03, rtol ** 0.5))
+    t, f = t0, rhs(t0, y)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol)
+    J = jac(t, y)
+    eye = sp.identity(y.size, dtype=complex, format="csc")
+    D = np.empty((8, y.size), dtype=complex)
+    D[0], D[1] = y, f * h_abs
+    order, n_equal, lu = 1, 0, None
+    nfev, njev, nlu, n_rejected, done, out = 2, 1, 0, 0, 0, []
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step or h_abs < min_step:
+            bound = max_step if h_abs > max_step else min_step
+            _change_D(D, order, bound / h_abs)
+            h_abs, n_equal = bound, 0
+        fresh_jac = False
+        while True:
+            if h_abs < min_step:
+                raise _too_small("BDF", t0, t1, t)
+            t_new = t + h_abs
+            if t_new > t1:
+                t_new = t1
+                _change_D(D, order, np.abs(t_new - t) / h_abs)
+                n_equal, lu = 0, None
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_predict = np.sum(D[:order + 1], axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            alpha = _NDF_ALPHA[order]
+            psi = np.dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
+            c = h / alpha
+            while True:
+                if lu is None:
+                    lu = splu(eye - c * J)
+                    nlu += 1
+                converged, n_iter, y_new, d = _newton(
+                    rhs, t_new, y_predict, c, psi, lu, scale, newton_tol)
+                nfev += n_iter
+                if converged or fresh_jac:
+                    break
+                J, lu, fresh_jac = jac(t_new, y_predict), None, True
+                njev += 1
+            if converged:
+                safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
+                                                           + n_iter)
+                scale = atol + rtol * np.abs(y_new)
+                error_norm = _rms(_NDF_ERROR[order] * d / scale)
+                if not error_norm > 1:      # NaN passes, as in solve_ivp
+                    break
+                factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
+            else:
+                factor = 0.5
+                lu = None
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal = 0
+            n_rejected += 1
+        n_equal += 1
+        t = t_new
+        # D becomes the differences of the new step: d is its (order+1)-th
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+        if n_equal >= order + 1:
+            # order and step from the error estimates at order - 1, order
+            # and order + 1
+            down = up = np.inf
+            if order > 1:
+                down = _rms(_NDF_ERROR[order - 1] * D[order] / scale)
+            if order < 5:
+                up = _rms(_NDF_ERROR[order + 1] * D[order + 2] / scale)
+            norms = np.array([down, error_norm, up])
+            with np.errstate(divide="ignore"):
+                factors = norms ** (-1 / np.arange(order, order + 3))
+            order += int(np.argmax(factors)) - 1
+            factor = min(10, safety * np.max(factors))
+            h_abs *= factor
+            _change_D(D, order, factor)
+            n_equal, lu = 0, None
+        stop = np.searchsorted(t_eval, t, side="right")
+        if stop > done:
+            k = np.arange(order)
+            x = ((t_eval[done:stop] - (t - h_abs * k)[:, None])
+                 / (h_abs * (1 + k))[:, None])
+            out.append(np.dot(D[1:order + 1].T, np.cumprod(x, axis=0))
+                       + D[0, :, None])
+            done = stop
+    return np.hstack(out), dict(nfev=nfev, njev=njev, nlu=nlu,
+                                rejected=n_rejected)
 
 
 def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):

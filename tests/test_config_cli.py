@@ -35,6 +35,13 @@ def base_doc(**over):
     return doc
 
 
+# gamma_eff 1: collective coupling makes the hierarchy stiff (BDF)
+STIFF_ARCHITECTURE = {
+    "kind": "pnr-symmetric",
+    "params": {"n_D": 200, "n_A": 8, "exc_cap": 2, "Gamma": 1.0, "k_A": 1.0,
+               "gamma_eff": 1.0}}
+
+
 def write_cfg(tmp_path, name="cfg.json", **over):
     p = tmp_path / name
     p.write_text(json.dumps(base_doc(**over)))
@@ -263,8 +270,10 @@ def test_cli_metrics_record_the_solver(tmp_path):
     assert [seg["t_span"] for seg in run["segments"]] == [[-16.0, 16.0],
                                                           [16.0, 28.0]]
     for seg in run["segments"]:
+        assert set(seg) == {"t_span", "method", "nfev", "njev", "nlu",
+                            "rejected"}
         assert seg["method"] == "RK45" and seg["nfev"] > 0
-        assert seg["njev"] == seg["nlu"] == 0
+        assert seg["njev"] == seg["nlu"] == 0 <= seg["rejected"]
 
 
 def test_cli_simulate_is_deterministic(tmp_path):
@@ -303,6 +312,15 @@ def test_cli_exit_codes_and_no_partial_outputs(tmp_path, capsys):
     assert main(["simulate", tiny, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: RK45 integration on [-16, ")
+    assert not out.exists()
+    tiny = write_cfg(tmp_path, name="tiny_stiff.json",
+                     architecture=STIFF_ARCHITECTURE,
+                     integrator={"max_step": 1e-300})
+    out = tmp_path / "o2c"
+    assert main(["simulate", tiny, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: BDF integration on [-16, 16] failed: the step "
+        "fell below 10 ulp of t = -16")
     assert not out.exists()
 
     # resource guard, lifted by --allow-large
@@ -681,29 +699,26 @@ def test_float_lines_write_floats_as_fmt_does():
         f"{_fmt(a)} {_fmt(b)}" for a, b in zip(col, col[::-1])]
 
 
-def test_only_stiff_simulate_loads_scipy_solvers(tmp_path, capsys):
-    # the explicit solve and the stiffness estimate run on numpy alone;
-    # importing scipy.sparse.linalg and scipy.integrate added about 0.3 s to
+def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
+    # the explicit solve and the stiffness estimate run on numpy alone, and
+    # BDF needs only splu; scipy.integrate (which loads scipy.optimize,
+    # scipy.special, scipy.spatial and scipy.fft) added about 0.3-0.5 s to
     # start-up
-    path = write_cfg(tmp_path)
-    code = ("import sys; from pnrsim.cli import main; "
-            f"assert main(['simulate', {path!r}, '--out', {str(tmp_path / 'o')!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m in ("
-            "'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg', "
-            "'scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert out.stdout.strip().splitlines()[-1] == "[]"
-
-    # a stiff collective model still runs on scipy's BDF
-    stiff = write_cfg(tmp_path, name="stiff.json", architecture={
-        "kind": "pnr-symmetric",
-        "params": {"n_D": 200, "n_A": 8, "exc_cap": 2, "Gamma": 1.0,
-                   "k_A": 1.0, "gamma_eff": 1.0}})
-    assert main(["simulate", stiff, "--out", str(tmp_path / "s")]) == 0
-    capsys.readouterr()
-    for out, method in (("o", "RK45"), ("s", "BDF")):
-        run = json.loads((tmp_path / out / "metrics.json").read_text())
-        segments = run["metrics"]["provenance"]["run"]["segments"]
+    stiff = write_cfg(tmp_path, name="stiff.json",
+                      architecture=STIFF_ARCHITECTURE)
+    for cfg, out, method, loaded in (
+            (write_cfg(tmp_path), "o", "RK45", []),
+            (stiff, "s", "BDF", ["scipy.linalg", "scipy.sparse.linalg"])):
+        code = ("import sys; from pnrsim.cli import main; "
+                f"assert main(['simulate', {cfg!r}, '--out', "
+                f"{str(tmp_path / out)!r}]) == 0; "
+                "print(sorted(m for m in sys.modules if m in ("
+                "'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg', "
+                "'scipy.optimize')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run.stdout.strip().splitlines()[-1] == str(loaded)
+        doc = json.loads((tmp_path / out / "metrics.json").read_text())
+        segments = doc["metrics"]["provenance"]["run"]["segments"]
         assert {seg["method"] for seg in segments} == {method}

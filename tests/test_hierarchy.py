@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import bdf as scipy_bdf
 
 from pnrsim import hierarchy
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
@@ -17,8 +18,10 @@ from pnrsim.hierarchy import (IntegratorOptions, _dominant_eigenvalue,
                               integrate_hierarchy, reduced_matter_state)
 from pnrsim.liouville import assemble_liouvillian, counting_resolve
 from pnrsim.metrics import detection_probabilities, efficiency, jitter
-from pnrsim.pulses import fock_input, gaussian_envelope, superposition_input
+from pnrsim.pulses import (fock_input, gaussian_envelope,
+                           rising_exponential_envelope, superposition_input)
 from pnrsim.spaces import build_space, projector, transition
+from pnrsim.symmetric import enumerate_classes
 from pnrsim.trajectories import TrajectoryOptions, run_trajectories
 
 from helpers import (dense_count_probabilities, dense_hierarchy, expm_evolve,
@@ -332,6 +335,7 @@ def test_trapezoid_matches_adaptive():
     trap = integrate_hierarchy(counting, field, span, IntegratorOptions(
         method="trapezoid", dt=2e-3, n_points=41))
     assert np.abs(ref.count_probabilities() - trap.count_probabilities()).max() < 1e-7
+    assert [seg["rejected"] for seg in trap.diagnostics["segments"]] == [0]
 
 
 def test_count_probabilities_sum_to_one():
@@ -565,17 +569,49 @@ def test_bdf_point_matches_tight_explicit_reference():
     ref = integrate_hierarchy(arch, field, (-16, 28), IntegratorOptions(
         method="dop853", rtol=1e-12, atol=1e-14))
     assert got.diagnostics["segments"][0]["method"] == "BDF"
+    # solve_ivp does not report DOP853's rejected steps
+    assert {seg["rejected"] for seg in ref.diagnostics["segments"]} == {None}
     a, b = (detection_probabilities(r, 0.0, 0.0) for r in (got, ref))
     assert abs(efficiency(a) - efficiency(b)) < 1e-8
     assert abs(jitter(a, env)[0] - jitter(b, env)[0]) < 1e-6
 
 
 def _scipy_rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
-    """solve_ivp's RK45 in place of the in-package integrator."""
+    """solve_ivp's RK45 in place of the in-package integrator. Every step
+    attempt costs 6 rhs calls after the 2 of the starting step, so the
+    rejected steps are the attempts that left no step in the solution."""
     sol = solve_ivp(rhs, (t0, t1), y, method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=atol, max_step=max_step)
+                    rtol=rtol, atol=atol, max_step=max_step, dense_output=True)
     assert sol.success
-    return sol.y, sol.nfev
+    steps = len(sol.sol.interpolants)
+    return sol.y, dict(nfev=sol.nfev, njev=0, nlu=0,
+                       rejected=(sol.nfev - 2) // 6 - steps)
+
+
+def _scipy_bdf(monkeypatch):
+    """solve_ivp's BDF with the sparse Jacobian in place of the in-package
+    integrator. Each Newton solve of a step attempt ends in the accepted
+    step, a Jacobian refresh (every njev after the first) or a rejection,
+    so the rejected steps are the solves counted through scipy's
+    solve_bdf_system less those two."""
+    solves = []
+    newton = scipy_bdf.solve_bdf_system
+
+    def counted(*args):
+        solves.append(None)
+        return newton(*args)
+    monkeypatch.setattr(scipy_bdf, "solve_bdf_system", counted)
+
+    def bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
+        solves.clear()
+        sol = solve_ivp(rhs, (t0, t1), y, method="BDF", jac=jac,
+                        t_eval=t_eval, rtol=rtol, atol=atol,
+                        max_step=max_step, dense_output=True)
+        assert sol.success
+        steps = len(sol.sol.interpolants)
+        return sol.y, dict(nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
+                           rejected=len(solves) - steps - (sol.njev - 1))
+    return bdf
 
 
 def test_in_package_rk45_matches_solve_ivp(monkeypatch):
@@ -593,6 +629,7 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
          IntegratorOptions(max_step=0.1, store_states=True),
          dict(rho0=np.diag([0.2, 0.5, 0.3]))),
     ]
+    rejected = 0
     for model, field, span, opts, kw in runs:
         got = integrate_hierarchy(model, field, span, opts, **kw)
         with monkeypatch.context() as m:
@@ -602,6 +639,61 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
         assert {seg["method"] for seg in segs} == {"RK45"}
         assert segs == ref.diagnostics["segments"]
         assert np.abs(got.states - ref.states).max() < 1e-12
+        rejected += sum(seg["rejected"] for seg in segs)
+    assert rejected > 0
+
+
+def test_in_package_bdf_matches_solve_ivp(monkeypatch):
+    field = fock_input(2, gaussian_envelope(2.0))
+    store = IntegratorOptions(store_states=True)
+    runs = [(_sym_sweep_model(g), field, (-16, 28), store, {})
+            for g in (0.4, 0.7, 1.0)]
+    # after a rising-exponential pulse the drive is exactly zero: one
+    # uncapped segment of collective decay from one excited element
+    model = _sym_sweep_model(1.0)
+    i = enumerate_classes(200, 8, 2)[(0, 0, 1, 0, 0)]
+    excited = np.zeros(model.vec_dim, dtype=complex)
+    excited[i] = 1 / model.trace_row[i]
+    runs.append((model, fock_input(2, rising_exponential_envelope(1.0)),
+                 (0.5, 12.5), store, dict(rho0=excited)))
+    # a max_step that binds on both segments
+    runs.append((_sym_sweep_model(0.7), field, (-16, 28),
+                 IntegratorOptions(max_step=0.05, store_states=True), {}))
+    records = []
+    for model, field, span, opts, kw in runs:
+        got = integrate_hierarchy(model, field, span, opts, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(hierarchy, "_bdf", _scipy_bdf(m))
+            ref = integrate_hierarchy(model, field, span, opts, **kw)
+        segs = got.diagnostics["segments"]
+        assert {seg["method"] for seg in segs} == {"BDF"}
+        assert segs == ref.diagnostics["segments"]
+        assert np.array_equal(got.states, ref.states)
+        records.append(segs)
+    # counts of the sym-sweep points; Newton failures refresh the
+    # Jacobian and some steps are rejected
+    assert [(s["nfev"], s["njev"], s["nlu"]) for s in records[0]] == [
+        (968, 5, 62), (40, 1, 7)]
+    assert any(s["rejected"] > 0 for s in records[1])
+    assert [s["t_span"] for s in records[3]] == [[0.5, 12.5]]
+    assert records[4][0]["nfev"] > records[1][0]["nfev"]
+
+    # the hierarchy is linear, so Newton with a fresh Jacobian converges;
+    # the Van der Pol oscillator at mu = 1000 also halves steps on which
+    # Newton fails after the refresh
+    def vdp(t, y):
+        return np.array([y[1], 1e3 * (1 - y[0] ** 2) * y[1] - y[0]])
+
+    def vdp_jac(t, y):
+        return sp.csc_matrix(np.array([[0, 1], [-2e3 * y[0] * y[1] - 1,
+                                                1e3 * (1 - y[0] ** 2)]]))
+    y0, t_eval = np.array([2, 0], dtype=complex), np.linspace(0, 3000, 7)
+    args = (vdp, vdp_jac, y0, 0.0, 3000.0, t_eval, 1e-3, 1e-6, np.inf)
+    got, counts = hierarchy._bdf(*args)
+    with monkeypatch.context() as m:
+        ref, ref_counts = _scipy_bdf(m)(*args)
+    assert counts == ref_counts
+    assert np.array_equal(got, ref)
 
 
 def test_arnoldi_estimate_is_the_dense_eigenvalue_on_small_states():
