@@ -77,10 +77,11 @@ def _fmt(x) -> str:
 
 
 def _float_lines(columns, sep=",") -> list[str]:
-    """One line per row of the float arrays `columns`, each value written
-    as _fmt writes a float."""
-    return [sep.join([f"{v:.12g}" for v in row])
-            for row in np.column_stack(columns).tolist()]
+    """One line per row of the float arrays `columns` (1-d columns or 2-d
+    blocks of columns), each value written as _fmt writes a float."""
+    table = np.column_stack(columns)
+    fmt = sep.join(["%.12g"] * table.shape[1])
+    return [fmt % tuple(row) for row in table.tolist()]
 
 
 def _header(sha: str) -> list[str]:
@@ -224,12 +225,7 @@ def _simulate_payloads(cfg, allow_large, want_files=True):
     probs = run.count_probabilities()
     cols = (["t"] + [f"P_sector_{s}" for s in range(probs.shape[0])]
             + [f"P_reg_ge_{n}" for n in range(1, dist.M + 1)])
-    rows = []
-    for i in range(run.t.size):
-        row = ([_fmt(run.t[i])]
-               + [_fmt(probs[s, i]) for s in range(probs.shape[0])]
-               + [_fmt(dist.at_least[n, i]) for n in range(1, dist.M + 1)])
-        rows.append(",".join(row))
+    rows = _float_lines([run.t, probs.T, dist.at_least[1:dist.M + 1].T])
     files["timeseries.csv"] = _csv_text(sha, cols, rows)
 
     drows = [",".join((str(n), _fmt(dist.at_least[n, -1]),

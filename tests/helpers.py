@@ -178,6 +178,7 @@ def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
     reference the batched engine must match bitwise on dense blocks.
     Returns the stored <X> and cumulative records per monitored channel."""
     from pnrsim.hierarchy import compile_hierarchy
+    from pnrsim.trajectories import _expm
     ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
     ev, env, keep = ode.engine, ode.envelope, ode.keep
     amps = [a for a in ev.amps if a.k > 0]
@@ -190,7 +191,7 @@ def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
     a0 = ode.a0.toarray()
     n_steps = max(1, int(np.ceil((ode.t1 - ode.t0) / dt)))
     h = (ode.t1 - ode.t0) / n_steps
-    prop0 = la.expm(a0 * h)
+    prop0 = _expm(a0 * h)
     rng = np.random.Generator(np.random.Philox(key=[seed, traj_index]))
 
     def expectations(y):

@@ -18,6 +18,7 @@ from pnrsim.config import (RunConfig, build_envelope, canonical_json,
 from pnrsim.errors import ConfigError
 from pnrsim.hierarchy import IntegratorOptions
 from pnrsim.pulses import FieldInput
+from pnrsim.trajectories import _prepare
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -722,3 +723,29 @@ def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
         doc = json.loads((tmp_path / out / "metrics.json").read_text())
         segments = doc["metrics"]["provenance"]["run"]["segments"]
         assert {seg["method"] for seg in segments} == {method}
+
+
+def test_dense_trajectories_load_no_scipy_solvers(tmp_path):
+    # the dense path's only exponential, prop0, is the in-package Pade one
+    cfg = write_cfg(
+        tmp_path,
+        architecture={"kind": "single",
+                      "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
+        field={"photons": 1, "envelope": {"shape": "gaussian",
+                                          "sigma0": 1.0}},
+        t_span=[-8.0, 8.0], trajectories={"n_traj": 2, "dt": 0.01})
+    rc = RunConfig.from_file(cfg)
+    p = _prepare(rc.build_architecture().liouvillian(), rc.build_field(),
+                 rc.t_span, rc.trajectory_options(), None)
+    assert p.prop0 is not None
+    code = ("import sys; from pnrsim.cli import main; "
+            f"assert main(['trajectories', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}, '--workers', '2']) == 0; "
+            "print(sorted(m for m in sys.modules if m in ("
+            "'scipy.linalg', 'scipy.sparse.linalg', 'scipy.special', "
+            "'scipy.integrate')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "o" / "ensemble.csv").exists()

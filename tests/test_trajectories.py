@@ -1,23 +1,30 @@
 """Stochastic measurement records: exactness limits, noise statistics,
 reproducibility, and click extraction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from pnrsim.architectures import build_array, build_pnr, build_single_element
+from pnrsim.config import RunConfig
 from pnrsim.errors import ConfigError, NumericsError
 from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
                               integrate_hierarchy)
 from pnrsim.liouville import AmpChannel, assemble_liouvillian
 from pnrsim.pulses import fock_input, gaussian_envelope, square_envelope
 from pnrsim.spaces import Operator, build_space, projector, transition
-from pnrsim.trajectories import (TrajectoryOptions, TrajectoryRecord,
-                                 ensemble_average, extract_clicks,
+from pnrsim.trajectories import (_DENSE_MAX, _THETA, TrajectoryOptions,
+                                 TrajectoryRecord, _expm,
+                                 _prepare, ensemble_average, extract_clicks,
                                  run_trajectories, simulate_trajectory,
                                  window_averages)
 
 from helpers import loop_trajectory
 
+TRAJ_ENSEMBLE = (Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                 / "traj-ensemble.json")
 SHELF = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 
@@ -312,3 +319,50 @@ def test_batch_matches_plain_loop_bitwise():
             for tag in obs:
                 assert np.array_equal(rec.observables[tag], obs[tag])
                 assert np.array_equal(rec.records[tag], r[tag])
+
+
+def test_expm_matches_scipy():
+    def rel_err(a):
+        ref = la.expm(a)
+        return (np.abs(_expm(a) - ref).sum(axis=0).max()
+                / np.abs(ref).sum(axis=0).max())
+
+    # 1-norms just under each theta_m (one per Pade degree), then two that
+    # need squaring. On real 3x3 and 6x6 matrices of norm 30 to 300,
+    # scipy's expm strays from a 50-digit mpmath reference by up to 3e-12
+    # (_expm by up to 2e-13), so the random cases have the dense path's
+    # largest size, where both stay within 2e-14 of it.
+    rng = np.random.default_rng(7)
+    norms = [0.999 * t for t in _THETA.values()] + [30.0, 300.0]
+    for norm in norms:
+        for cplx in (False, True):
+            a = rng.standard_normal((_DENSE_MAX, _DENSE_MAX))
+            if cplx:
+                a = a + 1j * rng.standard_normal(a.shape)
+            a *= norm / np.abs(a).sum(axis=0).max()
+            assert rel_err(a) <= 1e-13, (norm, cplx)
+
+    # a0 dt of every dense-path model that test_batch_matches_plain_loop_bitwise
+    # and the traj-ensemble benchmark run
+    field = fock_input(1, gaussian_envelope(1.0))
+    cases = [(build_single_element(1.0, 1.0, k=0.5), field, None, 0.01),
+             (build_array(2, 1, 1, k=0.5), field, None, 0.01),
+             (build_single_element(1.0, 1.0, k=2.0), None, (0.0, 2.0), 0.01),
+             (build_single_element(1.0, 1.0, k=0.5),
+              fock_input(1, square_envelope(2.0)), (-2.0, 3.5), 0.01)]
+    cfg = RunConfig.from_file(TRAJ_ENSEMBLE)
+    cases.append((cfg.build_architecture(), cfg.build_field(), cfg.t_span,
+                  cfg.trajectory_options().dt))
+    for arch, fld, span, dt in cases:
+        p = _prepare(arch.liouvillian(), fld, span, TrajectoryOptions(dt=dt),
+                     None)
+        assert p.prop0 is not None
+        assert rel_err(p.a0 * p.dt) <= 1e-13
+
+    assert np.array_equal(_expm(np.zeros((5, 5))), np.eye(5))
+    d = np.array([-40.0, -3.0, -0.01, 0.0, 0.5, 2.0, 7.0])
+    e = _expm(np.diag(d))
+    assert np.array_equal(e, np.diag(e.diagonal()))
+    assert np.allclose(e.diagonal(), np.exp(d), rtol=1e-13, atol=0)
+    # overflowing model rates must end in a NumericsError, not a traceback
+    assert np.isnan(_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))).all()
