@@ -14,6 +14,8 @@ level l at energy (epsilon_l - delta_omega).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,8 @@ from .spaces import Operator, Subsystem, build_space, embed, projector, transiti
 from .symmetric import SymmetricLiouvillian
 
 _DOS_KINDS = ("lorentzian", "flat2d", "vanhove1d", "tabulated")
+# the largest amplitude whose square, a rate, is a finite double
+_MAX_AMPLITUDE = math.sqrt(sys.float_info.max)
 
 
 class DosModel:
@@ -153,8 +157,9 @@ def discretize_dos(dos, n_b, total_coupling, Gamma, span=8.0):
     n_b = int(n_b)
     if n_b < 1:
         raise ConfigError(f"n_b must be >= 1, got {n_b}")
-    if total_coupling <= 0:
-        raise ConfigError("total coupling must be positive")
+    if not 0 < total_coupling < np.inf:
+        raise ConfigError(f"total coupling must be positive and finite, "
+                          f"got {total_coupling}")
     sup = dos.support
     if sup is None:
         half = span * dos.width / 2.0
@@ -291,6 +296,18 @@ def _check_finite(**values):
             raise ConfigError(f"{name} must be finite, got {val}")
 
 
+def _check_amplitudes(**amplitudes):
+    """The generator holds the squares of the (finite) amplitudes as
+    rates; an amplitude whose square overflows would leave it non-finite."""
+    big = [f"{name} = {val:g}" for name, val in amplitudes.items()
+           if abs(val) > _MAX_AMPLITUDE]
+    if big:
+        raise ConfigError(
+            f"{', '.join(big)}: amplitudes enter the generator squared, as "
+            f"rates, and those squares overflow above {_MAX_AMPLITUDE:.4g}; "
+            f"rescale the time unit")
+
+
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):
     """Three-level absorbing element: ground, optically coupled excited
     state, monitored shelf. Channels: ABSORB (the optical coupling),
@@ -298,6 +315,7 @@ def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.
     when Delta > 0), AMP (continuous shelf monitor)."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega)
+    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
     space = build_space([("element", ("0", "1", "C"))])
     h = Operator(space, -delta_omega * projector(space, "element", "1").matrix,
                  name="H", hermitian=True)
@@ -328,6 +346,7 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     single element."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
+    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
     check_count(n_b=n_b)
     n_b = int(n_b)
     disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
@@ -370,6 +389,7 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     shelve. Registration counts shelf entries across all elements."""
     _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega)
+    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
     check_count(n_D=n_D, max_dim=max_dim)
     n_D = int(n_D)
     if n_D < 1:
@@ -413,6 +433,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     use the symmetric reduction beyond that."""
     _check_rates(gamma=gamma, Gamma=Gamma, k_A=k_A, Delta=Delta, k=k)
     _check_finite(chi=chi, delta_omega=delta_omega, span=span)
+    _check_amplitudes(gamma=gamma, Gamma=Gamma, k_A=k_A, chi=chi)
     check_count(n_D=n_D, n_A=n_A, n_b=n_b, max_dim=max_dim)
     n_D, n_A, n_b = int(n_D), int(n_A), int(n_b)
     if n_D < 1 or n_A < 1:
@@ -480,6 +501,7 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
     entry instead of register transfer."""
     _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
     _check_finite(detuning=detuning)
+    _check_amplitudes(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A)
     check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
     sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,

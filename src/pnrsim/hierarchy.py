@@ -21,10 +21,13 @@ step scipy's RK45), so they need neither scipy.integrate nor
 scipy.sparse.linalg. Collective coupling makes the generator stiff, so
 the adaptive method moves to the variable-order NDF of Shampine &
 Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) written here (`_bdf`, step
-for step scipy's BDF, factorizing with scipy.sparse.linalg.splu) when a
-one-off Arnoldi estimate of the spectral radius says so (see
-`IntegratorOptions`). The diagnostics record each segment's method and
-its nfev, njev, nlu and rejected steps.
+for step scipy's BDF) when a one-off Arnoldi estimate of the spectral
+radius says so (see `IntegratorOptions`); undriven runs make the same
+test against their step cap or span. Its Newton matrix I - c J is
+inverted densely by numpy up to _DENSE_NEWTON_SIZE kept components,
+where that is faster and loads no scipy solver, and factorized with
+scipy.sparse.linalg.splu above (`_newton_algebra`). The diagnostics
+record each segment's method and its nfev, njev, nlu and rejected steps.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -64,6 +67,10 @@ from .spaces import Operator
 _METHODS = ("adaptive", "dop853", "trapezoid")
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
+# kept size up to which BDF inverts I - c J densely: on stiff symmetric
+# models the inverse beat splu per solve at 35 and 62 kept components,
+# was about even at 89 and lost at 112 and 189
+_DENSE_NEWTON_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -73,13 +80,17 @@ class IntegratorOptions:
     method "adaptive" chooses its solver once per run from the eigenvalue
     lambda* of largest modulus of the undriven generator, estimated by an
     Arnoldi iteration: the in-package NDF/BDF of Shampine & Reichelt
-    (1997) with the exact sparse Jacobian, as scipy's BDF, when
-    |lambda*| * envelope.step_bound > 20 and lambda* lies within 45
-    degrees of the negative real axis (stiff, damped spectra such as
-    strong collective coupling), the in-package Dormand-Prince pair RK45
-    otherwise. "dop853" is scipy's higher-order explicit pair for tight
-    tolerances. Both split the span at the envelope support and cap the
-    step at envelope.step_bound on the driven segment only. "trapezoid" is
+    (1997) with the exact Jacobian, as scipy's BDF, when |lambda*| * step
+    > 20 and lambda* lies within 45 degrees of the negative real axis
+    (stiff, damped spectra such as strong collective coupling), the
+    in-package Dormand-Prince pair RK45 otherwise. The step is
+    envelope.step_bound on driven runs and min(max_step, t1 - t0) on
+    undriven ones (no photons). BDF holds the Jacobian as a dense array
+    and inverts I - c J with numpy up to _DENSE_NEWTON_SIZE kept
+    components, and as a sparse matrix factorized by splu above. "dop853"
+    is scipy's higher-order explicit pair for tight tolerances. "adaptive"
+    and "dop853" split the span at the envelope support and cap the step
+    at envelope.step_bound on the driven segment only. "trapezoid" is
     an unconditionally stable fixed-step rule, using `dt` as the step.
 
     rtol, atol, max_step, dt and trace_tol are real numbers, n_points and
@@ -518,19 +529,18 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                          njev=0, nlu=nlu, rejected=0)]
     else:
         method = "DOP853" if opts.method == "dop853" else "RK45"
-        jac = None
-        if opts.method == "adaptive" and am is not None:
+        jac = factorize = None
+        if opts.method == "adaptive":
+            # the step an explicit pair wants: the pulse's on a driven run,
+            # the cap or the whole span on an undriven one
+            step = env.step_bound if am is not None else min(opts.max_step,
+                                                             t1 - t0)
             stiffness = _dominant_eigenvalue(a0)
-            if _is_stiff(stiffness, env.step_bound):
+            if _is_stiff(stiffness, step):
                 method = "BDF"
-                gen, (g0, gm, gp) = union_pattern([a0, am, ap], fmt="csc")
-
-                def jac(t, y):
-                    e = env(t)
-                    return sp.csc_matrix((g0 + e * gm + np.conj(e) * gp,
-                                          gen.indices, gen.indptr), shape=gen.shape)
-        ys, segments = _solve_segments(rhs, jac, ode.y0, t0, t1, t_eval,
-                                       env if am is not None else None,
+                jac, factorize = _newton_algebra(a0, am, ap, env)
+        ys, segments = _solve_segments(rhs, jac, factorize, ode.y0, t0, t1,
+                                       t_eval, env if am is not None else None,
                                        method, opts)
         nfev = sum(seg["nfev"] for seg in segments)
 
@@ -618,22 +628,64 @@ def _dominant_eigenvalue(a):
     return complex(lam[np.argmax(np.abs(lam))])
 
 
-def _is_stiff(lam, step_bound):
+def _newton_algebra(a0, am, ap, env):
+    """The Jacobian J(t) = a0 + E(t) am + E*(t) ap of the hierarchy (a0
+    alone when am is None) and `factorize(J, c)`, the solve of I - c J,
+    for `_bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
+    array and the factorization its inverse, applied by one product per
+    Newton iteration: numpy alone, with no sparse object made per call
+    and no scipy solver loaded. Above it, J is CSC on the union pattern of
+    the blocks and factorized by splu, whose fill stays far below the n^2
+    of an inverse."""
+    mats = [m for m in (a0, am, ap) if m is not None]
+    n = a0.shape[0]
+    if n <= _DENSE_NEWTON_SIZE:
+        blocks, make = [m.toarray() for m in mats], np.asarray
+        eye = np.eye(n)
+
+        def factorize(J, c):
+            return np.linalg.inv(eye - c * J).dot
+    else:
+        from scipy.sparse.linalg import splu
+        gen, blocks = union_pattern(mats, fmt="csc")
+        eye = sp.identity(n, dtype=complex, format="csc")
+
+        def make(data):
+            return sp.csc_matrix((data, gen.indices, gen.indptr), shape=gen.shape)
+
+        def factorize(J, c):
+            return splu(eye - c * J).solve
+    if am is None:
+        J = make(blocks[0])
+        return (lambda t, y: J), factorize
+    g0, gm, gp = blocks
+
+    def jac(t, y):
+        e = env(t)
+        return make(g0 + e * gm + np.conj(e) * gp)
+    return jac, factorize
+
+
+def _is_stiff(lam, step):
     """Whether BDF beats RK45: the stability limit of an explicit step,
-    about 1/|lam|, is far below the step that resolves the pulse, and lam
-    lies within 45 degrees of the negative real axis. Oscillatory
-    (band-like) spectra stay explicit: there BDF's step is held down by
-    accuracy, not stability, and each step costs a factorization."""
-    return abs(lam) * step_bound > _STIFF_RATIO and -lam.real >= abs(lam.imag)
+    about 1/|lam|, is far below `step` (the step that resolves the pulse,
+    or the cap or span of an undriven run), and lam lies within 45 degrees
+    of the negative real axis. Oscillatory (band-like) spectra stay
+    explicit: there BDF's step is held down by accuracy, not stability,
+    and each step costs a factorization."""
+    return abs(lam) * step > _STIFF_RATIO and -lam.real >= abs(lam.imag)
 
 
-def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
+def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
+                    opts):
     """Integrate on [t0, t1] split at the support of `env` (None: one
     segment): "RK45" with the in-package `_rk45`, "BDF" with the in-package
-    NDF `_bdf` on the sparse Jacobian `jac`, and "DOP853" with scipy's
-    solve_ivp. The right-hand side is the same on every segment; only the
-    driven one caps the step at `env.step_bound`, so that the pulse is not
-    stepped over. Returns the states at t_eval and one record per segment:
+    NDF `_bdf` on the Jacobian `jac` and the factorization `factorize` of
+    `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
+    components, splu factors above), and "DOP853" with scipy's solve_ivp.
+    The right-hand side is the same on every segment; only the driven one
+    caps the step at `env.step_bound`, so that the pulse is not stepped
+    over. Returns the states at t_eval and one record per segment:
     method, nfev, njev, nlu and the rejected steps (None for DOP853, whose
     solve_ivp does not report them)."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
@@ -656,8 +708,8 @@ def _solve_segments(rhs, jac, y0, t0, t1, t_eval, env, method, opts):
         if method == "RK45":
             out, counts = _rk45(rhs, y, a, b, te, opts.rtol, opts.atol, max_step)
         elif method == "BDF":
-            out, counts = _bdf(rhs, jac, y, a, b, te, opts.rtol, opts.atol,
-                               max_step)
+            out, counts = _bdf(rhs, jac, factorize, y, a, b, te, opts.rtol,
+                               opts.atol, max_step)
         else:
             from scipy.integrate import solve_ivp
             sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
@@ -803,7 +855,7 @@ def _change_D(D, order, factor):
     D[:order + 1] = np.dot(r(factor).dot(r(1)).T, D[:order + 1])
 
 
-def _newton(rhs, t, y_predict, c, psi, lu, scale, tol):
+def _newton(rhs, t, y_predict, c, psi, solve, scale, tol):
     """Simplified Newton iteration for y = y_predict + d with
     (I - c J) dy = c f(t, y) - psi - d, at most _NEWTON_MAXITER times,
     stopped when the contraction rate predicts a miss of `tol`. Returns
@@ -813,7 +865,7 @@ def _newton(rhs, t, y_predict, c, psi, lu, scale, tol):
         f = rhs(t, y)
         if not np.all(np.isfinite(f)):
             break
-        dy = lu.solve(c * f - psi - d)
+        dy = solve(c * f - psi - d)
         dy_norm = _rms(dy / scale)
         rate = None if dy_norm_old is None else dy_norm / dy_norm_old
         if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k)
@@ -827,31 +879,30 @@ def _newton(rhs, t, y_predict, c, psi, lu, scale, tol):
     return False, k + 1, y, d
 
 
-def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
+def _bdf(rhs, jac, factorize, y, t0, t1, t_eval, rtol, atol, max_step):
     """Variable-order NDF on [t0, t1] from y, with solve_ivp's BDF step by
     step, so that states, nfev, njev and nlu are the same: orders 1-5 in
     backward-difference form D, the starting step of `_initial_step` for
     error order 1, D rescaled on every step change (`_change_D`), at most
-    4 Newton iterations on splu factors of I - c J with J the sparse CSC
-    `jac(t, y)`, refreshed once per step when Newton fails before the step
-    is halved, the error test with safety 0.9 (2 N + 1) / (2 N + n_iter),
-    factors in [0.2, 10] and an order change after order + 1 equal steps,
-    and dense output onto `t_eval` from the D, order and step after that
-    update. Returns the states at t_eval, shape (n, len(t_eval)), and the
-    counts nfev, njev, nlu and rejected (steps that failed the error test
-    or were halved after Newton failed); a step below 10 ulp of t is a
-    NumericsError."""
-    from scipy.sparse.linalg import splu
+    4 Newton iterations on `factorize(J, c)`, the solve of I - c J with
+    J = `jac(t, y)` (for the hierarchy a dense inverse or splu factors,
+    see `_newton_algebra`), J refreshed once per step when Newton fails
+    before the step is halved, the error test with safety
+    0.9 (2 N + 1) / (2 N + n_iter), factors in [0.2, 10] and an order
+    change after order + 1 equal steps, and dense output onto `t_eval`
+    from the D, order and step after that update. Returns the states at
+    t_eval, shape (n, len(t_eval)), and the counts nfev, njev, nlu and
+    rejected (steps that failed the error test or were halved after Newton
+    failed); a step below 10 ulp of t is a NumericsError."""
     eps = np.finfo(float).eps
     rtol = max(rtol, 100 * eps)
     newton_tol = max(10 * eps / rtol, min(0.03, rtol ** 0.5))
     t, f = t0, rhs(t0, y)
     h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol)
     J = jac(t, y)
-    eye = sp.identity(y.size, dtype=complex, format="csc")
     D = np.empty((8, y.size), dtype=complex)
     D[0], D[1] = y, f * h_abs
-    order, n_equal, lu = 1, 0, None
+    order, n_equal, solve = 1, 0, None
     nfev, njev, nlu, n_rejected, done, out = 2, 1, 0, 0, 0, []
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -867,7 +918,7 @@ def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
             if t_new > t1:
                 t_new = t1
                 _change_D(D, order, np.abs(t_new - t) / h_abs)
-                n_equal, lu = 0, None
+                n_equal, solve = 0, None
             h = t_new - t
             h_abs = np.abs(h)
             y_predict = np.sum(D[:order + 1], axis=0)
@@ -876,15 +927,15 @@ def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
             psi = np.dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
             c = h / alpha
             while True:
-                if lu is None:
-                    lu = splu(eye - c * J)
+                if solve is None:
+                    solve = factorize(J, c)
                     nlu += 1
                 converged, n_iter, y_new, d = _newton(
-                    rhs, t_new, y_predict, c, psi, lu, scale, newton_tol)
+                    rhs, t_new, y_predict, c, psi, solve, scale, newton_tol)
                 nfev += n_iter
                 if converged or fresh_jac:
                     break
-                J, lu, fresh_jac = jac(t_new, y_predict), None, True
+                J, solve, fresh_jac = jac(t_new, y_predict), None, True
                 njev += 1
             if converged:
                 safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
@@ -896,7 +947,7 @@ def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
                 factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
             else:
                 factor = 0.5
-                lu = None
+                solve = None
             h_abs *= factor
             _change_D(D, order, factor)
             n_equal = 0
@@ -923,7 +974,7 @@ def _bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
             factor = min(10, safety * np.max(factors))
             h_abs *= factor
             _change_D(D, order, factor)
-            n_equal, lu = 0, None
+            n_equal, solve = 0, None
         stop = np.searchsorted(t_eval, t, side="right")
         if stop > done:
             k = np.arange(order)

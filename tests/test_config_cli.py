@@ -43,6 +43,10 @@ STIFF_ARCHITECTURE = {
                "gamma_eff": 1.0}}
 
 
+def _photons(n):
+    return {"photons": n, "envelope": {"shape": "gaussian", "sigma0": 2.0}}
+
+
 def write_cfg(tmp_path, name="cfg.json", **over):
     p = tmp_path / name
     p.write_text(json.dumps(base_doc(**over)))
@@ -323,6 +327,25 @@ def test_cli_exit_codes_and_no_partial_outputs(tmp_path, capsys):
         "numerical failure: BDF integration on [-16, 16] failed: the step "
         "fell below 10 ulp of t = -16")
     assert not out.exists()
+
+    # finite rates whose squares overflow: the pnr builder raised an
+    # OverflowError (exit 1), and the single model's blocks overflowed into
+    # a numerical failure that asked for a smaller dt (exit 3)
+    huge = write_cfg(tmp_path, name="huge.json", architecture={
+        "kind": "pnr", "params": {"n_D": 2, "n_A": 3, "gamma": 1e200,
+                                  "Gamma": 1.0, "k_A": 1.0}},
+        field=_photons(2))
+    huge_traj = write_cfg(tmp_path, name="huge_traj.json", architecture={
+        "kind": "single", "params": {"gamma": 1e300, "Gamma": 1e300,
+                                     "k": 0.5}},
+        t_span=[-8.0, 12.0], trajectories={"n_traj": 2, "dt": 0.01})
+    for cmd, cfg, names in (("simulate", huge, "gamma = 1e+200: "),
+                            ("trajectories", huge_traj,
+                             "gamma = 1e+300, Gamma = 1e+300: ")):
+        out = tmp_path / f"o_{cmd}"
+        assert main([cmd, cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + names)
+        assert not out.exists()
 
     # resource guard, lifted by --allow-large
     guarded = write_cfg(tmp_path, name="guarded.json",
@@ -702,14 +725,21 @@ def test_float_lines_write_floats_as_fmt_does():
 
 def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
     # the explicit solve and the stiffness estimate run on numpy alone, and
-    # BDF needs only splu; scipy.integrate (which loads scipy.optimize,
-    # scipy.special, scipy.spatial and scipy.fft) added about 0.3-0.5 s to
-    # start-up
+    # so does BDF up to hierarchy._DENSE_NEWTON_SIZE kept components (35
+    # at exc_cap 2 with 2 photons); above it (112 at exc_cap 3 with 3
+    # photons) BDF needs splu. scipy.integrate (which loads
+    # scipy.optimize, scipy.special, scipy.spatial and scipy.fft) added
+    # about 0.3-0.5 s to start-up, scipy.sparse.linalg about 0.1 s
     stiff = write_cfg(tmp_path, name="stiff.json",
-                      architecture=STIFF_ARCHITECTURE)
-    for cfg, out, method, loaded in (
-            (write_cfg(tmp_path), "o", "RK45", []),
-            (stiff, "s", "BDF", ["scipy.linalg", "scipy.sparse.linalg"])):
+                      architecture=STIFF_ARCHITECTURE, field=_photons(2))
+    large = dict(STIFF_ARCHITECTURE, params={**STIFF_ARCHITECTURE["params"],
+                                             "exc_cap": 3})
+    large = write_cfg(tmp_path, name="large.json", architecture=large,
+                      field=_photons(3))
+    for cfg, out, method, size, loaded in (
+            (write_cfg(tmp_path), "o", "RK45", 6, []),
+            (stiff, "s", "BDF", 35, []),
+            (large, "l", "BDF", 112, ["scipy.linalg", "scipy.sparse.linalg"])):
         code = ("import sys; from pnrsim.cli import main; "
                 f"assert main(['simulate', {cfg!r}, '--out', "
                 f"{str(tmp_path / out)!r}]) == 0; "
@@ -721,8 +751,32 @@ def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
                              env={**os.environ, "PYTHONPATH": str(SRC)})
         assert run.stdout.strip().splitlines()[-1] == str(loaded)
         doc = json.loads((tmp_path / out / "metrics.json").read_text())
+        prov = doc["metrics"]["provenance"]["run"]
+        assert {seg["method"] for seg in prov["segments"]} == {method}
+        assert prov["size"] == size
+
+
+def test_stiff_sweep_loads_no_scipy_solvers(tmp_path):
+    # every stiff point of the sym-sweep benchmark takes the dense Newton
+    # path of BDF, so a sweep over them imports no scipy solver
+    cfg = write_cfg(tmp_path, architecture=STIFF_ARCHITECTURE,
+                    field=_photons(2), sweep={"axes": [
+                        {"parameter": "architecture.params.gamma_eff",
+                         "values": [0.4, 0.7, 1.0]}]})
+    code = ("import sys; from pnrsim.cli import main; "
+            f"assert main(['sweep', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}, '--workers', '2']) == 0; "
+            "print(sorted(m for m in sys.modules if m in ("
+            "'scipy.integrate', 'scipy.sparse.linalg', 'scipy.linalg')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+    for i in range(3):
+        doc = json.loads((tmp_path / "o" / "points" / f"{i:04d}" /
+                          "metrics.json").read_text())
         segments = doc["metrics"]["provenance"]["run"]["segments"]
-        assert {seg["method"] for seg in segments} == {method}
+        assert {seg["method"] for seg in segments} == {"BDF"}
 
 
 def test_dense_trajectories_load_no_scipy_solvers(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import bdf as scipy_bdf
+from scipy.sparse.linalg import splu
 
 from pnrsim import hierarchy
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
@@ -533,10 +534,18 @@ def _methods(arch, field, t_span, opts=IntegratorOptions(n_points=2)):
     return {seg["method"] for seg in run.diagnostics["segments"]}
 
 
-def _sym_sweep_model(gamma_eff):
+def _sym_sweep_model(gamma_eff, exc_cap=2):
     """One point of a collective sweep: 200 elements, 8 registers."""
     return build_symmetric_reduced(200, 8, gamma_eff, 1.0, k_A=1.0,
-                                   exc_cap=2).counting(2)
+                                   exc_cap=exc_cap).counting(2)
+
+
+def _excited_element(model):
+    """The class vector of one excited element (no photon, no register)."""
+    i = enumerate_classes(200, 8, 2)[(0, 0, 1, 0, 0)]
+    y = np.zeros(model.vec_dim, dtype=complex)
+    y[i] = 1 / model.trace_row[i]
+    return y
 
 
 def test_stiff_collective_coupling_switches_to_bdf():
@@ -602,7 +611,7 @@ def _scipy_bdf(monkeypatch):
         return newton(*args)
     monkeypatch.setattr(scipy_bdf, "solve_bdf_system", counted)
 
-    def bdf(rhs, jac, y, t0, t1, t_eval, rtol, atol, max_step):
+    def bdf(rhs, jac, factorize, y, t0, t1, t_eval, rtol, atol, max_step):
         solves.clear()
         sol = solve_ivp(rhs, (t0, t1), y, method="BDF", jac=jac,
                         t_eval=t_eval, rtol=rtol, atol=atol,
@@ -643,7 +652,9 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
     assert rejected > 0
 
 
-def test_in_package_bdf_matches_solve_ivp(monkeypatch):
+def _bdf_runs():
+    """Stiff sym-sweep runs (at most 35 kept components), small enough
+    for the dense Newton path."""
     field = fock_input(2, gaussian_envelope(2.0))
     store = IntegratorOptions(store_states=True)
     runs = [(_sym_sweep_model(g), field, (-16, 28), store, {})
@@ -651,25 +662,42 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     # after a rising-exponential pulse the drive is exactly zero: one
     # uncapped segment of collective decay from one excited element
     model = _sym_sweep_model(1.0)
-    i = enumerate_classes(200, 8, 2)[(0, 0, 1, 0, 0)]
-    excited = np.zeros(model.vec_dim, dtype=complex)
-    excited[i] = 1 / model.trace_row[i]
     runs.append((model, fock_input(2, rising_exponential_envelope(1.0)),
-                 (0.5, 12.5), store, dict(rho0=excited)))
+                 (0.5, 12.5), store, dict(rho0=_excited_element(model))))
     # a max_step that binds on both segments
     runs.append((_sym_sweep_model(0.7), field, (-16, 28),
                  IntegratorOptions(max_step=0.05, store_states=True), {}))
-    records = []
+    return runs
+
+
+def _bdf_against_solve_ivp(monkeypatch, runs):
+    """Each run and its solve_ivp BDF reference with the same Jacobian."""
     for model, field, span, opts, kw in runs:
         got = integrate_hierarchy(model, field, span, opts, **kw)
         with monkeypatch.context() as m:
             m.setattr(hierarchy, "_bdf", _scipy_bdf(m))
             ref = integrate_hierarchy(model, field, span, opts, **kw)
+        assert {seg["method"] for seg in got.diagnostics["segments"]} == {"BDF"}
+        yield got, ref
+
+
+def test_in_package_bdf_matches_solve_ivp(monkeypatch):
+    # splu factors of the sparse Jacobian: the models of _bdf_runs forced
+    # onto that path, and 112 kept components, above the dense size
+    above = _sym_sweep_model(1.0, exc_cap=3)
+    runs = _bdf_runs() + [(above, fock_input(3, gaussian_envelope(2.0)),
+                           (-16, 28), IntegratorOptions(store_states=True), {})]
+    records = []
+    with monkeypatch.context() as m:
+        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        pairs = list(_bdf_against_solve_ivp(monkeypatch, runs[:-1]))
+    pairs += _bdf_against_solve_ivp(monkeypatch, runs[-1:])
+    for got, ref in pairs:
         segs = got.diagnostics["segments"]
-        assert {seg["method"] for seg in segs} == {"BDF"}
         assert segs == ref.diagnostics["segments"]
         assert np.array_equal(got.states, ref.states)
         records.append(segs)
+    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_NEWTON_SIZE
     # counts of the sym-sweep points; Newton failures refresh the
     # Jacobian and some steps are rejected
     assert [(s["nfev"], s["njev"], s["nlu"]) for s in records[0]] == [
@@ -687,13 +715,66 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     def vdp_jac(t, y):
         return sp.csc_matrix(np.array([[0, 1], [-2e3 * y[0] * y[1] - 1,
                                                 1e3 * (1 - y[0] ** 2)]]))
+
+    def vdp_splu(J, c):
+        return splu(sp.identity(2, format="csc") - c * J).solve
     y0, t_eval = np.array([2, 0], dtype=complex), np.linspace(0, 3000, 7)
-    args = (vdp, vdp_jac, y0, 0.0, 3000.0, t_eval, 1e-3, 1e-6, np.inf)
+    args = (vdp, vdp_jac, vdp_splu, y0, 0.0, 3000.0, t_eval, 1e-3, 1e-6,
+            np.inf)
     got, counts = hierarchy._bdf(*args)
     with monkeypatch.context() as m:
         ref, ref_counts = _scipy_bdf(m)(*args)
     assert counts == ref_counts
     assert np.array_equal(got, ref)
+
+
+def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
+    # up to _DENSE_NEWTON_SIZE kept components J is a dense array and
+    # I - c J is inverted; solve_ivp's BDF takes the same dense J through
+    # an LU factorization, so the steps agree and the states to rounding
+    runs = _bdf_runs()
+    jacs = []
+    newton_algebra = hierarchy._newton_algebra
+
+    def spy(*args):
+        jac, factorize = newton_algebra(*args)
+        jacs.append(jac(0.0, None))
+        return jac, factorize
+    monkeypatch.setattr(hierarchy, "_newton_algebra", spy)
+    for got, ref in _bdf_against_solve_ivp(monkeypatch, runs):
+        assert got.diagnostics["size"] <= hierarchy._DENSE_NEWTON_SIZE
+        assert isinstance(jacs[-1], np.ndarray)
+        assert got.diagnostics["segments"] == ref.diagnostics["segments"]
+        scale = np.abs(ref.states).max()
+        assert np.abs(got.states - ref.states).max() < 1e-13 * scale
+
+
+def test_undriven_stiff_run_takes_bdf(monkeypatch):
+    # one excited element decays collectively (lambda* = -201 on 5 kept
+    # components); with no envelope the step scale is the span here
+    model = _sym_sweep_model(1.0)
+    kw = dict(rho0=_excited_element(model))
+    opts = IntegratorOptions(store_states=True)
+    got = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
+    ref = integrate_hierarchy(model, None, (0.5, 12.5), IntegratorOptions(
+        method="dop853", rtol=1e-12, atol=1e-14, store_states=True), **kw)
+    d = got.diagnostics
+    assert d["size"] == 5 <= hierarchy._DENSE_NEWTON_SIZE
+    assert d["stiffness"] == pytest.approx(-201.0, rel=1e-3)
+    (seg,) = d["segments"]
+    # RK45 took nfev 5,342 with 123 rejected steps here
+    assert seg["method"] == "BDF" and seg["nfev"] < 1000
+    assert np.abs(got.states - ref.states).max() < 1e-8
+    # the splu path takes the same steps on the constant Jacobian a0
+    with monkeypatch.context() as m:
+        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        sparse = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
+    assert sparse.diagnostics["segments"] == d["segments"]
+    assert np.abs(sparse.states - got.states).max() < 1e-13
+    # the vacuum keeps one component with lambda* = 0: nothing to damp
+    vac = integrate_hierarchy(model, None, (0.5, 12.5))
+    assert vac.diagnostics["size"] == 1 and vac.diagnostics["stiffness"] == 0
+    assert {s["method"] for s in vac.diagnostics["segments"]} == {"RK45"}
 
 
 def test_arnoldi_estimate_is_the_dense_eigenvalue_on_small_states():
