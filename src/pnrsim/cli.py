@@ -21,13 +21,11 @@ files wherever they are written. Tables are CSV; per-curve two-column
 .dat files go under plotdata/ so any plotting tool can render them.
 
 Sweeps and trajectory batches run serially in the calling thread.
---workers and the PNRSIM_WORKERS environment variable are still parsed
-and validated, so existing command lines keep working, but they change
-neither what runs nor any output byte. Either must be an integer >= 1
-(an explicit --workers overrides PNRSIM_WORKERS): 0, a negative value
-or a non-integer PNRSIM_WORKERS is a configuration error (exit 2) that
-names its source. Trajectory streams are keyed by (seed, trajectory
-index) alone.
+--workers is still parsed and validated, so existing command lines keep
+working, but it changes neither what runs nor any output byte. It must
+be an integer >= 1: 0 or a negative value is a configuration error
+(exit 2). Trajectory streams are keyed by (seed, trajectory index)
+alone.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -121,21 +118,10 @@ def _out_dir(args, cfg) -> str:
 
 
 def _workers(args) -> None:
-    """Validate --workers / PNRSIM_WORKERS; runs are serial either way."""
-    if getattr(args, "workers", None) is not None:
-        w, source = args.workers, "--workers"
-    else:
-        env = os.environ.get("PNRSIM_WORKERS", "").strip()
-        if not env:
-            return
-        try:
-            w = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"PNRSIM_WORKERS={env!r} is not an integer") from None
-        source = "PNRSIM_WORKERS"
-    if w < 1:
-        raise ConfigError(f"{source} must be >= 1, got {w}")
+    """Validate --workers; runs are serial either way."""
+    w = getattr(args, "workers", None)
+    if w is not None and w < 1:
+        raise ConfigError(f"--workers must be >= 1, got {w}")
 
 
 def _guard_dim(arch, limits, allow_large) -> None:
@@ -196,7 +182,9 @@ def _simulate_payloads(cfg, allow_large, want_files=True):
     prov = {"settled": bool(dist.meta.get("settled", True)), "vacuum": vacuum,
             # solver record only: wall times would break byte-identical reruns
             "run": {"size": diag["size"], "full_size": diag["full_size"],
-                    "segments": diag["segments"]}}
+                    "segments": diag["segments"],
+                    "trace_defect": diag["trace_defect"],
+                    "hermiticity_defect": diag["hermiticity_defect"]}}
     if "efficiency" in compute:
         eff = efficiency(dist)
     if "jitter" in compute and not vacuum:
@@ -489,8 +477,8 @@ def _add_run_args(p, seed=False):
     p.add_argument("--allow-large", action="store_true",
                    help="lift the resource guards")
     p.add_argument("--workers", type=int,
-                   help="accepted for compatibility, an integer >= 1 "
-                        "(overrides PNRSIM_WORKERS); runs are serial")
+                   help="accepted for compatibility, an integer >= 1; "
+                        "runs are serial")
     if seed:
         p.add_argument("--seed", type=int, help="override the config seed")
 

@@ -17,7 +17,9 @@ Top-level sections::
                       "envelope": {"shape": ..., ...}}
     t_span           [t0, t1], optional when the envelope fixes it
     max_count        counting sectors to resolve (default: photon number)
-    integrator       hierarchy integrator knobs
+    integrator       {"method": "adaptive" | "dop853", "rtol", "atol",
+                      "max_step", "n_points", "max_store_bytes",
+                      "trace_tol"}; see IntegratorOptions
     metrics          {"compute": [...], "t_MIN", "Delta", "t_m"}
     trajectories     stochastic-run knobs
     sweep            {"axes": [{"parameter": dotted.path, "values": [...]}]}

@@ -26,8 +26,11 @@ radius says so (see `IntegratorOptions`); undriven runs make the same
 test against their step cap or span. Its Newton matrix I - c J is
 inverted densely by numpy up to _DENSE_NEWTON_SIZE kept components,
 where that is faster and loads no scipy solver, and factorized with
-scipy.sparse.linalg.splu above (`_newton_algebra`). The diagnostics
-record each segment's method and its nfev, njev, nlu and rejected steps.
+scipy.sparse.linalg.splu above (`_newton_algebra`). The run keeps the
+state at every output time; a run whose states would exceed
+`max_store_bytes` is refused before they are allocated. The diagnostics
+record each segment's method and its nfev, njev, nlu and rejected steps,
+and the trace and Hermiticity defects of the result.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -64,7 +67,7 @@ from .liouville import EngineView
 from .pulses import FieldInput
 from .spaces import Operator
 
-_METHODS = ("adaptive", "dop853", "trapezoid")
+_METHODS = ("adaptive", "dop853")
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
 # kept size up to which BDF inverts I - c J densely: on stiff symmetric
@@ -88,23 +91,23 @@ class IntegratorOptions:
     undriven ones (no photons). BDF holds the Jacobian as a dense array
     and inverts I - c J with numpy up to _DENSE_NEWTON_SIZE kept
     components, and as a sparse matrix factorized by splu above. "dop853"
-    is scipy's higher-order explicit pair for tight tolerances. "adaptive"
-    and "dop853" split the span at the envelope support and cap the step
-    at envelope.step_bound on the driven segment only. "trapezoid" is
-    an unconditionally stable fixed-step rule, using `dt` as the step.
+    is scipy's higher-order explicit pair for tight tolerances. Both
+    methods split the span at the envelope support and cap the step at
+    envelope.step_bound on the driven segment only.
 
-    rtol, atol, max_step, dt and trace_tol are real numbers, n_points and
-    max_store_bytes integers (never bools), store_states None (store when
-    the states fit max_store_bytes) or a bool.
+    The run keeps the state at every output time. Before anything of
+    that size is allocated, a run whose kept size x output times x 16
+    bytes exceeds max_store_bytes is refused with ResourceLimitError.
+
+    rtol, atol, max_step and trace_tol are real numbers, n_points and
+    max_store_bytes integers (never bools).
     """
 
     method: str = "adaptive"
     rtol: float = 1e-8
     atol: float = 1e-10
     max_step: float = np.inf
-    dt: float = 1e-3
     n_points: int = 201
-    store_states: bool = None
     max_store_bytes: int = 512 * 2 ** 20
     trace_tol: float = 1e-6
 
@@ -112,17 +115,14 @@ class IntegratorOptions:
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {_METHODS}")
         for names, kind, what in (
-                (("rtol", "atol", "max_step", "dt", "trace_tol"), Real,
+                (("rtol", "atol", "max_step", "trace_tol"), Real,
                  "a real number"),
                 (("n_points", "max_store_bytes"), Integral, "an integer")):
             for name in names:
                 v = getattr(self, name)
                 if isinstance(v, bool) or not isinstance(v, kind):
                     raise ConfigError(f"{name} must be {what}, got {v!r}")
-        if not (self.store_states is None or isinstance(self.store_states, bool)):
-            raise ConfigError(f"store_states must be true, false or null, "
-                              f"got {self.store_states!r}")
-        for name in ("rtol", "atol", "dt", "trace_tol"):
+        for name in ("rtol", "atol", "trace_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
@@ -242,7 +242,7 @@ def union_pattern(mats, fmt="csr"):
 
 
 class HierarchyState:
-    """Snapshot of all members at one time, when states were stored."""
+    """Snapshot of all members at one time."""
 
     def __init__(self, result, t_index):
         self._r = result
@@ -264,7 +264,7 @@ class HierarchyResult:
     field: FieldInput
     sector_traces: np.ndarray          # (n_max+1, n_max+1, n_sectors, nt)
     observables: dict
-    states: np.ndarray                 # (nt, len(keep)) or None
+    states: np.ndarray                 # (nt, len(keep))
     keep: np.ndarray                   # kept indices into the full grid
     diagnostics: dict
     dense_shape: tuple = None
@@ -290,8 +290,6 @@ class HierarchyResult:
         return np.einsum("nm,nmst->t", self.field.coefficients, table)
 
     def state_at(self, t_index=-1):
-        if self.states is None:
-            raise ConfigError("states were not stored; pass store_states=True")
         if t_index < 0:
             t_index += len(self.t)
         return HierarchyState(self, t_index)
@@ -306,8 +304,6 @@ class HierarchyResult:
         return out
 
     def _member_vec(self, t_index, n, m, sector=None):
-        if self.states is None:
-            raise ConfigError("states were not stored; pass store_states=True")
         if not (0 <= n <= self.n_max and 0 <= m <= self.n_max):
             raise ConfigError(f"member ({n}, {m}) outside grid 0..{self.n_max}")
         if sector is None:
@@ -487,25 +483,22 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     t0, t1, np1 = ode.t0, ode.t1, ode.n_max + 1
     S, vd, total = ev.n_sectors, ev.vec_dim, ode.y0.size
 
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, opts.n_points)
-    else:
+    if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0):
             raise ConfigError("t_eval must be a sorted 1d array")
         if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12:
             raise ConfigError("t_eval must lie inside t_span")
-    nt = len(t_eval)
-
-    store = opts.store_states
+    nt = opts.n_points if t_eval is None else len(t_eval)
+    # the states at every output time are the run's largest allocation
     need = total * nt * 16
-    if store is None:
-        store = need <= opts.max_store_bytes
-    elif store and need > opts.max_store_bytes:
+    if need > opts.max_store_bytes:
         raise ResourceLimitError(
-            f"storing {nt} states of size {total} needs {need / 2**20:.0f} MiB, "
-            f"over the {opts.max_store_bytes / 2**20:.0f} MiB guard; raise "
+            f"storing {nt} states of size {total} needs {need / 2**20:.1f} MiB, "
+            f"over max_store_bytes={opts.max_store_bytes}; raise "
             f"max_store_bytes or request fewer points")
+    if t_eval is None:
+        t_eval = np.linspace(t0, t1, nt)
 
     if am is not None:
         # one product gives a0 y, am y and ap y, stacked
@@ -521,28 +514,19 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         def rhs(t, y):
             return a0 @ y
 
-    stiffness = None
-    if opts.method == "trapezoid":
-        ys, nfev, nlu = _trapezoid(a0, am, ap, env, ode.y0, t0, t1, t_eval,
-                                   opts.dt)
-        segments = [dict(t_span=[t0, t1], method="trapezoid", nfev=nfev,
-                         njev=0, nlu=nlu, rejected=0)]
-    else:
-        method = "DOP853" if opts.method == "dop853" else "RK45"
-        jac = factorize = None
-        if opts.method == "adaptive":
-            # the step an explicit pair wants: the pulse's on a driven run,
-            # the cap or the whole span on an undriven one
-            step = env.step_bound if am is not None else min(opts.max_step,
-                                                             t1 - t0)
-            stiffness = _dominant_eigenvalue(a0)
-            if _is_stiff(stiffness, step):
-                method = "BDF"
-                jac, factorize = _newton_algebra(a0, am, ap, env)
-        ys, segments = _solve_segments(rhs, jac, factorize, ode.y0, t0, t1,
-                                       t_eval, env if am is not None else None,
-                                       method, opts)
-        nfev = sum(seg["nfev"] for seg in segments)
+    stiffness = jac = factorize = None
+    method = "DOP853" if opts.method == "dop853" else "RK45"
+    if opts.method == "adaptive":
+        # the step an explicit pair wants: the pulse's on a driven run, the
+        # cap or the whole span on an undriven one
+        step = env.step_bound if am is not None else min(opts.max_step, t1 - t0)
+        stiffness = _dominant_eigenvalue(a0)
+        if _is_stiff(stiffness, step):
+            method = "BDF"
+            jac, factorize = _newton_algebra(a0, am, ap, env)
+    ys, segments = _solve_segments(rhs, jac, factorize, ode.y0, t0, t1, t_eval,
+                                   env if am is not None else None, method, opts)
+    nfev = sum(seg["nfev"] for seg in segments)
 
     # per (member, sector) readout of a component row: kept index i lies in
     # block blk[i] at position pos[i]
@@ -567,7 +551,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     result = HierarchyResult(
         t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
         field=field, sector_traces=readout(ev.trace_row),
-        observables=obs_tables, states=ys if store else None, keep=ode.keep,
+        observables=obs_tables, states=ys, keep=ode.keep,
         diagnostics={}, dense_shape=ev.dense_shape,
     )
 
@@ -582,8 +566,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             f"physical trace drifted by {trace_defect:.2e} "
             f"(tolerance {opts.trace_tol:.1e}) with "
             f"{'/'.join(seg['method'] for seg in segments)}; tighten rtol/atol")
-    if store:
-        result.diagnostics["hermiticity_defect"] = _hermiticity_defect(result, ev)
+    result.diagnostics["hermiticity_defect"] = _hermiticity_defect(result, ev)
     return result
 
 
@@ -985,58 +968,3 @@ def _bdf(rhs, jac, factorize, y, t0, t1, t_eval, rtol, atol, max_step):
             done = stop
     return np.hstack(out), dict(nfev=nfev, njev=njev, nlu=nlu,
                                 rejected=n_rejected)
-
-
-def _trapezoid(a0, am, ap, env, y0, t0, t1, t_eval, dt):
-    """Fixed-step trapezoid rule with the drive frozen at midpoints.
-
-    Solves (I - dt/2 A(tm)) y' = (I + dt/2 A(tm)) y each step; stable for
-    stiff generators. The steps where the drive is zero share one sparse
-    factorization; every other step writes A(tm) and I - dt/2 A(tm) into
-    fixed union patterns (see union_pattern) and factorizes afresh.
-    Returns the states at t_eval, the number of driven-run steps and the
-    number of factorizations.
-    """
-    from scipy.sparse.linalg import splu
-    n_steps = max(int(np.ceil((t1 - t0) / dt)), 1)
-    h = (t1 - t0) / n_steps
-    total = y0.size
-    eye = sp.identity(total, dtype=complex, format="csc")
-
-    lu0, nlu = splu((eye - 0.5 * h * a0).tocsc()), 1
-    if am is None:
-        rhs_mat = (eye + 0.5 * h * a0).tocsr()
-    else:
-        gen, (g0, gm, gp) = union_pattern([a0, am, ap])
-        lhs, (l1, l0, lm, lp) = union_pattern([eye, a0, am, ap], fmt="csc")
-
-    out = np.empty((len(t_eval), total), dtype=complex)
-    grid = t0 + h * np.arange(n_steps + 1)
-    # linear interpolation of the stepped solution onto the requested times
-    idx = np.clip(np.searchsorted(grid, t_eval, side="right") - 1, 0, n_steps - 1)
-    w = (t_eval - grid[idx]) / h
-
-    y = y0.astype(complex)
-    nfev = 0
-    for step in range(n_steps):
-        tm = grid[step] + 0.5 * h
-        if am is None:
-            ynew = lu0.solve(rhs_mat @ y)
-        else:
-            e = env(tm)
-            lu, a = lu0, a0
-            if e != 0:
-                gen.data[:] = g0 + e * gm + np.conj(e) * gp
-                lhs.data[:] = l1 - 0.5 * h * (l0 + e * lm + np.conj(e) * lp)
-                lu, a = splu(lhs), gen
-                nlu += 1
-            ynew = lu.solve(y + 0.5 * h * (a @ y))
-            nfev += 1
-        sel = np.where(idx == step)[0]
-        for j in sel:
-            out[j] = (1.0 - w[j]) * y + w[j] * ynew
-        y = ynew
-    exact_end = np.where(np.isclose(t_eval, grid[-1]))[0]
-    for j in exact_end:
-        out[j] = y
-    return out, nfev, nlu

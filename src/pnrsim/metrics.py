@@ -245,8 +245,7 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
         drain = 10.0 / a.params["Gamma"] ** 2 + t_MIN
         run = integrate_hierarchy(
             a.counting(field_photons), f, (lo, hi + drain),
-            opts or IntegratorOptions(n_points=2, rtol=1e-6, atol=1e-9,
-                                      store_states=False))
+            opts or IntegratorOptions(n_points=2, rtol=1e-6, atol=1e-9))
         dist = detection_probabilities(run, t_MIN, a.params.get("Delta", 0.0))
         out[i] = efficiency(dist)
     return out

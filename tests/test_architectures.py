@@ -17,8 +17,7 @@ from pnrsim.pulses import fock_input, gaussian_envelope
 def one_photon_efficiency(arch, sigma0, *, rtol=1e-8, drain=10.0, tags=None):
     env = gaussian_envelope(sigma0)
     lo, hi = env.support
-    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, n_points=101,
-                             store_states=False)
+    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, n_points=101)
     run = integrate_hierarchy(arch.counting(1, tags), fock_input(1, env),
                               (lo, hi + drain), opts)
     return efficiency(detection_probabilities(run, 0.0, 0.0))

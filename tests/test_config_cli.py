@@ -269,8 +269,12 @@ def test_cli_metrics_record_the_solver(tmp_path):
     assert main(["simulate", path, "--out", str(out)]) == 0
     run = json.loads((out / "metrics.json").read_text())[
         "metrics"]["provenance"]["run"]
-    assert set(run) == {"size", "full_size", "segments"}
+    assert set(run) == {"size", "full_size", "segments", "trace_defect",
+                        "hermiticity_defect"}
     assert 0 < run["size"] <= run["full_size"]
+    trace_tol = RunConfig.from_file(path).integrator_options().trace_tol
+    for key in ("trace_defect", "hermiticity_defect"):
+        assert math.isfinite(run[key]) and 0 <= run[key] < trace_tol
     # the gaussian support [-16, 16] splits the span [-16, 28]
     assert [seg["t_span"] for seg in run["segments"]] == [[-16.0, 16.0],
                                                           [16.0, 28.0]]
@@ -395,7 +399,7 @@ def test_cli_sweep(tmp_path, capsys):
         assert (out / r).read_bytes() == (out1 / r).read_bytes()
 
 
-def test_cli_sweep_guard_and_missing_axes(tmp_path, capsys, monkeypatch):
+def test_cli_sweep_guard_and_missing_axes(tmp_path, capsys):
     path = write_cfg(tmp_path, sweep={"axes": [
         {"parameter": "architecture.params.gamma", "values": [0.8, 1.0]}]},
         limits={"max_points": 1})
@@ -406,22 +410,18 @@ def test_cli_sweep_guard_and_missing_axes(tmp_path, capsys, monkeypatch):
     plain = write_cfg(tmp_path, name="plain.json")
     assert main(["sweep", plain, "--out", str(out)]) == 2
     capsys.readouterr()
-    # a worker count below 1 is a config error that writes nothing, and
-    # an explicit --workers is what the error names, over the environment
+    # a worker count below 1 is a config error that writes nothing
     swept = write_cfg(tmp_path, name="swept.json", sweep={"axes": [
         {"parameter": "architecture.params.gamma", "values": [0.8, 1.0]}]})
     assert main(["sweep", swept, "--out", str(out), "--workers", "0"]) == 2
     assert capsys.readouterr().err.startswith("config error: --workers")
     assert not out.exists()
-    monkeypatch.setenv("PNRSIM_WORKERS", "0")
-    assert main(["sweep", swept, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: PNRSIM_WORKERS")
     assert main(["sweep", swept, "--out", str(out), "--workers", "-1"]) == 2
     assert capsys.readouterr().err.startswith("config error: --workers")
     assert not out.exists()
 
 
-def test_cli_trajectories(tmp_path, capsys, monkeypatch):
+def test_cli_trajectories(tmp_path, capsys):
     path = write_cfg(
         tmp_path,
         architecture={"kind": "single",
@@ -445,8 +445,8 @@ def test_cli_trajectories(tmp_path, capsys, monkeypatch):
 
     # a different worker count must not change a single byte
     out2 = tmp_path / "t2"
-    monkeypatch.setenv("PNRSIM_WORKERS", "3")
-    assert main(["trajectories", path, "--out", str(out2)]) == 0
+    assert main(["trajectories", path, "--out", str(out2),
+                 "--workers", "3"]) == 0
     capsys.readouterr()
     rel = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
     for r in rel:
@@ -463,15 +463,12 @@ def test_cli_trajectories(tmp_path, capsys, monkeypatch):
             != (out3 / "records" / "traj_0000.csv").read_bytes())
 
 
-def test_cli_worker_validation(tmp_path, capsys, monkeypatch):
+def test_cli_worker_validation(tmp_path, capsys):
     path = write_cfg(tmp_path, trajectories={"n_traj": 2, "dt": 0.05})
-    monkeypatch.setenv("PNRSIM_WORKERS", "abc")
-    assert main(["trajectories", path, "--out", str(tmp_path / "w")]) == 2
-    assert "PNRSIM_WORKERS" in capsys.readouterr().err
-    monkeypatch.delenv("PNRSIM_WORKERS")
     assert main(["trajectories", path, "--out", str(tmp_path / "w"),
                  "--workers", "0"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("config error: --workers")
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_oracle_output(capsys):
@@ -644,33 +641,38 @@ def test_cli_non_integer_counts_are_config_errors(tmp_path, capsys):
 
 
 def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
-    # a NaN rtol spun RK45 without end, a NaN trace_tol switched the trace
-    # check off, and a trapezoid NaN dt died in an uncaught ValueError
+    # a NaN rtol spun RK45 without end, and a NaN trace_tol switched the
+    # trace check off
     cases = [
         ("simulate", {"integrator": {"rtol": math.nan}}, "rtol"),
         ("simulate", {"integrator": {"trace_tol": math.nan}}, "trace_tol"),
-        ("simulate", {"integrator": {"method": "trapezoid", "dt": math.nan}},
-         "dt"),
         ("trajectories", {
             "architecture": {"kind": "single",
                              "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
             "trajectories": {"n_traj": 2, "dt": math.nan}}, "dt"),
-        # wrong types ended in a TypeError traceback (exit 1), or, for
-        # store_states, were taken as true
+        # wrong types ended in a TypeError traceback (exit 1)
         ("simulate", {"integrator": {"n_points": 2.5}}, "n_points"),
         ("simulate", {"integrator": {"n_points": 1e9}}, "n_points"),
         ("simulate", {"integrator": {"rtol": "1e-8"}}, "rtol"),
         ("simulate", {"integrator": {"max_step": "abc"}}, "max_step"),
         ("simulate", {"integrator": {"max_store_bytes": "big"}},
          "max_store_bytes"),
-        ("simulate", {"integrator": {"store_states": "yes"}}, "store_states"),
     ]
+    # the trapezoid method and its dt, and store_states, are gone: a config
+    # that still sets one names it under simulate and validate-config alike
+    for over, name in (({"method": "trapezoid"}, "'trapezoid'"),
+                       ({"dt": 1e-3}, "integrator: dt"),
+                       ({"store_states": True}, "integrator: store_states")):
+        cases += [(cmd, {"integrator": over}, name)
+                  for cmd in ("simulate", "validate-config")]
     for i, (cmd, over, name) in enumerate(cases):
         path = write_cfg(tmp_path, name=f"opt{i}.json", **over)
         out = tmp_path / f"opt{i}"
         extra = ["--workers", "1"] if cmd == "trajectories" else []
+        if cmd != "validate-config":
+            extra += ["--out", str(out)]
         start = time.perf_counter()
-        assert main([cmd, path, "--out", str(out), *extra]) == 2
+        assert main([cmd, path, *extra]) == 2
         assert time.perf_counter() - start < 10.0
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err

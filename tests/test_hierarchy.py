@@ -35,7 +35,7 @@ def test_vacuum_input_matches_dense_expm():
     rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
     T = 2.5
     ref = expm_evolve(liou, rho0, T)
-    opts = IntegratorOptions(method="dop853", rtol=1e-12, atol=1e-14, store_states=True)
+    opts = IntegratorOptions(method="dop853", rtol=1e-12, atol=1e-14)
     run = integrate_hierarchy(liou, None, (0.0, T), opts, rho0=rho0)
     got = run.state_at(-1).member(0, 0)
     assert np.abs(got - ref).max() < 1e-10
@@ -47,7 +47,7 @@ def test_vacuum_fock_input_equals_no_field():
     liou = arch.liouvillian()
     rho0 = random_density(np.random.default_rng(0), 3)
     env = gaussian_envelope(1.0)
-    opts = IntegratorOptions(rtol=1e-10, atol=1e-12, store_states=True)
+    opts = IntegratorOptions(rtol=1e-10, atol=1e-12)
     a = integrate_hierarchy(liou, fock_input(0, env), (-3.0, 3.0), opts, rho0=rho0)
     b = integrate_hierarchy(liou, None, (-3.0, 3.0), opts, rho0=rho0)
     assert np.abs(a.state_at(-1).member(0, 0) - b.state_at(-1).member(0, 0)).max() < 1e-9
@@ -78,7 +78,7 @@ def test_single_photon_amplitude_oracle():
 def test_member_grid_size_matches_photon_number():
     el = build_single_element(1.0, 1.0)
     env = gaussian_envelope(0.5)
-    opts = IntegratorOptions(rtol=1e-6, atol=1e-9, n_points=5, store_states=True)
+    opts = IntegratorOptions(rtol=1e-6, atol=1e-9, n_points=5)
     run = integrate_hierarchy(el.liouvillian(), fock_input(3, env), None, opts)
     assert run.n_max == 3
     state = run.final_state()
@@ -93,7 +93,7 @@ def test_member_conjugate_symmetry():
     el = build_single_element(0.9, 0.8)
     env = gaussian_envelope(1.0)
     field = superposition_input([1.0, 0.8, 0.4j], env)
-    opts = IntegratorOptions(rtol=1e-9, atol=1e-11, n_points=9, store_states=True)
+    opts = IntegratorOptions(rtol=1e-9, atol=1e-11, n_points=9)
     run = integrate_hierarchy(el.liouvillian(), field, None, opts)
     for idx in (2, -1):
         st = run.state_at(idx)
@@ -108,7 +108,7 @@ def test_physical_state_positive_and_normalized():
     el = build_single_element(0.9, 0.8)
     env = gaussian_envelope(1.0)
     field = superposition_input([0.6, 0.8], env)
-    opts = IntegratorOptions(rtol=1e-9, atol=1e-11, n_points=11, store_states=True)
+    opts = IntegratorOptions(rtol=1e-9, atol=1e-11, n_points=11)
     run = integrate_hierarchy(el.liouvillian(), field, None, opts)
     rho = reduced_matter_state(run.final_state(), field)
     assert abs(np.trace(rho) - 1.0) < 1e-8
@@ -120,7 +120,7 @@ def test_reduced_state_rejects_larger_field():
     el = build_single_element(0.9, 0.8)
     env = gaussian_envelope(1.0)
     small = fock_input(1, env)
-    opts = IntegratorOptions(rtol=1e-8, n_points=5, store_states=True)
+    opts = IntegratorOptions(rtol=1e-8, n_points=5)
     run = integrate_hierarchy(el.liouvillian(), small, None, opts)
     with pytest.raises(ConfigError):
         reduced_matter_state(run.final_state(), fock_input(2, env))
@@ -280,8 +280,8 @@ def test_compile_memory_follows_the_kept_size():
 
 def test_options_must_be_finite():
     # a NaN slips past "<= 0" tests: NaN rtol spins RK45, NaN trace_tol
-    # turns the trace check off, NaN dt breaks the step count
-    for name in ("rtol", "atol", "dt", "trace_tol"):
+    # turns the trace check off
+    for name in ("rtol", "atol", "trace_tol"):
         for bad in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ConfigError, match=name):
                 IntegratorOptions(**{name: bad})
@@ -291,14 +291,12 @@ def test_options_must_be_finite():
     assert IntegratorOptions(max_step=np.inf).max_step == np.inf
     # wrong types are ConfigErrors naming the field, not TypeErrors later
     for name, bad in (("rtol", "1e-8"), ("atol", None), ("max_step", "abc"),
-                      ("dt", True), ("trace_tol", [1e-6]), ("n_points", 2.5),
+                      ("trace_tol", [1e-6]), ("n_points", 2.5),
                       ("n_points", 1e9), ("n_points", True),
-                      ("max_store_bytes", "big"), ("max_store_bytes", 1.0),
-                      ("store_states", "yes"), ("store_states", 1)):
+                      ("max_store_bytes", "big"), ("max_store_bytes", 1.0)):
         with pytest.raises(ConfigError, match=name):
             IntegratorOptions(**{name: bad})
-    assert IntegratorOptions(n_points=np.int64(3), rtol=np.float32(1e-6),
-                             store_states=False).n_points == 3
+    assert IntegratorOptions(n_points=np.int64(3), rtol=np.float32(1e-6)).n_points == 3
     for bad in (np.nan, np.inf, 0.0):
         with pytest.raises(ConfigError, match="dt"):
             TrajectoryOptions(dt=bad)
@@ -322,21 +320,6 @@ def test_start_state_must_be_finite_with_unit_trace():
     run = integrate_hierarchy(arch.counting(1), field,
                               rho0=np.diag([1.0, 0.0, 0.0]))
     assert run.count_probabilities()[:, -1].sum() == pytest.approx(1.0)
-
-
-def test_trapezoid_matches_adaptive():
-    arch = build_single_element(1.0, 1.0)
-    counting = arch.counting(1)
-    env = gaussian_envelope(2.0)
-    field = fock_input(1, env)
-    lo, hi = env.support
-    span = (lo, hi + 4.0)
-    ref = integrate_hierarchy(counting, field, span, IntegratorOptions(
-        rtol=1e-10, atol=1e-12, n_points=41))
-    trap = integrate_hierarchy(counting, field, span, IntegratorOptions(
-        method="trapezoid", dt=2e-3, n_points=41))
-    assert np.abs(ref.count_probabilities() - trap.count_probabilities()).max() < 1e-7
-    assert [seg["rejected"] for seg in trap.diagnostics["segments"]] == [0]
 
 
 def test_count_probabilities_sum_to_one():
@@ -376,19 +359,24 @@ def test_t_eval_must_lie_inside_span():
 def test_store_guard_trips_on_tiny_budget():
     el = build_single_element(1.0, 1.0)
     env = gaussian_envelope(1.0)
-    opts = IntegratorOptions(rtol=1e-6, n_points=5001, store_states=True,
-                             max_store_bytes=1024)
+    opts = IntegratorOptions(rtol=1e-6, n_points=5001, max_store_bytes=1024)
     with pytest.raises(ResourceLimitError):
         integrate_hierarchy(el.liouvillian(), fock_input(3, env), None, opts)
-
-
-def test_state_access_requires_storage():
-    el = build_single_element(1.0, 1.0)
-    env = gaussian_envelope(1.0)
-    opts = IntegratorOptions(rtol=1e-6, n_points=11, store_states=False)
-    run = integrate_hierarchy(el.liouvillian(), fock_input(1, env), None, opts)
-    with pytest.raises(ConfigError):
-        run.state_at(-1)
+    # the guard refuses before anything of the states' size exists: PNR(2,
+    # 3) under two photons keeps 76 components, so 20,000 states need 24 MB,
+    # and the solve used to build them (58 MB at peak) before dropping them
+    import tracemalloc
+    model = build_pnr(2, 3, gamma=0.7071067811865476, Gamma=1.0, k_A=1.0).counting(2)
+    field = fock_input(2, gaussian_envelope(2.0))
+    opts = IntegratorOptions(n_points=20000, max_store_bytes=1024)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="max_store_bytes"):
+            integrate_hierarchy(model, field, (-16.0, 28.0), opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_compile_hierarchy_blocks_and_start_vector():
@@ -562,7 +550,7 @@ def test_stiff_collective_coupling_switches_to_bdf():
     env = gaussian_envelope(25.0)
     lo, hi = env.support
     assert _methods(band.counting(1), fock_input(1, env), (lo, hi + 10.0),
-                    IntegratorOptions(n_points=2, store_states=False)) == {"RK45"}
+                    IntegratorOptions(n_points=2)) == {"RK45"}
     # the choice is recorded with its estimate
     run = integrate_hierarchy(_sym_sweep_model(1.0), field, (-16, 28),
                               IntegratorOptions(n_points=2))
@@ -631,11 +619,11 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
     single = build_single_element(0.8, 1.1, Delta=0.4, k=0.3)
     runs = [
         (build_pnr(2, 3).counting(2), fock_input(2, gaussian_envelope(2.0)),
-         (-16, 28), IntegratorOptions(store_states=True), {}),
+         (-16, 28), IntegratorOptions(), {}),
         (band.counting(1), fock_input(1, wide), (lo, hi + 10.0),
-         IntegratorOptions(rtol=1e-6, atol=1e-9, store_states=True), {}),
+         IntegratorOptions(rtol=1e-6, atol=1e-9), {}),
         (single.liouvillian(), None, (0.0, 2.5),
-         IntegratorOptions(max_step=0.1, store_states=True),
+         IntegratorOptions(max_step=0.1),
          dict(rho0=np.diag([0.2, 0.5, 0.3]))),
     ]
     rejected = 0
@@ -656,7 +644,7 @@ def _bdf_runs():
     """Stiff sym-sweep runs (at most 35 kept components), small enough
     for the dense Newton path."""
     field = fock_input(2, gaussian_envelope(2.0))
-    store = IntegratorOptions(store_states=True)
+    store = IntegratorOptions()
     runs = [(_sym_sweep_model(g), field, (-16, 28), store, {})
             for g in (0.4, 0.7, 1.0)]
     # after a rising-exponential pulse the drive is exactly zero: one
@@ -666,7 +654,7 @@ def _bdf_runs():
                  (0.5, 12.5), store, dict(rho0=_excited_element(model))))
     # a max_step that binds on both segments
     runs.append((_sym_sweep_model(0.7), field, (-16, 28),
-                 IntegratorOptions(max_step=0.05, store_states=True), {}))
+                 IntegratorOptions(max_step=0.05), {}))
     return runs
 
 
@@ -686,7 +674,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     # onto that path, and 112 kept components, above the dense size
     above = _sym_sweep_model(1.0, exc_cap=3)
     runs = _bdf_runs() + [(above, fock_input(3, gaussian_envelope(2.0)),
-                           (-16, 28), IntegratorOptions(store_states=True), {})]
+                           (-16, 28), IntegratorOptions(), {})]
     records = []
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
@@ -754,10 +742,10 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     # components); with no envelope the step scale is the span here
     model = _sym_sweep_model(1.0)
     kw = dict(rho0=_excited_element(model))
-    opts = IntegratorOptions(store_states=True)
+    opts = IntegratorOptions()
     got = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
     ref = integrate_hierarchy(model, None, (0.5, 12.5), IntegratorOptions(
-        method="dop853", rtol=1e-12, atol=1e-14, store_states=True), **kw)
+        method="dop853", rtol=1e-12, atol=1e-14), **kw)
     d = got.diagnostics
     assert d["size"] == 5 <= hierarchy._DENSE_NEWTON_SIZE
     assert d["stiffness"] == pytest.approx(-201.0, rel=1e-3)

@@ -25,8 +25,7 @@ def single_run(gamma, Gamma, n=1, sigma0=1.0, drain=None, max_count=None,
     lo, hi = env.support
     if drain is None:
         drain = 12.0 / Gamma ** 2
-    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, n_points=201,
-                             store_states=False)
+    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, n_points=201)
     return integrate_hierarchy(arch.counting(max_count or max(n, 1)),
                                fock_input(n, env), (lo, hi + drain), opts,
                                observables=observables or {})
@@ -84,8 +83,7 @@ def test_survival_factor_is_exact():
     run = integrate_hierarchy(arch.counting(2), fock_input(2, env),
                               (lo, hi + 12.0),
                               IntegratorOptions(rtol=1e-10, atol=1e-12,
-                                                n_points=201,
-                                                store_states=False))
+                                                n_points=201))
     t_MIN = 0.37
     plain = detection_probabilities(run, t_MIN, 0.0)
     reset = detection_probabilities(run, t_MIN, 0.55)
@@ -241,8 +239,7 @@ def test_efficiency_curve_cw_matches_hierarchy():
     cw = efficiency_curve(arch, deltas)
     hier = efficiency_curve(arch, deltas, method="hierarchy", sigma0=150.0,
                             opts=IntegratorOptions(rtol=1e-7, atol=1e-10,
-                                                   n_points=2,
-                                                   store_states=False))
+                                                   n_points=2))
     assert np.abs(cw - hier).max() < 1e-3
 
 

@@ -47,8 +47,7 @@ def test_weak_monitoring_tracks_driven_hierarchy():
                               opts=TrajectoryOptions(dt=1e-3, store_every=100))
     run = integrate_hierarchy(
         arch.liouvillian(), field, env.support,
-        IntegratorOptions(rtol=1e-11, atol=1e-13, n_points=2,
-                          store_states=False),
+        IntegratorOptions(rtol=1e-11, atol=1e-13, n_points=2),
         t_eval=rec.t,
         observables={"shelf": projector(arch.space, "element", "C")})
     ref = np.real(run.observable("shelf"))
