@@ -1,7 +1,8 @@
 """Simulation and design toolkit for photon-number-resolving detectors.
 
-The package splits into layers: `spaces` and `liouville` build operator
-algebra and open-system generators; `pulses` describes the incident
+The package splits into layers: `spaces` builds operator algebra and
+`liouville` open-system generators as terms of those operators (no
+superoperator is ever assembled); `pulses` describes the incident
 field; `hierarchy` integrates the driven master-equation member grid
 with jump counting; `trajectories` unravels the continuously monitored
 dynamics into single-shot records; `architectures` assembles detector
@@ -50,7 +51,6 @@ from .liouville import (
     Liouvillian,
     assemble_liouvillian,
     counting_resolve,
-    dissipator,
 )
 from .metrics import (
     BandwidthResult,

@@ -16,11 +16,11 @@ sparse linear ODE, integrated jointly.
 `integrate_hierarchy` splits the span at the envelope support. Only the
 driven segment caps the step, so that a narrow pulse is not stepped
 over; the right-hand side is the same on every segment. Non-stiff runs
-step with the Dormand-Prince 5(4) pair written here (`_rk45`, step for
+step with the in-package Dormand-Prince 5(4) pair (`ivp.rk45`, step for
 step scipy's RK45), so they need neither scipy.integrate nor
 scipy.sparse.linalg. Collective coupling makes the generator stiff, so
-the adaptive method moves to the variable-order NDF of Shampine &
-Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) written here (`_bdf`, step
+the adaptive method moves to the in-package variable-order NDF of
+Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) (`ivp.bdf`, step
 for step scipy's BDF) when a one-off Arnoldi estimate of the spectral
 radius says so (see `IntegratorOptions`); undriven runs make the same
 test against their step cap or span. Its Newton matrix I - c J is
@@ -44,13 +44,14 @@ dropped ones stay exactly zero: the restriction is exact, not a
 truncation with a tolerance.
 
 The reduction is found block by block (`_BlockGraph`), a block being one
-(member, sector) pair: the search follows the component-level patterns
-of g0 and each backaction within a block, of the jump operator from
-sector s to s+1 (and within the last sector), and of the field operators
-from member (n-1, m) and (n, m-1) to (n, m), and the restricted blocks
-are assembled from slices of those operators. The full grid is never
-built: its length `full_size` is only a count, and one flag per grid
-index is the only array of that length.
+(member, sector) pair, and term by term, a term (A, B) of the engine
+view being rho -> A rho B on the block's component grid: the search
+follows the entries A[k, i] B[j, l] of the terms of g0 and of each kick
+within a block, of the jump terms from sector s to s+1 (and within the
+last sector), and of the field terms from member (n-1, m) and (n, m-1) to
+(n, m), and the restricted blocks are summed from those entries. Neither
+the full grid nor any superoperator is built: `full_size` is only a
+count, and the search holds the sorted kept indices.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericsError, ResourceLimitError
+from .ivp import bdf, rk45
 from .liouville import EngineView
 from .pulses import FieldInput
 from .spaces import Operator
@@ -132,83 +134,104 @@ class IntegratorOptions:
             raise ConfigError("n_points must be at least 2")
 
 
+def _runs(indptr, idx):
+    """Owner (position in idx) and data position of every stored entry of
+    the rows (CSR) or columns (CSC) `idx`."""
+    lo = indptr[idx]
+    count = indptr[idx + 1] - lo
+    owner = np.repeat(np.arange(idx.size), count)
+    return owner, np.arange(owner.size) + np.repeat(lo - np.cumsum(count) + count,
+                                                    count)
+
+
 class _BlockGraph:
     """The hierarchy's operators on the full (member, sector, component)
-    layout, held block by block. Block b = (n (n_max+1) + m) S + s is
-    member (n, m) in sector s, and full index b * vec_dim + c is its
-    component c.
+    layout, held block by block and term by term. Block b =
+    (n (n_max+1) + m) S + s is member (n, m) in sector s, and full index
+    b * vec_dim + i * d_bra + j is entry (i, j) of its component grid.
 
-    Each part (label, op, target, weight) maps component c of block b to
-    the rows of op's column c in block target[b] (no block where -1),
-    scaled by weight[b]; parts with the same label sum to one operator.
-    `graph` stacks the parts' sparsity patterns into one CSC matrix whose
-    data are positions in each op's own `data`, so the entries of any set
-    of full-layout columns come out of one gather, whatever blocks they
-    lie in, and no operator on the full layout is built."""
+    Each part (label, terms, target, weight) maps block b into block
+    target[b] (no block where -1), scaled by weight[b], through the sum of
+    its terms (A, B): component (i, j) feeds (k, l) with A[k, i] B[j, l].
+    Parts with the same label sum to one operator. The terms' A are
+    stacked into one CSC matrix (rows term * d_ket + k) and their B into
+    one CSR matrix (rows term * d_bra + j), so the entries of any set of
+    full-layout columns come out of two gathers, whatever blocks and terms
+    they lie in; no operator on the full layout is built, and no
+    d**2 x d**2 superoperator either."""
 
     def __init__(self, parts, vec_dim):
         self.vd = vec_dim
-        self.labels, self.ops, target, weight = zip(*parts)
+        self.labels, terms, target, weight = zip(*parts)
         self.target, self.weight = np.array(target), np.array(weight)
-        where = [sp.csr_matrix((np.arange(op.nnz, dtype=np.int32), op.indices,
-                                op.indptr), shape=op.shape) for op in self.ops]
-        self.graph = sp.vstack(where, format="csr").tocsc()
+        self.part = np.array([p for p, ts in enumerate(terms) for _ in ts])
+        flat = [t for ts in terms for t in ts]
+        self.db = flat[0][1].shape[0]
+        self.dk = vec_dim // self.db
+        self.a = sp.vstack([a for a, _ in flat], format="csr").tocsc()
+        self.b = sp.vstack([b for _, b in flat], format="csr")
+        self.a.eliminate_zeros()
+        self.b.eliminate_zeros()
 
     def _entries(self, cols):
-        """Every stored entry of the parts in the full-layout columns
-        `cols`: its position in cols, part, source block, full-layout row
-        (-1 where the part has no target block) and position in the
-        part's op.data."""
+        """Every entry of the terms in the full-layout columns `cols`: its
+        position in cols, term, full-layout row (-1 where the term's part
+        has no target block) and the positions of its factors A[k, i] and
+        B[j, l] in the stacked `a.data` and `b.data`."""
         blk, comp = np.divmod(cols, self.vd)
-        lo = self.graph.indptr[comp]
-        count = self.graph.indptr[comp + 1] - lo
-        src = np.repeat(np.arange(cols.size), count)
-        at = np.arange(src.size) + np.repeat(lo - np.cumsum(count) + count, count)
-        part, row = np.divmod(self.graph.indices[at], self.vd)
-        blk = blk[src]
-        to = self.target[part, blk]
-        return (src, part, blk, np.where(to >= 0, to * self.vd + row, -1),
-                self.graph.data[at])
+        i, j = np.divmod(comp, self.db)
+        src, at_a = _runs(self.a.indptr, i)
+        term, k = np.divmod(self.a.indices[at_a], self.dk)
+        own, at_b = _runs(self.b.indptr, term * self.db + j[src])
+        src, term, k, at_a = src[own], term[own], k[own], at_a[own]
+        to = self.target[self.part[term], blk[src]]
+        row = np.where(to >= 0, (to * self.dk + k) * self.db + self.b.indices[at_b],
+                       -1)
+        return src, term, row, at_a, at_b
 
-    def reach(self, seeds, full_size):
-        """Sorted full-layout indices reachable from `seeds` along every
-        part: the smallest coordinate subspace that holds the seeds and
-        that each part maps into itself. Every block's frontier advances
-        in the same step; `seen` is one flag per full-layout index."""
-        seen = np.zeros(full_size, dtype=bool)
-        seen[seeds] = True
+    def reach(self, seeds):
+        """Sorted full-layout indices reachable from the sorted `seeds`
+        along every term: the smallest coordinate subspace that holds the
+        seeds and that each part maps into itself. Every block's frontier
+        advances in the same step."""
         found = front = seeds
         while front.size:
-            row = self._entries(front)[3]
-            row = row[row >= 0]
-            front = np.unique(row[~seen[row]])
-            seen[front] = True
-            found = np.concatenate([found, front])
-        return np.sort(found)
+            row = self._entries(front)[2]
+            row = np.unique(row[row >= 0])
+            # the rows not in `found` yet (sorted, so one searchsorted)
+            front = row[found.take(np.searchsorted(found, row), mode="clip") != row]
+            found = np.union1d(found, front)
+        return found
 
     def restrict(self, keep):
         """label -> the labelled operator restricted to the rows and
-        columns `keep`, a set the parts map into itself (CSR, sorted)."""
-        src, part, blk, row, at = self._entries(keep)
-        part = np.where(row >= 0, part, -1)
+        columns `keep`, a set the parts map into itself (CSR, sorted, no
+        stored zeros). As in the superoperator sum over terms of
+        A kron B^T, each part sums its terms in order before its weight is
+        applied; a label then sums its parts in order."""
+        n = keep.size
+        entries = self._entries(keep)
+        src, term, row, at_a, at_b = (x[entries[2] >= 0] for x in entries)
         row = np.searchsorted(keep, row)
+        val = self.a.data[at_a] * self.b.data[at_b]
         out = {}
         for p, label in enumerate(self.labels):
-            i = np.flatnonzero(part == p)
-            m = sp.csr_matrix((self.weight[p, blk[i]] * self.ops[p].data[at[i]],
-                               (row[i], src[i])), shape=(keep.size, keep.size))
+            m = sp.csr_matrix((n, n), dtype=complex)
+            for t in np.flatnonzero(self.part == p):
+                i = term == t
+                m = m + sp.csr_matrix((val[i], (row[i], src[i])), shape=(n, n))
+            m.data *= self.weight[p, keep[m.indices] // self.vd]
             out[label] = out[label] + m if label in out else m
         return out
 
 
 def _block_parts(ev, n_max):
-    """Parts of a0, am, ap and of each monitored channel's backaction (the
-    kick of the trajectory engine, labelled by its index among the
-    monitored channels) for `_BlockGraph`. Counted jumps move sector s to
-    s+1 and the last sector keeps "S-1 or more", so its diagonal block is
-    g0 + jump; the field moves member (n-1, m) to (n, m) with weight
-    sqrt(n) through field_ket and (n, m-1) to (n, m) with weight sqrt(m)
-    through field_bra."""
+    """Parts of a0, am, ap and of each monitored channel's kick (labelled
+    by its index among the monitored channels) for `_BlockGraph`. Counted
+    jumps move sector s to s+1 and the last sector keeps "S-1 or more", so
+    its diagonal block is g0 + jump; the field moves member (n-1, m) to
+    (n, m) with weight sqrt(n) through field_ket and (n, m-1) to (n, m)
+    with weight sqrt(m) through field_bra."""
     np1, S = n_max + 1, ev.n_sectors
     n, m, s = np.unravel_index(np.arange(np1 * np1 * S), (np1, np1, S))
     b = np.arange(n.size)
@@ -223,8 +246,7 @@ def _block_parts(ev, n_max):
                    np.sqrt(n + 1.0)),
                   ("ap", ev.field_bra, np.where(m < n_max, b + S, -1),
                    np.sqrt(m + 1.0))]
-    monitored = [a for a in ev.amps if a.k > 0]
-    parts += [(i, a.backaction, b, one) for i, a in enumerate(monitored)]
+    parts += [(i, kick, b, one) for i, kick in enumerate(ev.kicks)]
     return parts
 
 
@@ -357,10 +379,9 @@ class HierarchyODE:
     sorted indices into the full (member, sector, component) layout, and
     every other full-layout entry stays zero. `full_size` is only the
     length of that layout; no operator on that layout is built.
-    `kicks` holds, on the same subspace, the backaction X y + y X^dag of
-    each monitored channel (k > 0) in every (member, sector) block, in
-    the order of `engine.amps`; the reachable subspace is closed under
-    these as well."""
+    `kicks` holds, on the same subspace, the kick X y + y X^dag of each
+    monitored channel (the terms `engine.kicks`) in every (member, sector)
+    block; the reachable subspace is closed under these as well."""
 
     engine: EngineView
     field: FieldInput
@@ -454,7 +475,7 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     # every diagonal member (n, n) starts from the matter state in sector 0
     nz = np.flatnonzero(ev.default_state)
     starts = (np.arange(np1) * (np1 + 1) * S * vd)[:, None] + nz
-    keep = graph.reach(starts.ravel(), np1 * np1 * S * vd)
+    keep = graph.reach(starts.ravel())
     ops = graph.restrict(keep)
     y0 = np.zeros(keep.size, dtype=complex)
     y0[np.searchsorted(keep, starts)] = ev.default_state[nz]
@@ -571,15 +592,23 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
 
 
 def _hermiticity_defect(result, ev):
-    """max |member(n, m) - member(m, n)^dag| at the final stored time."""
-    worst = 0.0
-    last = len(result.t) - 1
-    for n in range(result.n_max + 1):
-        for m in range(result.n_max + 1):
-            a = result._member_vec(last, n, m)
-            b = ev.adjoint(result._member_vec(last, m, n))
-            worst = max(worst, float(np.abs(a - b).max()))
-    return worst
+    """max |member(n, m) - member(m, n)^dag| at the final stored time, on
+    the kept indices only: each member's components summed over sectors in
+    sector order, against the adjoint of the mirror member's (0 where that
+    has no kept component)."""
+    np1, S, vd = result.n_max + 1, result.n_sectors, result.vec_dim
+    blk, comp = np.divmod(result.keep, vd)
+    key = blk // S * vd + comp          # member and component
+    keys, y = np.unique(key), result.states[-1]
+    member = np.zeros(keys.size, dtype=complex)
+    for s in range(S):
+        on = blk % S == s
+        member[np.searchsorted(keys, key[on])] += y[on]
+    n, m = np.divmod(keys // vd, np1)
+    mirror = (m * np1 + n) * vd + ev.adjoint_perm[keys % vd]
+    j = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    other = np.where(keys[j] == mirror, member[j], 0)
+    return float(np.abs(member - np.conj(other)).max())
 
 
 def _dominant_eigenvalue(a):
@@ -614,7 +643,7 @@ def _dominant_eigenvalue(a):
 def _newton_algebra(a0, am, ap, env):
     """The Jacobian J(t) = a0 + E(t) am + E*(t) ap of the hierarchy (a0
     alone when am is None) and `factorize(J, c)`, the solve of I - c J,
-    for `_bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
+    for `ivp.bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
     array and the factorization its inverse, applied by one product per
     Newton iteration: numpy alone, with no sparse object made per call
     and no scipy solver loaded. Above it, J is CSC on the union pattern of
@@ -662,309 +691,52 @@ def _is_stiff(lam, step):
 def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
                     opts):
     """Integrate on [t0, t1] split at the support of `env` (None: one
-    segment): "RK45" with the in-package `_rk45`, "BDF" with the in-package
-    NDF `_bdf` on the Jacobian `jac` and the factorization `factorize` of
+    segment): "RK45" with the in-package `rk45`, "BDF" with the in-package
+    NDF `bdf` on the Jacobian `jac` and the factorization `factorize` of
     `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
     components, splu factors above), and "DOP853" with scipy's solve_ivp.
     The right-hand side is the same on every segment; only the driven one
     caps the step at `env.step_bound`, so that the pulse is not stepped
-    over. Returns the states at t_eval and one record per segment:
-    method, nfev, njev, nlu and the rejected steps (None for DOP853, whose
-    solve_ivp does not report them)."""
+    over. Each integrator writes its dense output straight into the
+    segment's rows of the result. Returns the states at t_eval, shape
+    (len(t_eval), len(y0)) in column-major order, and one record per
+    segment: method, nfev, njev, nlu and the rejected steps (None for
+    DOP853, whose solve_ivp does not report them)."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
     if env is not None:
         lo, hi = env.support
         cuts = [t0] + [c for c in (lo, hi) if t0 < c < t1] + [t1]
-    # each requested time is read from the first segment that reaches it
+    # each requested time is read from the first segment that reaches it;
+    # states are stored column-major, so the readout rows multiply them
+    # without a transposed copy
     owner = np.minimum(np.searchsorted(cuts[1:], t_eval), len(cuts) - 2)
-    ys = np.empty((len(t_eval), y0.size), dtype=complex)
+    ys = np.empty((y0.size, len(t_eval)), dtype=complex).T
     segments = []
     y = y0
     for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-        sel = np.flatnonzero(owner == i)
-        # the segment end is always evaluated: it starts the next segment
-        te, back = np.unique(np.append(np.clip(t_eval[sel], a, b), b),
-                             return_inverse=True)
+        first, last = np.searchsorted(owner, [i, i + 1])
+        te, out = np.clip(t_eval[first:last], a, b), ys[first:last]
         max_step = opts.max_step
         if a < hi and b > lo:
             max_step = min(max_step, env.step_bound)
         if method == "RK45":
-            out, counts = _rk45(rhs, y, a, b, te, opts.rtol, opts.atol, max_step)
+            y, counts = rk45(rhs, y, a, b, te, out, opts.rtol, opts.atol,
+                             max_step)
         elif method == "BDF":
-            out, counts = _bdf(rhs, jac, factorize, y, a, b, te, opts.rtol,
-                               opts.atol, max_step)
+            y, counts = bdf(rhs, jac, factorize, y, a, b, te, out, opts.rtol,
+                            opts.atol, max_step)
         else:
             from scipy.integrate import solve_ivp
+            # strictly increasing times, ending at b, which starts the next
+            # segment
+            te, back = np.unique(np.append(te, b), return_inverse=True)
             sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
                             rtol=opts.rtol, atol=opts.atol, max_step=max_step)
             if not sol.success:
                 raise NumericsError(f"{method} integration on [{a:.6g}, "
                                     f"{b:.6g}] failed: {sol.message}")
-            out, counts = sol.y, dict(nfev=sol.nfev, njev=sol.njev,
-                                      nlu=sol.nlu, rejected=None)
-        ys[sel] = out.T[back[:-1]]
-        y = out[:, -1]
+            out[:] = sol.y.T[back[:-1]]
+            y, counts = sol.y[:, -1], dict(nfev=sol.nfev, njev=sol.njev,
+                                           nlu=sol.nlu, rejected=None)
         segments.append(dict(t_span=[a, b], method=method, **counts))
     return ys, segments
-
-
-# Dormand-Prince 5(4): nodes, stage weights, 5th-order weights, the error
-# row (5th minus embedded 4th order, on the 7 stages including the FSAL
-# one) and the quartic dense-output matrix (Dormand & Prince, J. Comput.
-# Appl. Math. 6, 19 (1980); Shampine, Math. Comp. 46, 135 (1986)).
-_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_DP_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
-_DP_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-
-
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(rhs, t, y, f, t1, max_step, order, rtol, atol):
-    """Starting step of Hairer, Norsett & Wanner (Solving ODEs I, II.4) for
-    a method whose error estimate is of order `order`, as solve_ivp's
-    select_initial_step: an Euler probe at h0 (one rhs call) sizes the
-    second derivative, and the step is capped at 100 h0, the span and
-    max_step."""
-    span = t1 - t
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
-    return min(100 * h0, h1, span, max_step)
-
-
-def _too_small(method, t0, t1, t):
-    return NumericsError(f"{method} integration on [{t0:.6g}, {t1:.6g}] "
-                         f"failed: the step fell below 10 ulp of t = {t:.6g}")
-
-
-def _rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
-    """Dormand-Prince 5(4) on [t0, t1] from y, with solve_ivp's RK45
-    step by step, so that states and nfev are the same: the starting step
-    of `_initial_step`, local extrapolation, the RMS norm of the error
-    scaled by atol + rtol max(|y|, |y_new|), step factors 0.9 err^(-1/5)
-    clipped to [0.2, 10] with no growth right after a rejection, and the
-    quartic dense output onto `t_eval` (sorted, inside the span). Returns
-    the states at t_eval, shape (n, len(t_eval)), and the counts nfev,
-    njev, nlu (both 0) and rejected (steps that failed the error test); a
-    step below 10 ulp of t is a NumericsError."""
-    rtol = max(rtol, 100 * np.finfo(float).eps)
-    t, f = t0, rhs(t0, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 4, rtol, atol)
-    nfev, n_rejected, done, out = 2, 0, 0, []
-    K = np.empty((7, y.size), dtype=complex)
-    while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise _too_small("RK45", t0, t1, t)
-            t_new = min(t + h_abs, t1)
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                K[s] = rhs(t + _DP_C[s] * h,
-                           y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
-            K[6] = f_new = rhs(t + h, y_new)
-            nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
-            if err < 1:
-                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.2)
-            rejected = True
-            n_rejected += 1
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        stop = np.searchsorted(t_eval, t, side="right")
-        if stop > done:
-            x = (t_eval[done:stop] - t_old) / (t - t_old)
-            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            out.append((t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None])
-            done = stop
-    return np.hstack(out), dict(nfev=nfev, njev=0, nlu=0, rejected=n_rejected)
-
-
-# The NDF family of Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)),
-# orders 1-5, with the kappa constants of their Table 1 (order 5 is plain
-# BDF): gamma_k = sum 1/j, alpha_k = (1 - kappa_k) gamma_k, and the error
-# constants kappa_k gamma_k + 1/(k+1) of the difference-form estimate.
-_NDF_KAPPA = np.array([0, -0.1850, -1/9, -0.0823, -0.0415, 0])
-_NDF_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, 6))))
-_NDF_ALPHA = (1 - _NDF_KAPPA) * _NDF_GAMMA
-_NDF_ERROR = _NDF_KAPPA * _NDF_GAMMA + 1 / np.arange(1, 7)
-_NEWTON_MAXITER = 4
-
-
-def _change_D(D, order, factor):
-    """Rescale the backward differences D[:order+1] in place from step h
-    to factor h (Shampine & Reichelt, section 2.3)."""
-    def r(f):
-        i = np.arange(1, order + 1)[:, None]
-        m = np.zeros((order + 1, order + 1))
-        m[1:, 1:] = (i - 1 - f * np.arange(1, order + 1)) / i
-        m[0] = 1
-        return np.cumprod(m, axis=0)
-    D[:order + 1] = np.dot(r(factor).dot(r(1)).T, D[:order + 1])
-
-
-def _newton(rhs, t, y_predict, c, psi, solve, scale, tol):
-    """Simplified Newton iteration for y = y_predict + d with
-    (I - c J) dy = c f(t, y) - psi - d, at most _NEWTON_MAXITER times,
-    stopped when the contraction rate predicts a miss of `tol`. Returns
-    whether it converged, the number of rhs calls, y and d."""
-    d, y, dy_norm_old = 0, y_predict.copy(), None
-    for k in range(_NEWTON_MAXITER):
-        f = rhs(t, y)
-        if not np.all(np.isfinite(f)):
-            break
-        dy = solve(c * f - psi - d)
-        dy_norm = _rms(dy / scale)
-        rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-        if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k)
-                                 / (1 - rate) * dy_norm > tol):
-            break
-        y += dy
-        d += dy
-        if dy_norm == 0 or rate is not None and rate / (1 - rate) * dy_norm < tol:
-            return True, k + 1, y, d
-        dy_norm_old = dy_norm
-    return False, k + 1, y, d
-
-
-def _bdf(rhs, jac, factorize, y, t0, t1, t_eval, rtol, atol, max_step):
-    """Variable-order NDF on [t0, t1] from y, with solve_ivp's BDF step by
-    step, so that states, nfev, njev and nlu are the same: orders 1-5 in
-    backward-difference form D, the starting step of `_initial_step` for
-    error order 1, D rescaled on every step change (`_change_D`), at most
-    4 Newton iterations on `factorize(J, c)`, the solve of I - c J with
-    J = `jac(t, y)` (for the hierarchy a dense inverse or splu factors,
-    see `_newton_algebra`), J refreshed once per step when Newton fails
-    before the step is halved, the error test with safety
-    0.9 (2 N + 1) / (2 N + n_iter), factors in [0.2, 10] and an order
-    change after order + 1 equal steps, and dense output onto `t_eval`
-    from the D, order and step after that update. Returns the states at
-    t_eval, shape (n, len(t_eval)), and the counts nfev, njev, nlu and
-    rejected (steps that failed the error test or were halved after Newton
-    failed); a step below 10 ulp of t is a NumericsError."""
-    eps = np.finfo(float).eps
-    rtol = max(rtol, 100 * eps)
-    newton_tol = max(10 * eps / rtol, min(0.03, rtol ** 0.5))
-    t, f = t0, rhs(t0, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol)
-    J = jac(t, y)
-    D = np.empty((8, y.size), dtype=complex)
-    D[0], D[1] = y, f * h_abs
-    order, n_equal, solve = 1, 0, None
-    nfev, njev, nlu, n_rejected, done, out = 2, 1, 0, 0, 0, []
-    while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs > max_step or h_abs < min_step:
-            bound = max_step if h_abs > max_step else min_step
-            _change_D(D, order, bound / h_abs)
-            h_abs, n_equal = bound, 0
-        fresh_jac = False
-        while True:
-            if h_abs < min_step:
-                raise _too_small("BDF", t0, t1, t)
-            t_new = t + h_abs
-            if t_new > t1:
-                t_new = t1
-                _change_D(D, order, np.abs(t_new - t) / h_abs)
-                n_equal, solve = 0, None
-            h = t_new - t
-            h_abs = np.abs(h)
-            y_predict = np.sum(D[:order + 1], axis=0)
-            scale = atol + rtol * np.abs(y_predict)
-            alpha = _NDF_ALPHA[order]
-            psi = np.dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
-            c = h / alpha
-            while True:
-                if solve is None:
-                    solve = factorize(J, c)
-                    nlu += 1
-                converged, n_iter, y_new, d = _newton(
-                    rhs, t_new, y_predict, c, psi, solve, scale, newton_tol)
-                nfev += n_iter
-                if converged or fresh_jac:
-                    break
-                J, solve, fresh_jac = jac(t_new, y_predict), None, True
-                njev += 1
-            if converged:
-                safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
-                                                           + n_iter)
-                scale = atol + rtol * np.abs(y_new)
-                error_norm = _rms(_NDF_ERROR[order] * d / scale)
-                if not error_norm > 1:      # NaN passes, as in solve_ivp
-                    break
-                factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
-            else:
-                factor = 0.5
-                solve = None
-            h_abs *= factor
-            _change_D(D, order, factor)
-            n_equal = 0
-            n_rejected += 1
-        n_equal += 1
-        t = t_new
-        # D becomes the differences of the new step: d is its (order+1)-th
-        D[order + 2] = d - D[order + 1]
-        D[order + 1] = d
-        for i in reversed(range(order + 1)):
-            D[i] += D[i + 1]
-        if n_equal >= order + 1:
-            # order and step from the error estimates at order - 1, order
-            # and order + 1
-            down = up = np.inf
-            if order > 1:
-                down = _rms(_NDF_ERROR[order - 1] * D[order] / scale)
-            if order < 5:
-                up = _rms(_NDF_ERROR[order + 1] * D[order + 2] / scale)
-            norms = np.array([down, error_norm, up])
-            with np.errstate(divide="ignore"):
-                factors = norms ** (-1 / np.arange(order, order + 3))
-            order += int(np.argmax(factors)) - 1
-            factor = min(10, safety * np.max(factors))
-            h_abs *= factor
-            _change_D(D, order, factor)
-            n_equal, solve = 0, None
-        stop = np.searchsorted(t_eval, t, side="right")
-        if stop > done:
-            k = np.arange(order)
-            x = ((t_eval[done:stop] - (t - h_abs * k)[:, None])
-                 / (h_abs * (1 + k))[:, None])
-            out.append(np.dot(D[1:order + 1].T, np.cumprod(x, axis=0))
-                       + D[0, :, None])
-            done = stop
-    return np.hstack(out), dict(nfev=nfev, njev=njev, nlu=nlu,
-                                rejected=n_rejected)

@@ -1,16 +1,24 @@
-"""Row-major vectorization of density-matrix dynamics.
+"""Lindblad generators as terms of Hilbert-space operators.
 
-vec stacks rows: vec(rho)[i*d + j] = rho[i, j], hence
-A rho B -> (A kron B^T) vec(rho).
+A state component is a (d_ket x d_bra) grid stacked by rows:
+vec(rho)[i * d_bra + j] = rho[i, j]. Every piece of a generator is a
+tuple of terms (A, B), each meaning rho -> A rho B; in row-major vec a
+term is A kron B^T, but nothing of that d**2 x d**2 size is ever built.
+The hierarchy compile reads the entries A[k, i] B[j, l] of each term
+straight from the operators (`hierarchy._BlockGraph`). The tensor
+encoding uses the (d, d) grid; the symmetric encoding puts its classes on
+an (n_classes, 1) grid, so its explicit blocks M are terms (M, [[1]]).
 
-Generators are standard Lindblad form. Each decay channel keeps its
-sandwich part separately addressable so jump counting can move it
+A tensor generator is rho -> A rho + rho A^dag + sum_c L_c rho L_c^dag,
+with A = -iH - 1/2 sum_c L_c^dag L_c over the decay channels and the
+monitored amplifiers (jump operator sqrt(2 k) X). Each channel keeps its
+sandwich (L_c, L_c^dag) as a term of its own, so jump counting can move it
 between counting sectors instead of summing it into the generator.
 
 The engines consume one object, the frozen `EngineView`. A model (the
 tensor `Liouvillian` here, or the symmetric reduction) builds its view
 once; `counting_resolve` returns a copy of it with the counted channels'
-jumps split out of the generator and resolved into count sectors.
+sandwiches split out of the generator into the jump terms.
 """
 
 from __future__ import annotations
@@ -24,55 +32,8 @@ from .errors import ConfigError
 from .spaces import Operator
 
 
-def _mat(op):
-    return op.matrix if isinstance(op, Operator) else sp.csr_matrix(op, dtype=complex)
-
-
-def lmult(a):
-    """Superoperator for rho -> A rho."""
-    a = _mat(a)
-    return sp.kron(a, sp.identity(a.shape[0], dtype=complex), format="csr")
-
-
-def rmult(b):
-    """Superoperator for rho -> rho B."""
-    b = _mat(b)
-    return sp.kron(sp.identity(b.shape[0], dtype=complex), b.T, format="csr")
-
-
-def sandwich(a, b=None):
-    """Superoperator for rho -> A rho B^dag (B defaults to A)."""
-    a = _mat(a)
-    b = a if b is None else _mat(b)
-    return sp.kron(a, b.conj(), format="csr")
-
-
-def dissipator(a):
-    """Lindblad dissipator of a jump amplitude operator A.
-
-    D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A) / 2
-    """
-    a = _mat(a)
-    ada = (a.getH() @ a).tocsr()
-    return sandwich(a) - 0.5 * (lmult(ada) + rmult(ada))
-
-
-def hamiltonian_superop(h):
-    """-i [H, rho] as a superoperator."""
-    h = _mat(h)
-    return -1j * (lmult(h) - rmult(h))
-
-
-def field_ket_superop(l_op):
-    """rho -> [rho, L^dag], the term a drive amplitude E(t) multiplies."""
-    ld = _mat(l_op).getH().tocsr()
-    return rmult(ld) - lmult(ld)
-
-
-def field_bra_superop(l_op):
-    """rho -> [L, rho], the term the conjugate drive E*(t) multiplies."""
-    l_op = _mat(l_op)
-    return lmult(l_op) - rmult(l_op)
+def _dag(m):
+    return m.getH().tocsr()
 
 
 @dataclass(frozen=True)
@@ -81,14 +42,6 @@ class JumpChannel:
 
     tag: str
     op: Operator
-
-    @property
-    def jump_superop(self):
-        return sandwich(self.op.matrix)
-
-    @property
-    def superop(self):
-        return dissipator(self.op.matrix)
 
 
 @dataclass(frozen=True)
@@ -109,16 +62,6 @@ class AmpChannel:
         if self.k < 0:
             raise ConfigError(f"amp channel {self.tag!r}: negative rate k={self.k}")
 
-    @property
-    def superop(self):
-        return dissipator(np.sqrt(2.0 * self.k) * self.op.matrix)
-
-    @property
-    def backaction(self):
-        """rho -> X rho + rho X^dag, the measurement kick of a trajectory."""
-        x = self.op.matrix
-        return (lmult(x) + rmult(x.conj().T)).tocsr()
-
 
 @dataclass(frozen=True)
 class EngineView:
@@ -129,28 +72,38 @@ class EngineView:
     `compile_hierarchy` derive new views with `dataclasses.replace`, so
     nothing writes into a view's arrays (the dense ones are read-only).
 
+    `g0`, `jump`, `field_ket` and `field_bra` are tuples of terms (A, B),
+    rho -> A rho B, on the component grid (see the module docstring); each
+    role is the sum of its terms. `jump` holds the counted sandwiches
+    (None before `counting_resolve`), and the field roles are
+    rho -> [rho, L^dag] and rho -> [L, rho], the terms the drive E(t) and
+    its conjugate multiply (None without a field coupling). `kicks` holds,
+    for each monitored channel (k > 0, in the order of `amps`), the terms
+    of its measurement kick rho -> X rho + rho X^dag.
+
     `vec_dim` is the length of one (member, sector) component. For tensor
     encodings it is d**2 and `dense_shape` is (d, d); reduced encodings
     leave `dense_shape` None. `adjoint_perm` is the index permutation that,
     with a complex conjugate, maps a component vector to the vector of its
     conjugated density matrix (`adjoint`); integrators use it for
     hermiticity checks. `default_state` is the start vector of every
-    diagonal member. `amps` are the monitored amplifier channels, whose
-    operators act on the d-dimensional space; encodings that cannot carry
-    measurement backaction leave it empty.
+    diagonal member. `amps` are the amplifier channels, whose operators act
+    on the d-dimensional space; encodings that cannot carry measurement
+    backaction leave it empty.
     """
 
     vec_dim: int
     n_sectors: int
-    g0: sp.csr_matrix
-    jump: object
-    field_ket: object
-    field_bra: object
+    g0: tuple
+    jump: tuple
+    field_ket: tuple
+    field_bra: tuple
     trace_row: np.ndarray
     default_state: np.ndarray
     adjoint_perm: np.ndarray
     dense_shape: tuple = None
     amps: tuple = ()
+    kicks: tuple = ()
 
     def __post_init__(self):
         for a in (self.trace_row, self.default_state, self.adjoint_perm):
@@ -161,7 +114,7 @@ class EngineView:
 
 
 class Liouvillian:
-    """Assembled generator with tagged channels on a labeled space."""
+    """Lindblad generator with tagged channels on a labeled space."""
 
     def __init__(self, space, hamiltonian=None, channels=(), amps=(), field_tag=None):
         self.space = space
@@ -179,7 +132,7 @@ class Liouvillian:
             if op is not None and op.space != space:
                 raise ConfigError("all operators must share the Liouvillian's space")
         self.dim = space.dim
-        self._generator = self._view = None
+        self._view = None
 
     @property
     def field_op(self):
@@ -193,26 +146,26 @@ class Liouvillian:
                 return c
         raise ConfigError(f"no channel tagged {tag!r}; have {[c.tag for c in self.channels]}")
 
-    @property
-    def generator(self):
-        if self._generator is None:
-            d = self.dim
-            g = sp.csr_matrix((d * d, d * d), dtype=complex)
-            if self.hamiltonian is not None:
-                g = g + hamiltonian_superop(self.hamiltonian)
-            for c in self.channels:
-                g = g + c.superop
-            for a in self.amps:
-                g = g + a.superop
-            self._generator = g.tocsr()
-        return self._generator
-
-    def jump_sum(self, tags):
-        d = self.dim
-        j = sp.csr_matrix((d * d, d * d), dtype=complex)
+    def split_jumps(self, tags):
+        """(g0, jump): the generator's terms with the sandwiches of the
+        channels `tags` moved into jump. g0 is (A, I), (I, A^dag) and the
+        sandwich (L, L^dag) of every other channel and of each monitored
+        amplifier (jump operator sqrt(2 k) X)."""
         for tag in tags:
-            j = j + self.channel(tag).jump_superop
-        return j.tocsr()
+            self.channel(tag)
+        eye = sp.identity(self.dim, dtype=complex, format="csr")
+        jumps = [(c.tag, c.op.matrix) for c in self.channels]
+        jumps += [(a.tag, np.sqrt(2.0 * a.k) * a.op.matrix)
+                  for a in self.amps if a.k > 0]
+        a = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        if self.hamiltonian is not None:
+            a = -1j * self.hamiltonian.matrix
+        for _, op in jumps:
+            a = a - 0.5 * (op.getH() @ op)
+        g0, jump = [(a, eye), (eye, _dag(a))], []
+        for tag, op in jumps:
+            (jump if tag in tags else g0).append((op, _dag(op)))
+        return tuple(g0), tuple(jump)
 
     def engine_view(self):
         if self._view is None:
@@ -222,15 +175,19 @@ class Liouvillian:
             trace_row[idx[::d + 1]] = 1.0
             y0 = np.zeros(d * d, dtype=complex)
             y0[0] = 1.0
+            eye = sp.identity(d, dtype=complex, format="csr")
             fk = fb = None
             if self.field_op is not None:
-                fk = field_ket_superop(self.field_op)
-                fb = field_bra_superop(self.field_op)
+                op = self.field_op.matrix
+                fk = ((eye, _dag(op)), (-_dag(op), eye))
+                fb = ((op, eye), (eye, -op))
+            kicks = tuple(((a.op.matrix, eye), (eye, _dag(a.op.matrix)))
+                          for a in self.amps if a.k > 0)
             self._view = EngineView(
-                vec_dim=d * d, n_sectors=1, g0=self.generator, jump=None,
+                vec_dim=d * d, n_sectors=1, g0=self.split_jumps(())[0], jump=None,
                 field_ket=fk, field_bra=fb, trace_row=trace_row,
                 default_state=y0, adjoint_perm=(idx % d) * d + idx // d,
-                dense_shape=(d, d), amps=self.amps)
+                dense_shape=(d, d), amps=self.amps, kicks=kicks)
         return self._view
 
 
@@ -289,7 +246,7 @@ def counting_resolve(model, counted_tags, max_count):
     sector s into s+1. The last sector also feeds itself, so it holds
     "max_count or more" and the block generator conserves total trace
     exactly (g0 + jump is the base generator)."""
-    if not hasattr(model, "jump_sum"):
+    if not hasattr(model, "split_jumps"):
         raise ConfigError(f"counting_resolve needs an assembled generator, "
                           f"got {type(model).__name__}")
     if isinstance(counted_tags, str):
@@ -299,10 +256,10 @@ def counting_resolve(model, counted_tags, max_count):
     check_count(max_count=max_count)
     if max_count < 1:
         raise ConfigError(f"max_count must be >= 1, got {max_count}")
-    view = model.engine_view()
-    jump = model.jump_sum(tuple(counted_tags))
-    return replace(view, n_sectors=int(max_count) + 1,
-                   g0=(view.g0 - jump).tocsr(), jump=jump)
+    # a tag named twice is still counted once
+    g0, jump = model.split_jumps(tuple(dict.fromkeys(counted_tags)))
+    return replace(model.engine_view(), n_sectors=int(max_count) + 1,
+                   g0=g0, jump=jump)
 
 
 def check_count(**counts):
@@ -312,23 +269,3 @@ def check_count(**counts):
             isinstance(val, (float, np.floating)) and float(val).is_integer())
         if not whole or isinstance(val, (bool, np.bool_)):
             raise ConfigError(f"{name} must be an integer, got {val!r}")
-
-
-def vectorize(rho, d=None):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 2:
-        if d is not None and rho.shape != (d, d):
-            raise ConfigError(f"state shape {rho.shape}, expected ({d}, {d})")
-        return rho.reshape(-1)
-    if rho.ndim == 1:
-        if d is not None and rho.size != d * d:
-            raise ConfigError(f"state length {rho.size}, expected {d * d}")
-        return rho
-    raise ConfigError(f"cannot vectorize array of shape {rho.shape}")
-
-
-def unvectorize(y, d):
-    y = np.asarray(y, dtype=complex)
-    if y.size != d * d:
-        raise ConfigError(f"vector length {y.size} is not {d}**2")
-    return y.reshape(d, d)

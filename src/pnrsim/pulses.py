@@ -204,11 +204,6 @@ def tabulated_envelope(times, values, detuning=0.0):
     return PulseEnvelope("tabulated", times=times, values=values, detuning=detuning)
 
 
-def cumulative_profile(envelope, times):
-    """Fraction of the pulse energy arrived by each time."""
-    return envelope.cumulative(times)
-
-
 @dataclass(frozen=True)
 class FieldInput:
     """Photon-number content of the input field.

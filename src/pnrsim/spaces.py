@@ -131,11 +131,6 @@ class HilbertSpace:
             out.append(s.states[(index // int(stride)) % s.dim])
         return tuple(out)
 
-    def basis_vector(self, assignment):
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(assignment)] = 1.0
-        return v
-
     def __eq__(self, other):
         return isinstance(other, HilbertSpace) and self.subsystems == other.subsystems
 

@@ -223,9 +223,12 @@ class SymmetricLiouvillian:
 
         x0 = np.zeros(self.dim, dtype=complex)
         x0[self.classes[(0, 0, 0, 0, 0)]] = 1.0
+        # classes sit on an (n_classes, 1) grid: a block M is the term (M, [[1]])
+        self._one = one = sp.csr_matrix(np.ones((1, 1)))
         self._view = EngineView(
-            vec_dim=self.dim, n_sectors=1, g0=self.generator, jump=None,
-            field_ket=(rm_ld - lm_ld).tocsr(), field_bra=(lm_l - rm_l).tocsr(),
+            vec_dim=self.dim, n_sectors=1, g0=((self.generator, one),),
+            jump=None, field_ket=(((rm_ld - lm_ld).tocsr(), one),),
+            field_bra=(((lm_l - rm_l).tocsr(), one),),
             trace_row=tr.astype(complex), default_state=x0, adjoint_perm=perm)
 
     # engine interface -----------------------------------------------
@@ -233,16 +236,17 @@ class SymmetricLiouvillian:
     def engine_view(self):
         return self._view
 
-    def jump_sum(self, tags):
-        if isinstance(tags, str):
-            tags = (tags,)
+    def split_jumps(self, tags):
+        """(g0, jump) terms with the sandwiches of the channels `tags` in
+        jump; g0 is the generator less them, computed explicitly so that
+        exact cancellations leave no stored entries."""
         j = sp.csr_matrix((self.dim, self.dim), dtype=complex)
         for tag in tags:
             if tag not in self._sandwiches:
                 raise ConfigError(
                     f"no channel tagged {tag!r}; have {sorted(self._sandwiches)}")
             j = j + self._sandwiches[tag]
-        return j.tocsr()
+        return (((self.generator - j).tocsr(), self._one),), ((j.tocsr(), self._one),)
 
     def observable_row(self, name):
         """Row vector giving tr(O rho) for a per-site count observable."""

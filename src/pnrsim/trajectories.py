@@ -164,15 +164,19 @@ def _prepare(liou, field, t_span, opts, rho0):
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
     blk, pos = np.divmod(ode.keep, ev.vec_dim)
     weight = np.repeat(c.reshape(-1), ev.n_sectors)[blk]
-    rows = [ev.trace_row] + [ev.trace_row @ a.backaction for a in amps]
+    xs = [a.op.matrix.toarray() for a in amps]
+    rows = [ev.trace_row[pos]]
+    for x in xs:
+        # tr(X rho + rho X^dag) reads X[j, i] + conj(X[i, j]) at entry (i, j)
+        i, j = np.divmod(pos, len(x))
+        rows.append(x[j, i] + x[i, j].conj())
 
     p = _Prepared()
     p.n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
     p.dt = (t1 - t0) / p.n_steps
     p.sqdt = math.sqrt(p.dt)
     p.y0 = ode.y0
-    p.readout = np.array([weight * r[pos] for r in rows])[:, None, None, :]
-    xs = [a.op.matrix.toarray() for a in amps]
+    p.readout = np.array([weight * r for r in rows])[:, None, None, :]
     p.x_range = np.array([np.linalg.eigvalsh(0.5 * (x + x.conj().T))[[0, -1]]
                           for x in xs]).reshape(-1, 2)
     p.gains = np.array([math.sqrt(2.0 * a.k) for a in amps])

@@ -47,6 +47,19 @@ def expm_evolve(liou, rho0, t):
     return (la.expm(g * t) @ np.asarray(rho0, dtype=complex).reshape(-1)).reshape(d, d)
 
 
+def superop(terms):
+    """The superoperator of rho -> sum of A rho B over the terms (A, B),
+    for vec(rho) stacked by rows: the sum of kron(A, B^T) in term order
+    (CSR, no stored zeros). None stays None."""
+    if terms is None:
+        return None
+    a, b = terms[0]
+    out = sp.csr_matrix((a.shape[0] * b.shape[0],) * 2, dtype=complex)
+    for a, b in terms:
+        out = out + sp.kron(a, b.T, format="csr")
+    return out
+
+
 def dense_hierarchy(ev, field):
     """Full, unreduced hierarchy blocks (A0, Am, Ap) and start vector of an
     engine view driven by `field`, as dense arrays in the (member n, m;
@@ -54,8 +67,10 @@ def dense_hierarchy(ev, field):
     n_max = field.n_max if field is not None else 0
     np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
 
-    def dense(m):
-        return np.zeros((vd, vd), dtype=complex) if m is None else m.toarray()
+    def dense(terms):
+        if terms is None:
+            return np.zeros((vd, vd), dtype=complex)
+        return superop(terms).toarray()
 
     feed = np.eye(S, k=-1)           # counted jumps move sector s -> s+1
     feed[-1, -1] = 1.0               # the last sector keeps "S-1 or more"
@@ -75,18 +90,20 @@ def full_grid_hierarchy(ev, field):
     """Reference reduction on the full grid: the sparse blocks of the whole
     (member, sector, component) layout built with kron, and a
     breadth-first search from the start vector's nonzeros along the union
-    pattern of the blocks and of each monitored backaction. Returns keep
+    pattern of the blocks and of each monitored channel's kick, all built
+    from `superop` of the view's terms. Returns keep
     and the blocks and start vector restricted to it (am, ap None when the
     field carries no photons)."""
     n_max = field.n_max if field is not None else 0
     np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
+    g0 = superop(ev.g0)
     if S > 1:
         feed = sp.diags([np.ones(S - 1)], [-1], shape=(S, S), format="lil")
         feed[S - 1, S - 1] = 1.0   # the last sector keeps "S-1 or more"
-        sector = (sp.kron(sp.identity(S), ev.g0, format="csr")
-                  + sp.kron(feed, ev.jump, format="csr"))
+        sector = (sp.kron(sp.identity(S), g0, format="csr")
+                  + sp.kron(feed, superop(ev.jump), format="csr"))
     else:
-        sector = ev.g0
+        sector = g0
     a0 = sp.kron(sp.identity(np1 * np1), sector, format="csr")
     am = ap = None
     if n_max > 0:
@@ -96,15 +113,17 @@ def full_grid_hierarchy(ev, field):
         ket = sp.kron(up, sp.identity(np1), format="csr")
         bra = sp.kron(sp.identity(np1), up, format="csr")
         eye_s = sp.identity(S)
-        am = sp.kron(ket, sp.kron(eye_s, ev.field_ket, format="csr"), format="csr")
-        ap = sp.kron(bra, sp.kron(eye_s, ev.field_bra, format="csr"), format="csr")
+        am = sp.kron(ket, sp.kron(eye_s, superop(ev.field_ket), format="csr"),
+                     format="csr")
+        ap = sp.kron(bra, sp.kron(eye_s, superop(ev.field_bra), format="csr"),
+                     format="csr")
     y0 = np.zeros(a0.shape[0], dtype=complex)
     for n in range(np1):
         lo = (n * np1 + n) * S * vd
         y0[lo:lo + vd] = ev.default_state
     blocks = [b for b in (a0, am, ap) if b is not None]
-    blocks += [sp.kron(sp.identity(np1 * np1 * S), a.backaction, format="csr")
-               for a in ev.amps if a.k > 0]
+    blocks += [sp.kron(sp.identity(np1 * np1 * S), superop(kick), format="csr")
+               for kick in ev.kicks]
     # edge j -> i wherever a block has an (i, j) entry; node N feeds the seeds
     size = y0.size
     seeds = np.flatnonzero(y0)
@@ -185,9 +204,10 @@ def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
     wvec = np.repeat(c.reshape(-1), ev.n_sectors)
     w = np.kron(wvec, ev.trace_row)[keep]
-    rows = [np.kron(wvec, ev.trace_row @ a.backaction)[keep] for a in amps]
-    sx = [sp.kron(sp.identity(wvec.size), a.backaction,
-                  format="csr")[keep][:, keep].toarray() for a in amps]
+    kicks = [superop(kick) for kick in ev.kicks]
+    rows = [np.kron(wvec, ev.trace_row @ k)[keep] for k in kicks]
+    sx = [sp.kron(sp.identity(wvec.size), k, format="csr")[keep][:, keep].toarray()
+          for k in kicks]
     a0 = ode.a0.toarray()
     n_steps = max(1, int(np.ceil((ode.t1 - ode.t0) / dt)))
     h = (ode.t1 - ode.t0) / n_steps

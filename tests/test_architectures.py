@@ -13,6 +13,13 @@ from pnrsim.hierarchy import IntegratorOptions, integrate_hierarchy
 from pnrsim.metrics import detection_probabilities, efficiency
 from pnrsim.pulses import fock_input, gaussian_envelope
 
+from helpers import superop
+
+
+def generator(arch):
+    """The base generator of an architecture as a superoperator."""
+    return superop(arch.liouvillian().engine_view().g0)
+
 
 def one_photon_efficiency(arch, sigma0, *, rtol=1e-8, drain=10.0, tags=None):
     env = gaussian_envelope(sigma0)
@@ -200,7 +207,7 @@ def test_band_with_one_level_reduces_to_single_element():
     dos = DosModel("flat2d", width=1.0)
     band = build_band_element(dos, 1, 0.8, 1.1, delta_omega=0.3)
     single = build_single_element(0.8, 1.1, delta_omega=0.3)
-    diff = band.liouvillian().generator - single.liouvillian().generator
+    diff = generator(band) - generator(single)
     assert np.abs(diff.toarray()).max() < 1e-12
 
 
@@ -263,7 +270,7 @@ def test_with_params_rebuilds():
     moved = arch.with_params(delta_omega=0.5)
     assert moved.params["delta_omega"] == 0.5
     assert arch.params["delta_omega"] == 0.0
-    diff = moved.liouvillian().generator - arch.liouvillian().generator
+    diff = generator(moved) - generator(arch)
     assert np.abs(diff.toarray()).max() > 0.1
 
 
@@ -272,18 +279,25 @@ def test_spec_serialization_round_trip():
     arch = build_band_element(dos, 4, 0.5, 1.0, Delta=0.2, k=0.1)
     clone = ArchitectureSpec.from_dict(arch.to_dict())
     assert clone.kind == arch.kind
-    diff = clone.liouvillian().generator - arch.liouvillian().generator
+    diff = generator(clone) - generator(arch)
     assert np.abs(diff.toarray()).max() < 1e-12
     again = ArchitectureSpec.from_dict(arch.to_dict())
     assert again.to_json() == arch.to_json()
 
 
 def test_counting_tag_override():
-    arch = build_array(2, 0.8, 1.0)
-    default = arch.counting(1)
-    only_first = arch.counting(1, ("SHELVE0",))
-    assert default.jump.nnz > only_first.jump.nnz
-    with pytest.raises(ConfigError):
-        arch.counting(1, ("SHELVE9",))
-    with pytest.raises(ConfigError, match="at least one counted tag"):
-        arch.counting(1, ())
+    # both encodings: the counted sandwiches leave g0 for jump, and the
+    # sum of the two stays the base generator
+    sym = build_symmetric_reduced(3, 1, 0.8, 1.0, k_A=1.0, exc_cap=2)
+    for arch, more, fewer in ((build_array(2, 0.8, 1.0), None, ("SHELVE0",)),
+                              (sym, ("SHELVE", "TRANSFER"), None)):
+        views = [arch.counting(1, tags) for tags in (more, fewer)]
+        jumps = [superop(v.jump) for v in views]
+        assert jumps[0].nnz > jumps[1].nnz > 0
+        base = generator(arch)
+        for view, jump in zip(views, jumps):
+            assert abs(superop(view.g0) + jump - base).max() < 1e-15
+        with pytest.raises(ConfigError, match="SHELVE9"):
+            arch.counting(1, ("SHELVE9",))
+        with pytest.raises(ConfigError, match="at least one counted tag"):
+            arch.counting(1, ())

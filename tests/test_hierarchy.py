@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import bdf as scipy_bdf
 from scipy.sparse.linalg import splu
 
-from pnrsim import hierarchy
+from pnrsim import hierarchy, ivp
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element,
                                   build_symmetric_reduced)
@@ -26,7 +26,8 @@ from pnrsim.symmetric import enumerate_classes
 from pnrsim.trajectories import TrajectoryOptions, run_trajectories
 
 from helpers import (dense_count_probabilities, dense_hierarchy, expm_evolve,
-                     full_grid_hierarchy, random_architecture, random_density)
+                     full_grid_hierarchy, random_architecture, random_density,
+                     superop)
 
 
 def test_vacuum_input_matches_dense_expm():
@@ -206,7 +207,7 @@ def test_reachable_subspace_is_closed_under_measurement_backaction():
     ode = compile_hierarchy(counting_resolve(liou, "DECAY", 1),
                             fock_input(1, gaussian_envelope(1.0)))
     n_blocks = ode.full_size // ode.engine.vec_dim
-    kick = sp.kron(sp.identity(n_blocks), liou.amps[0].backaction).toarray()
+    kick = sp.kron(sp.identity(n_blocks), superop(ode.engine.kicks[0])).toarray()
     _assert_keep_is_invariant(ode, (kick,))
     member_11 = (1 * 2 + 1) * 2 * 9          # member (1, 1), sector 0
     assert member_11 + 2 * 3 + 1 in ode.keep
@@ -255,10 +256,10 @@ def test_block_compile_matches_full_grid_reference():
         for got, want in ((ode.a0, a0), (ode.am, am), (ode.ap, ap)):
             _assert_same_csr(got, want)
         amps = [a for a in ode.engine.amps if a.k > 0]
-        assert len(ode.kicks) == len(amps)
+        assert len(ode.kicks) == len(ode.engine.kicks) == len(amps)
         n_blocks = ode.full_size // ode.engine.vec_dim
-        for kick, a in zip(ode.kicks, amps):
-            full = sp.kron(sp.identity(n_blocks), a.backaction, format="csr")
+        for kick, terms in zip(ode.kicks, ode.engine.kicks):
+            full = sp.kron(sp.identity(n_blocks), superop(terms), format="csr")
             _assert_same_csr(kick, full[keep][:, keep])
 
 
@@ -276,6 +277,38 @@ def test_compile_memory_follows_the_kept_size():
         tracemalloc.stop()
     assert ode.full_size == 2_834_352 and ode.keep.size == 282
     assert peak < 64 * 2 ** 20
+
+
+def test_compile_builds_no_superoperator(monkeypatch):
+    # counting and compile read the d x d operator terms: once the
+    # architecture is built, nothing forms a kron product
+    archs = [build_pnr(2, 3), build_array(2, 0.8, 1.0, Delta=0.3, k=0.4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron was called")
+    monkeypatch.setattr(sp, "kron", refuse)
+    for arch in archs:
+        ode = compile_hierarchy(arch.counting(2),
+                                fock_input(2, gaussian_envelope(2.0)))
+        assert ode.keep.size < ode.full_size
+    assert len(ode.kicks) == 2
+
+
+def test_large_tensor_compile_memory():
+    # PNR(4, 3) under three photons keeps 1,454 components; its d**2 x d**2
+    # superoperators (g0 with 2.47 million nonzeros) peaked at 272 MiB in
+    # counting and compile, the operator terms at 23 MiB
+    import tracemalloc
+    arch = build_pnr(4, 3)
+    field = fock_input(3, gaussian_envelope(2.0))
+    tracemalloc.start()
+    try:
+        ode = compile_hierarchy(arch.counting(3), field, (-16.0, 28.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ode.keep.size == 1454 and ode.a0.nnz == 13134
+    assert peak < 32 * 2 ** 20
 
 
 def test_options_must_be_finite():
@@ -377,6 +410,25 @@ def test_store_guard_trips_on_tiny_budget():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_stored_states_are_written_once():
+    # PNR(2, 3) under two photons keeps 76 components, so 20,000 states are
+    # 24.3 MB. Collecting each segment's outputs and then copying them into
+    # the result peaked at 60.5 MB; written in place, the peak is the
+    # states and the 8.6 MB of sector traces read from them
+    import tracemalloc
+    model = build_pnr(2, 3, gamma=0.7071067811865476, Gamma=1.0, k_A=1.0).counting(2)
+    field = fock_input(2, gaussian_envelope(2.0))
+    tracemalloc.start()
+    try:
+        run = integrate_hierarchy(model, field, (-16.0, 28.0),
+                                  IntegratorOptions(n_points=20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.states.shape == (20000, 76)
+    assert peak < run.states.nbytes + run.sector_traces.nbytes + 4 * 2 ** 20
 
 
 def test_compile_hierarchy_blocks_and_start_vector():
@@ -573,16 +625,27 @@ def test_bdf_point_matches_tight_explicit_reference():
     assert abs(jitter(a, env)[0] - jitter(b, env)[0]) < 1e-6
 
 
-def _scipy_rk45(rhs, y, t0, t1, t_eval, rtol, atol, max_step):
+def _scipy_ivp(rhs, y, t0, t1, t_eval, out, **kw):
+    """solve_ivp on [t0, t1] with the integrators' contract: the states
+    at t_eval into the rows of `out`, the state at t1 returned. The times
+    handed to solve_ivp are t_eval with t1 appended unless it ends there,
+    as the in-package integrators evaluate them."""
+    te = t_eval if t_eval.size and t_eval[-1] == t1 else np.append(t_eval, t1)
+    sol = solve_ivp(rhs, (t0, t1), y, t_eval=te, dense_output=True, **kw)
+    assert sol.success
+    out[:] = sol.y.T[:len(out)]
+    return sol
+
+
+def _scipy_rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
     """solve_ivp's RK45 in place of the in-package integrator. Every step
     attempt costs 6 rhs calls after the 2 of the starting step, so the
     rejected steps are the attempts that left no step in the solution."""
-    sol = solve_ivp(rhs, (t0, t1), y, method="RK45", t_eval=t_eval,
-                    rtol=rtol, atol=atol, max_step=max_step, dense_output=True)
-    assert sol.success
+    sol = _scipy_ivp(rhs, y, t0, t1, t_eval, out, method="RK45", rtol=rtol,
+                     atol=atol, max_step=max_step)
     steps = len(sol.sol.interpolants)
-    return sol.y, dict(nfev=sol.nfev, njev=0, nlu=0,
-                       rejected=(sol.nfev - 2) // 6 - steps)
+    return sol.y[:, -1], dict(nfev=sol.nfev, njev=0, nlu=0,
+                              rejected=(sol.nfev - 2) // 6 - steps)
 
 
 def _scipy_bdf(monkeypatch):
@@ -599,15 +662,13 @@ def _scipy_bdf(monkeypatch):
         return newton(*args)
     monkeypatch.setattr(scipy_bdf, "solve_bdf_system", counted)
 
-    def bdf(rhs, jac, factorize, y, t0, t1, t_eval, rtol, atol, max_step):
+    def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
         solves.clear()
-        sol = solve_ivp(rhs, (t0, t1), y, method="BDF", jac=jac,
-                        t_eval=t_eval, rtol=rtol, atol=atol,
-                        max_step=max_step, dense_output=True)
-        assert sol.success
+        sol = _scipy_ivp(rhs, y, t0, t1, t_eval, out, method="BDF", jac=jac,
+                         rtol=rtol, atol=atol, max_step=max_step)
         steps = len(sol.sol.interpolants)
-        return sol.y, dict(nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
-                           rejected=len(solves) - steps - (sol.njev - 1))
+        return sol.y[:, -1], dict(nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu,
+                                  rejected=len(solves) - steps - (sol.njev - 1))
     return bdf
 
 
@@ -630,7 +691,7 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
     for model, field, span, opts, kw in runs:
         got = integrate_hierarchy(model, field, span, opts, **kw)
         with monkeypatch.context() as m:
-            m.setattr(hierarchy, "_rk45", _scipy_rk45)
+            m.setattr(hierarchy, "rk45", _scipy_rk45)
             ref = integrate_hierarchy(model, field, span, opts, **kw)
         segs = got.diagnostics["segments"]
         assert {seg["method"] for seg in segs} == {"RK45"}
@@ -663,7 +724,7 @@ def _bdf_against_solve_ivp(monkeypatch, runs):
     for model, field, span, opts, kw in runs:
         got = integrate_hierarchy(model, field, span, opts, **kw)
         with monkeypatch.context() as m:
-            m.setattr(hierarchy, "_bdf", _scipy_bdf(m))
+            m.setattr(hierarchy, "bdf", _scipy_bdf(m))
             ref = integrate_hierarchy(model, field, span, opts, **kw)
         assert {seg["method"] for seg in got.diagnostics["segments"]} == {"BDF"}
         yield got, ref
@@ -707,13 +768,14 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     def vdp_splu(J, c):
         return splu(sp.identity(2, format="csc") - c * J).solve
     y0, t_eval = np.array([2, 0], dtype=complex), np.linspace(0, 3000, 7)
-    args = (vdp, vdp_jac, vdp_splu, y0, 0.0, 3000.0, t_eval, 1e-3, 1e-6,
-            np.inf)
-    got, counts = hierarchy._bdf(*args)
+    got, ref = (np.empty((7, 2), dtype=complex) for _ in range(2))
+    head = (vdp, vdp_jac, vdp_splu, y0, 0.0, 3000.0, t_eval)
+    tail = (1e-3, 1e-6, np.inf)
+    end, counts = ivp.bdf(*head, got, *tail)
     with monkeypatch.context() as m:
-        ref, ref_counts = _scipy_bdf(m)(*args)
+        ref_end, ref_counts = _scipy_bdf(m)(*head, ref, *tail)
     assert counts == ref_counts
-    assert np.array_equal(got, ref)
+    assert np.array_equal(got, ref) and np.array_equal(end, ref_end)
 
 
 def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):

@@ -1,5 +1,5 @@
-"""Vectorized generators: superoperator identities, Lindblad structure,
-and jump-count resolution, cross-checked against an independent dense build."""
+"""Generator terms: direct products, Lindblad structure, and jump-count
+resolution, cross-checked against an independent dense build."""
 
 import numpy as np
 import pytest
@@ -8,27 +8,47 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnrsim.architectures import build_symmetric_reduced
 from pnrsim.errors import ConfigError
 from pnrsim.liouville import (AmpChannel, JumpChannel,
-                              Liouvillian, assemble_liouvillian, counting_resolve,
-                              dissipator, lmult, rmult, sandwich, unvectorize,
-                              vectorize)
+                              Liouvillian, assemble_liouvillian, counting_resolve)
 from pnrsim.spaces import Operator, build_space, projector, transition
 
-from helpers import dense_generator, random_density
+from helpers import dense_generator, random_density, superop
 
 
 def rand_matrix(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def apply_terms(terms, rho):
+    """sum of A rho B over the terms, by dense matrix products."""
+    return sum(a.toarray() @ rho @ b.toarray() for a, b in terms)
+
+
+def one_channel(a):
+    """A Liouvillian on a bare d-level space with the single decay channel
+    of jump operator `a` (a dense array)."""
+    space = build_space([("q", a.shape[0])])
+    return assemble_liouvillian(None, [("OUT", Operator(space, a))])
+
+
 def test_mult_superops_match_direct_products():
+    # the field and kick terms act as rho -> A rho B, and the test reference
+    # superop() turns terms into row-major superoperators
     rng = np.random.default_rng(7)
-    a, b, rho = (rand_matrix(rng, 4) for _ in range(3))
-    v = rho.reshape(-1)
-    assert np.allclose(unvectorize(lmult(a) @ v, 4), a @ rho)
-    assert np.allclose(unvectorize(rmult(b) @ v, 4), rho @ b)
-    assert np.allclose(unvectorize(sandwich(a, b) @ v, 4), a @ rho @ b.conj().T)
+    space = build_space([("q", 4)])
+    l_op, x = (Operator(space, rand_matrix(rng, 4)) for _ in range(2))
+    liou = assemble_liouvillian(None, [], ("FIELD", l_op), [("AMP", x, 0.5)])
+    ev = liou.engine_view()
+    rho = rand_matrix(rng, 4)
+    lm, xm = l_op.matrix.toarray(), x.matrix.toarray()
+    ld = lm.conj().T
+    for terms, want in ((ev.field_ket, rho @ ld - ld @ rho),
+                        (ev.field_bra, lm @ rho - rho @ lm),
+                        (ev.kicks[0], xm @ rho + rho @ xm.conj().T)):
+        assert np.allclose(apply_terms(terms, rho), want)
+        assert np.allclose((superop(terms) @ rho.reshape(-1)).reshape(4, 4), want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -37,7 +57,8 @@ def test_dissipator_matches_dense_reference(seed, d):
     rng = np.random.default_rng(seed)
     a = rand_matrix(rng, d)
     ref = dense_generator(None, [a])
-    assert np.abs(dissipator(a).toarray() - ref).max() < 1e-12
+    g0 = one_channel(a).engine_view().g0
+    assert np.abs(superop(g0).toarray() - ref).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -46,7 +67,7 @@ def test_dissipator_annihilates_trace(seed):
     rng = np.random.default_rng(seed)
     a = rand_matrix(rng, 4)
     rho = random_density(rng, 4)
-    drho = unvectorize(dissipator(a) @ rho.reshape(-1), 4)
+    drho = apply_terms(one_channel(a).engine_view().g0, rho)
     assert abs(np.trace(drho)) < 1e-12
 
 
@@ -66,7 +87,7 @@ def test_assembled_generator_matches_dense_reference():
     ref = dense_generator(h.matrix.toarray(),
                           [shelve.matrix.toarray(), absorb.matrix.toarray(),
                            np.sqrt(0.8) * projector(space, "element", "C").matrix.toarray()])
-    assert np.abs(liou.generator.toarray() - ref).max() < 1e-12
+    assert np.abs(superop(liou.engine_view().g0).toarray() - ref).max() < 1e-12
 
 
 def test_generator_left_null_vector_is_trace():
@@ -74,15 +95,19 @@ def test_generator_left_null_vector_is_trace():
     absorb = transition(space, "element", "0", "1", 0.8)
     shelve = transition(space, "element", "C", "1", 0.6)
     liou = assemble_liouvillian(None, [("SHELVE", shelve)], ("ABSORB", absorb))
-    tr = liou.engine_view().trace_row
-    assert np.abs(tr @ liou.generator).max() < 1e-12
+    ev = liou.engine_view()
+    assert np.abs(ev.trace_row @ superop(ev.g0)).max() < 1e-12
 
 
 def test_jump_superop_is_completely_positive_form():
+    # a counted channel's jump is its sandwich rho -> L rho L^dag alone
     space, decay = two_level(0.7)
-    ch = JumpChannel("OUT", decay)
-    a = decay.matrix.toarray()
-    assert np.abs(ch.jump_superop.toarray() - np.kron(a, a.conj())).max() == 0.0
+    counting = counting_resolve(assemble_liouvillian(None, [("OUT", decay)]),
+                                "OUT", 1)
+    ((a, b),) = counting.jump
+    assert (a != decay.matrix).nnz == 0 and (b != decay.matrix.getH()).nnz == 0
+    m = decay.matrix.toarray()
+    assert np.abs(superop(counting.jump).toarray() - np.kron(m, m.conj())).max() == 0.0
 
 
 def test_unitary_evolution_conserves_populations():
@@ -90,7 +115,8 @@ def test_unitary_evolution_conserves_populations():
     h = Operator(space, np.diag([0.0, 1.3]).astype(complex), hermitian=True)
     liou = assemble_liouvillian(h, [], ("FIELD", transition(space, "tls", "0", "1", 0.0)))
     rho0 = np.diag([0.25, 0.75]).astype(complex)
-    out = unvectorize(la.expm(liou.generator.toarray() * 3.0) @ rho0.reshape(-1), 2)
+    g = superop(liou.engine_view().g0).toarray()
+    out = (la.expm(g * 3.0) @ rho0.reshape(-1)).reshape(2, 2)
     assert np.allclose(np.diag(out), np.diag(rho0))
 
 
@@ -99,8 +125,9 @@ def test_two_level_decay_closed_form():
     space, decay = two_level(gamma)
     liou = assemble_liouvillian(None, [("OUT", decay)])
     rho0 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    g = superop(liou.engine_view().g0).toarray()
     for t in (0.3, 1.0, 2.7):
-        out = unvectorize(la.expm(liou.generator.toarray() * t) @ rho0.reshape(-1), 2)
+        out = (la.expm(g * t) @ rho0.reshape(-1)).reshape(2, 2)
         assert out[1, 1].real == pytest.approx(np.exp(-gamma ** 2 * t), abs=1e-12)
 
 
@@ -111,8 +138,8 @@ def block_generator(counting):
     for i in range(s - 1):
         feed[i + 1, i] = 1.0
     feed[s - 1, s - 1] += 1.0
-    return (sp.kron(sp.identity(s), counting.g0)
-            + sp.kron(feed.tocsr(), counting.jump)).toarray()
+    return (sp.kron(sp.identity(s), superop(counting.g0))
+            + sp.kron(feed.tocsr(), superop(counting.jump))).toarray()
 
 
 def test_counted_decay_jump_statistics():
@@ -152,7 +179,8 @@ def test_counting_block_sum_reproduces_base_generator():
     shelve = transition(space, "element", "C", "1", 0.6)
     liou = assemble_liouvillian(None, [("SHELVE", shelve)], ("ABSORB", absorb))
     counting = counting_resolve(liou, ("SHELVE",), 3)
-    diff = (counting.g0 + counting.jump - liou.generator).toarray()
+    base = superop(liou.engine_view().g0)
+    diff = (superop(counting.g0) + superop(counting.jump) - base).toarray()
     assert np.abs(diff).max() == 0.0
     # dynamic form of the same identity
     big = block_generator(counting)
@@ -161,7 +189,7 @@ def test_counting_block_sum_reproduces_base_generator():
     y0[:9] = rho0.reshape(-1)
     y = la.expm(big * 2.0) @ y0
     summed = y.reshape(4, 9).sum(axis=0)
-    ref = la.expm(liou.generator.toarray() * 2.0) @ rho0.reshape(-1)
+    ref = la.expm(base.toarray() * 2.0) @ rho0.reshape(-1)
     assert np.abs(summed - ref).max() < 1e-10
 
 
@@ -218,13 +246,15 @@ def test_counting_argument_validation():
             counting_resolve(liou, "OUT", bad)
     for good in (2.0, np.int64(2)):
         assert counting_resolve(liou, "OUT", good).n_sectors == 3
-
-
-def test_vectorize_round_trip_and_shape_checks():
-    rng = np.random.default_rng(5)
-    rho = rand_matrix(rng, 3)
-    assert np.array_equal(unvectorize(vectorize(rho), 3), rho)
+    # the symmetric encoding checks its tags the same way
+    sym = build_symmetric_reduced(2, 1, 1.0, 1.0, k_A=1.0).liouvillian()
+    with pytest.raises(ConfigError, match="MISSING"):
+        counting_resolve(sym, "MISSING", 1)
     with pytest.raises(ConfigError):
-        vectorize(rho, 4)
-    with pytest.raises(ConfigError):
-        unvectorize(rho.reshape(-1), 4)
+        counting_resolve(sym, (), 1)
+    assert counting_resolve(sym, "TRANSFER", 1).n_sectors == 2
+    # a tag named twice is counted once, in both encodings
+    for model, tag in ((liou, "OUT"), (sym, "TRANSFER")):
+        once, twice = (counting_resolve(model, tags, 1) for tags in ((tag,), (tag, tag)))
+        for role in ("g0", "jump"):
+            assert (superop(getattr(once, role)) != superop(getattr(twice, role))).nnz == 0

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pnrsim.errors import ConfigError
-from pnrsim.pulses import (FieldInput, PulseEnvelope, cumulative_profile,
-                           fock_input, gaussian_envelope, mixture_input,
+from pnrsim.pulses import (FieldInput, PulseEnvelope, fock_input,
+                           gaussian_envelope, mixture_input,
                            rising_exponential_envelope, square_envelope,
                            superposition_input, tabulated_envelope)
 
@@ -67,7 +67,7 @@ def test_cumulative_monotone_and_matches_quadrature(sigma0, t_center, detuning):
     env = gaussian_envelope(sigma0, t_center, detuning=detuning)
     lo, hi = env.support
     t = np.linspace(lo, hi, 2001)
-    f = np.asarray(cumulative_profile(env, t))
+    f = np.asarray(env.cumulative(t))
     assert f[0] < 1e-9 and f[-1] > 1.0 - 1e-9
     assert np.all(np.diff(f) >= -1e-15)
     # against direct quadrature of the intensity
