@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .errors import ConfigError, ResourceLimitError
 from .liouville import AmpChannel, assemble_liouvillian, check_count, counting_resolve
 from .spaces import Operator, Subsystem, build_space, embed, projector, transition
@@ -352,10 +352,9 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
     states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
     space = build_space([("element", states)])
-    h_mat = sp.diags(
-        np.concatenate([[0.0], disc.levels - dos.center - delta_omega, [0.0]])
-    ).tocsr()
-    h = Operator(space, h_mat.astype(complex), name="H", hermitian=True)
+    h_mat = CSR.diags(
+        np.concatenate([[0.0], disc.levels - dos.center - delta_omega, [0.0]]))
+    h = Operator(space, h_mat, name="H", hermitian=True)
     absorb_mat = sum(
         transition(space, "element", "0", f"1_{l}", disc.couplings[l]).matrix
         for l in range(n_b))
@@ -455,7 +454,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     space = build_space(subs)
 
     level_diag = np.concatenate([[0.0], disc.levels - dos.center - delta_omega, [0.0]])
-    h_mat = sum(embed(sp.diags(level_diag).tocsr(), f"d{i}", space).matrix
+    h_mat = sum(embed(CSR.diags(level_diag), f"d{i}", space).matrix
                 for i in range(n_D))
     h = Operator(space, h_mat, hermitian=True)
     absorb = Operator(space, sum(

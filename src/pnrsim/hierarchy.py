@@ -11,22 +11,24 @@ field's coefficient table.
 When jumps of selected channels are counted, each member additionally
 splits into sectors 0..max_count; counted jumps feed sector s into s+1
 and the last sector collects "max_count or more". The whole grid is one
-sparse linear ODE, integrated jointly.
+sparse linear ODE, integrated jointly. Its blocks are the package's own
+CSR matrices (`csr.CSR`), so compiling and stepping it loads no scipy
+module.
 
 `integrate_hierarchy` splits the span at the envelope support. Only the
 driven segment caps the step, so that a narrow pulse is not stepped
 over; the right-hand side is the same on every segment. Non-stiff runs
 step with the in-package Dormand-Prince 5(4) pair (`ivp.rk45`, step for
-step scipy's RK45), so they need neither scipy.integrate nor
-scipy.sparse.linalg. Collective coupling makes the generator stiff, so
+step scipy's RK45). Collective coupling makes the generator stiff, so
 the adaptive method moves to the in-package variable-order NDF of
 Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) (`ivp.bdf`, step
 for step scipy's BDF) when a one-off Arnoldi estimate of the spectral
 radius says so (see `IntegratorOptions`); undriven runs make the same
 test against their step cap or span. Its Newton matrix I - c J is
 inverted densely by numpy up to _DENSE_NEWTON_SIZE kept components,
-where that is faster and loads no scipy solver, and factorized with
-scipy.sparse.linalg.splu above (`_newton_algebra`). The run keeps the
+where that is faster and loads no scipy module, and factorized with
+scipy.sparse.linalg.splu above (`_newton_algebra`), the one place the
+run imports scipy.sparse. The run keeps the
 state at every output time; a run whose states would exceed
 `max_store_bytes` is refused before they are allocated. The diagnostics
 record each segment's method and its nfev, njev, nlu and rejected steps,
@@ -51,7 +53,9 @@ within a block, of the jump terms from sector s to s+1 (and within the
 last sector), and of the field terms from member (n-1, m) and (n, m-1) to
 (n, m), and the restricted blocks are summed from those entries. Neither
 the full grid nor any superoperator is built: `full_size` is only a
-count, and the search holds the sorted kept indices.
+count, and the search holds the sorted kept indices. A compile whose
+largest block entry times the span overflows when squared is refused
+with a ConfigError: no step size could resolve such rates.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, runs, union_pattern, vstack
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .ivp import bdf, rk45
 from .liouville import EngineView
@@ -134,16 +138,6 @@ class IntegratorOptions:
             raise ConfigError("n_points must be at least 2")
 
 
-def _runs(indptr, idx):
-    """Owner (position in idx) and data position of every stored entry of
-    the rows (CSR) or columns (CSC) `idx`."""
-    lo = indptr[idx]
-    count = indptr[idx + 1] - lo
-    owner = np.repeat(np.arange(idx.size), count)
-    return owner, np.arange(owner.size) + np.repeat(lo - np.cumsum(count) + count,
-                                                    count)
-
-
 class _BlockGraph:
     """The hierarchy's operators on the full (member, sector, component)
     layout, held block by block and term by term. Block b =
@@ -154,8 +148,9 @@ class _BlockGraph:
     target[b] (no block where -1), scaled by weight[b], through the sum of
     its terms (A, B): component (i, j) feeds (k, l) with A[k, i] B[j, l].
     Parts with the same label sum to one operator. The terms' A are
-    stacked into one CSC matrix (rows term * d_ket + k) and their B into
-    one CSR matrix (rows term * d_bra + j), so the entries of any set of
+    stacked into one matrix (rows term * d_ket + k) held by columns, as
+    the CSR of its transpose, and their B into one CSR matrix (rows
+    term * d_bra + j), so the entries of any set of
     full-layout columns come out of two gathers, whatever blocks and terms
     they lie in; no operator on the full layout is built, and no
     d**2 x d**2 superoperator either."""
@@ -168,10 +163,8 @@ class _BlockGraph:
         flat = [t for ts in terms for t in ts]
         self.db = flat[0][1].shape[0]
         self.dk = vec_dim // self.db
-        self.a = sp.vstack([a for a, _ in flat], format="csr").tocsc()
-        self.b = sp.vstack([b for _, b in flat], format="csr")
-        self.a.eliminate_zeros()
-        self.b.eliminate_zeros()
+        self.a = vstack([a for a, _ in flat]).transpose().eliminate_zeros()
+        self.b = vstack([b for _, b in flat]).eliminate_zeros()
 
     def _entries(self, cols):
         """Every entry of the terms in the full-layout columns `cols`: its
@@ -180,9 +173,9 @@ class _BlockGraph:
         B[j, l] in the stacked `a.data` and `b.data`."""
         blk, comp = np.divmod(cols, self.vd)
         i, j = np.divmod(comp, self.db)
-        src, at_a = _runs(self.a.indptr, i)
+        src, at_a = runs(self.a.indptr, i)
         term, k = np.divmod(self.a.indices[at_a], self.dk)
-        own, at_b = _runs(self.b.indptr, term * self.db + j[src])
+        own, at_b = runs(self.b.indptr, term * self.db + j[src])
         src, term, k, at_a = src[own], term[own], k[own], at_a[own]
         to = self.target[self.part[term], blk[src]]
         row = np.where(to >= 0, (to * self.dk + k) * self.db + self.b.indices[at_b],
@@ -216,10 +209,10 @@ class _BlockGraph:
         val = self.a.data[at_a] * self.b.data[at_b]
         out = {}
         for p, label in enumerate(self.labels):
-            m = sp.csr_matrix((n, n), dtype=complex)
+            m = CSR.zeros((n, n), complex)
             for t in np.flatnonzero(self.part == p):
                 i = term == t
-                m = m + sp.csr_matrix((val[i], (row[i], src[i])), shape=(n, n))
+                m = m + CSR.from_triplets(val[i], row[i], src[i], (n, n))
             m.data *= self.weight[p, keep[m.indices] // self.vd]
             out[label] = out[label] + m if label in out else m
         return out
@@ -248,19 +241,6 @@ def _block_parts(ev, n_max):
                    np.sqrt(m + 1.0))]
     parts += [(i, kick, b, one) for i, kick in enumerate(ev.kicks)]
     return parts
-
-
-def union_pattern(mats, fmt="csr"):
-    """One sparse matrix of format `fmt` (sorted indices) on the union
-    sparsity pattern of `mats`, and each matrix's values on that pattern
-    (0 where it has no entry). A combination of the matrices is then a
-    few vector operations written into the pattern's `data`, with no
-    sparse-object construction."""
-    pattern = sum(abs(m) for m in mats).asformat(fmt)    # abs: nothing cancels
-    pattern.sort_indices()
-    pattern.data = pattern.data.astype(complex)
-    at = pattern.tocoo()
-    return pattern, [np.asarray(m.tocsr()[at.row, at.col]).ravel() for m in mats]
 
 
 class HierarchyState:
@@ -389,7 +369,7 @@ class HierarchyODE:
     t0: float
     t1: float
     n_max: int
-    a0: sp.csr_matrix
+    a0: CSR
     am: object
     ap: object
     y0: np.ndarray
@@ -477,6 +457,15 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     starts = (np.arange(np1) * (np1 + 1) * S * vd)[:, None] + nz
     keep = graph.reach(starts.ravel())
     ops = graph.restrict(keep)
+    # a solver needs (entry x span)**2 finite: past that no step size can
+    # help, and the run would end in a misleading numerical failure
+    top = float(max(np.abs(m.data).max(initial=0.0) for m in ops.values()))
+    scale = top * (t1 - t0)
+    if not math.isfinite(scale * scale):
+        raise ConfigError(
+            f"the generator's largest entry, {top:.3g}, times the time span "
+            f"{t1 - t0:.6g} overflows when squared: the architecture's rates "
+            f"are too large; rescale the time unit")
     y0 = np.zeros(keep.size, dtype=complex)
     y0[np.searchsorted(keep, starts)] = ev.default_state[nz]
     return HierarchyODE(engine=ev, field=field, envelope=env, t0=t0, t1=t1,
@@ -523,7 +512,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
 
     if am is not None:
         # one product gives a0 y, am y and ap y, stacked
-        blocks = sp.vstack([a0, am, ap], format="csr")
+        blocks = vstack([a0, am, ap])
 
         def rhs(t, y):
             e = env(t)
@@ -549,29 +538,37 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
                                    env if am is not None else None, method, opts)
     nfev = sum(seg["nfev"] for seg in segments)
 
-    # per (member, sector) readout of a component row: kept index i lies in
-    # block blk[i] at position pos[i]
+    # per (member, sector) readout of a component row, given by its values
+    # at the kept indices: kept index i lies in block blk[i] at position
+    # pos[i]
     blk, pos = np.divmod(ode.keep, vd)
 
-    def readout(row):
-        r = sp.csr_matrix((row[pos], (blk, np.arange(total))),
-                          shape=(np1 * np1 * S, total))
+    def readout(vals):
+        r = CSR.from_triplets(vals, blk, np.arange(total), (np1 * np1 * S, total))
         return (r @ ys.T).reshape(np1, np1, S, nt)
 
     obs_tables = {}
     for name, ob in (observables or {}).items():
         if isinstance(ob, Operator):
-            row = np.asarray(ob.matrix.T.toarray(), dtype=complex).reshape(-1)
+            if ob.matrix.shape != ev.dense_shape:
+                raise ConfigError(
+                    f"observable {name!r} is an operator of shape "
+                    f"{ob.matrix.shape}; the encoding's states have shape "
+                    f"{ev.dense_shape}")
+            # tr(X rho) reads X[j, i] at entry (i, j) of the component grid
+            i, j = np.divmod(pos, ev.dense_shape[1])
+            vals = ob.matrix.at(j, i)
         else:
             row = np.asarray(ob, dtype=complex).reshape(-1)
             if row.size != vd:
                 raise ConfigError(
                     f"observable {name!r} row has length {row.size}, expected {vd}")
-        obs_tables[name] = readout(row)
+            vals = row[pos]
+        obs_tables[name] = readout(vals)
 
     result = HierarchyResult(
         t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
-        field=field, sector_traces=readout(ev.trace_row),
+        field=field, sector_traces=readout(ev.trace_row[pos]),
         observables=obs_tables, states=ys, keep=ode.keep,
         diagnostics={}, dense_shape=ev.dense_shape,
     )
@@ -618,7 +615,9 @@ def _dominant_eigenvalue(a):
     direction orthogonalised twice against the basis. If the Krylov space
     closes early it is invariant and its Ritz values are eigenvalues; with
     n <= m the basis spans the whole space and the estimate is the dense
-    one."""
+    one. The projections are elementwise products and sums, not BLAS
+    gemv: a fresh process's first threaded gemv calls took up to a second
+    on a 2-vCPU host."""
     n = a.shape[0]
     m = min(n, _ARNOLDI_STEPS)
     v = np.random.default_rng(0).standard_normal(n).astype(complex)
@@ -629,8 +628,8 @@ def _dominant_eigenvalue(a):
         w = a @ basis[j]
         size = np.linalg.norm(w)
         for _ in range(2):
-            c = (basis[:j + 1] @ w.conj()).conj()
-            w = w - c @ basis[:j + 1]
+            c = (basis[:j + 1].conj() * w).sum(axis=1)
+            w = w - (c[:, None] * basis[:j + 1]).sum(axis=0)
             hess[:j + 1, j] += c
         hess[j + 1, j] = h = np.linalg.norm(w)
         if j + 1 == m or h <= 1e-12 * size:
@@ -646,9 +645,9 @@ def _newton_algebra(a0, am, ap, env):
     for `ivp.bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
     array and the factorization its inverse, applied by one product per
     Newton iteration: numpy alone, with no sparse object made per call
-    and no scipy solver loaded. Above it, J is CSC on the union pattern of
-    the blocks and factorized by splu, whose fill stays far below the n^2
-    of an inverse."""
+    and no scipy module loaded. Above it, J is a scipy CSC matrix on the
+    union pattern of the blocks and factorized by splu, whose fill stays
+    far below the n^2 of an inverse."""
     mats = [m for m in (a0, am, ap) if m is not None]
     n = a0.shape[0]
     if n <= _DENSE_NEWTON_SIZE:
@@ -658,12 +657,14 @@ def _newton_algebra(a0, am, ap, env):
         def factorize(J, c):
             return np.linalg.inv(eye - c * J).dot
     else:
+        from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
-        gen, blocks = union_pattern(mats, fmt="csc")
-        eye = sp.identity(n, dtype=complex, format="csc")
+        # the CSR arrays of the transposes are the CSC arrays of the blocks
+        gen, blocks = union_pattern([m.transpose() for m in mats])
+        eye = identity(n, dtype=complex, format="csc")
 
         def make(data):
-            return sp.csc_matrix((data, gen.indices, gen.indptr), shape=gen.shape)
+            return csc_matrix((data, gen.indices, gen.indptr), shape=(n, n))
 
         def factorize(J, c):
             return splu(eye - c * J).solve

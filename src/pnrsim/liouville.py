@@ -26,14 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .errors import ConfigError
 from .spaces import Operator
-
-
-def _dag(m):
-    return m.getH().tocsr()
 
 
 @dataclass(frozen=True)
@@ -153,18 +149,18 @@ class Liouvillian:
         amplifier (jump operator sqrt(2 k) X)."""
         for tag in tags:
             self.channel(tag)
-        eye = sp.identity(self.dim, dtype=complex, format="csr")
+        eye = CSR.identity(self.dim, complex)
         jumps = [(c.tag, c.op.matrix) for c in self.channels]
         jumps += [(a.tag, np.sqrt(2.0 * a.k) * a.op.matrix)
                   for a in self.amps if a.k > 0]
-        a = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        a = CSR.zeros((self.dim, self.dim), complex)
         if self.hamiltonian is not None:
             a = -1j * self.hamiltonian.matrix
         for _, op in jumps:
             a = a - 0.5 * (op.getH() @ op)
-        g0, jump = [(a, eye), (eye, _dag(a))], []
+        g0, jump = [(a, eye), (eye, a.getH())], []
         for tag, op in jumps:
-            (jump if tag in tags else g0).append((op, _dag(op)))
+            (jump if tag in tags else g0).append((op, op.getH()))
         return tuple(g0), tuple(jump)
 
     def engine_view(self):
@@ -175,13 +171,13 @@ class Liouvillian:
             trace_row[idx[::d + 1]] = 1.0
             y0 = np.zeros(d * d, dtype=complex)
             y0[0] = 1.0
-            eye = sp.identity(d, dtype=complex, format="csr")
+            eye = CSR.identity(d, complex)
             fk = fb = None
             if self.field_op is not None:
                 op = self.field_op.matrix
-                fk = ((eye, _dag(op)), (-_dag(op), eye))
+                fk = ((eye, op.getH()), (-op.getH(), eye))
                 fb = ((op, eye), (eye, -op))
-            kicks = tuple(((a.op.matrix, eye), (eye, _dag(a.op.matrix)))
+            kicks = tuple(((a.op.matrix, eye), (eye, a.op.matrix.getH()))
                           for a in self.amps if a.k > 0)
             self._view = EngineView(
                 vec_dim=d * d, n_sectors=1, g0=self.split_jumps(())[0], jump=None,
@@ -224,7 +220,7 @@ def assemble_liouvillian(hamiltonian, baths=(), field_coupling=None, amps=()):
             amp_channels.append(entry)
         else:
             tag, x, k = entry
-            chi = abs(x.matrix).max() if x.matrix.nnz else 0.0
+            chi = np.abs(x.matrix.data).max(initial=0.0)
             amp_channels.append(AmpChannel(str(tag), x, float(k), float(chi)))
 
     space = None

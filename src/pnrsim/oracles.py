@@ -151,9 +151,9 @@ def _bright_dark_split(space, field_op):
     """Bright states are the excited states the field operator couples
     down to lower grades; dark states are the remaining excited states."""
     grades = space.grades
-    mat = field_op.matrix.tocoo()
+    mat = field_op.matrix
     bright = set()
-    for i, j in zip(mat.row, mat.col):
+    for i, j in zip(mat.rows(), mat.indices):
         if grades[j] > grades[i]:
             bright.add(int(j))
     dark = {idx for idx in range(space.dim)
@@ -189,8 +189,8 @@ def check_ideal_conditions(arch, tol=1e-9):
     for ch in liou.channels:
         if ch.tag == liou.field_tag:
             continue
-        mat = ch.op.matrix.tocoo()
-        for i, j, v in zip(mat.row, mat.col, mat.data):
+        mat = ch.op.matrix
+        for i, j, v in zip(mat.rows(), mat.indices, mat.data):
             if v == 0:
                 continue
             if j in bright and i in bright:

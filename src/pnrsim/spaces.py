@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, as_csr, kron
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -189,23 +189,25 @@ def build_space(subsystem_specs):
 class Operator:
     """Sparse operator attached to a space.
 
-    `hermitian` is a declared property, checked at construction when set.
+    `matrix` is given as a `CSR`, a dense array or a scipy sparse matrix
+    and held as a complex `CSR`. `hermitian` is a declared property,
+    checked at construction when set.
     """
 
     space: HilbertSpace
-    matrix: sp.csr_matrix
+    matrix: CSR
     name: str = ""
     hermitian: bool = False
 
     def __post_init__(self):
-        m = sp.csr_matrix(self.matrix, dtype=complex)
+        m = as_csr(self.matrix, complex)
         if m.shape != (self.space.dim, self.space.dim):
             raise ConfigError(
                 f"operator {self.name!r}: shape {m.shape} does not match "
                 f"space dimension {self.space.dim}"
             )
         if self.hermitian:
-            herm_err = abs(m - m.getH()).max() if m.nnz else 0.0
+            herm_err = np.abs((m - m.getH()).data).max(initial=0.0)
             if herm_err > 1e-12:
                 raise ConfigError(
                     f"operator {self.name!r} declared hermitian, deviation {herm_err:.2e}"
@@ -242,10 +244,10 @@ class Operator:
         return complex(np.trace(self.matrix.toarray() @ rho))
 
     def to_dict(self):
-        coo = self.matrix.tocoo()
+        m = self.matrix
         entries = [
             [int(r), int(c), float(v.real), float(v.imag)]
-            for r, c, v in zip(coo.row, coo.col, coo.data)
+            for r, c, v in zip(m.rows(), m.indices, m.data)
         ]
         return {
             "schema_version": SCHEMA_VERSION,
@@ -265,7 +267,7 @@ class Operator:
         rows = [e[0] for e in entries]
         cols = [e[1] for e in entries]
         vals = [e[2] + 1j * e[3] for e in entries]
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(space.dim, space.dim))
+        m = CSR.from_triplets(vals, rows, cols, (space.dim, space.dim), complex)
         return cls(space, m, name=d.get("name", ""), hermitian=d.get("hermitian", False))
 
     def to_json(self):
@@ -282,7 +284,7 @@ def _check_same_space(a, b):
 
 
 def identity(space):
-    return Operator(space, sp.identity(space.dim, dtype=complex, format="csr"),
+    return Operator(space, CSR.identity(space.dim, complex),
                     name="I", hermitian=True)
 
 
@@ -295,7 +297,7 @@ def embed(local_op, label, space):
     if isinstance(local_op, Operator):
         local = local_op.matrix
     else:
-        local = sp.csr_matrix(local_op, dtype=complex)
+        local = as_csr(local_op, complex)
     pos = space.position(label)
     d_local = space.subsystems[pos].dim
     if local.shape != (d_local, d_local):
@@ -305,18 +307,15 @@ def embed(local_op, label, space):
         )
     left = int(np.prod(space.dims[:pos], dtype=np.int64)) if pos else 1
     right = int(np.prod(space.dims[pos + 1:], dtype=np.int64)) if pos + 1 < len(space.dims) else 1
-    m = sp.kron(sp.kron(sp.identity(left), local), sp.identity(right), format="csr")
+    m = kron(kron(CSR.identity(left), local), CSR.identity(right))
     return Operator(space, m)
 
 
 def transition(space, label, to_state, from_state, amplitude=1.0):
     """amplitude * |to><from| on one subsystem, identity elsewhere."""
     sub = space.subsystem(label)
-    local = sp.csr_matrix(
-        ([complex(amplitude)],
-         ([sub.state_index(to_state)], [sub.state_index(from_state)])),
-        shape=(sub.dim, sub.dim),
-    )
+    local = CSR.from_triplets([complex(amplitude)], [sub.state_index(to_state)],
+                              [sub.state_index(from_state)], (sub.dim, sub.dim))
     op = embed(local, label, space)
     return Operator(space, op.matrix,
                     name=f"{amplitude}|{label}:{to_state}><{label}:{from_state}|")

@@ -29,8 +29,8 @@ from itertools import product
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR
 from .errors import ConfigError
 from .liouville import EngineView
 
@@ -115,7 +115,7 @@ class SymmetricLiouvillian:
             rows.append(self.classes[c2])
             cols.append(i)
             vals.append(np.sqrt(occ[src] * new[dst]))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        return CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
 
     def _register_move(self, dst, src):
         rows, cols, vals = [], [], []
@@ -132,7 +132,7 @@ class SymmetricLiouvillian:
             rows.append(self.classes[c2])
             cols.append(i)
             vals.append(np.sqrt(n_src * n_dst_after))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        return CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
 
     def _count(self, which):
         d = np.zeros(self.dim)
@@ -142,7 +142,7 @@ class SymmetricLiouvillian:
             occ["ae"] = c[4]
             occ["ag"] = self.n_registers - c[4]
             d[i] = occ[which]
-        return sp.diags(d).tocsr()
+        return CSR.diags(d)
 
     def _transfer_sandwich(self):
         """Fused two-species sandwich: one C site resets to ground while
@@ -161,7 +161,7 @@ class SymmetricLiouvillian:
             rows.append(self.classes[c2])
             cols.append(i)
             vals.append(np.sqrt(nc * (ng + 1)) * np.sqrt((n_a - a) * (a + 1)))
-        m = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
+        m = CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
         return self.k_transfer ** 2 * m
 
     def _build(self):
@@ -177,21 +177,21 @@ class SymmetricLiouvillian:
         rm_ld = self.gamma * (T("k", "e") + T("g", "b"))
 
         sandwiches = {}
-        sandwiches["ABSORB"] = (lm_l @ rm_ld).tocsr()
+        sandwiches["ABSORB"] = lm_l @ rm_ld
         g = -1j * self.detuning * (Nt("k") - Nt("b"))
         g = g + sandwiches["ABSORB"] - 0.5 * (lm_ld @ lm_l) - 0.5 * (rm_l @ rm_ld)
 
-        sandwiches["SHELVE"] = (G2 * T("C", "e")).tocsr()
+        sandwiches["SHELVE"] = G2 * T("C", "e")
         g = g + sandwiches["SHELVE"] - G2 * Nt("e") - 0.5 * G2 * (Nt("k") + Nt("b"))
 
         if self.n_registers > 0:
             sandwiches["TRANSFER"] = self._transfer_sandwich()
             g = g + sandwiches["TRANSFER"] - self.k_transfer ** 2 * (Nt("C") @ Nt("ag"))
-            sandwiches["RESET"] = (self.Delta * self._register_move("ag", "ae")).tocsr()
+            sandwiches["RESET"] = self.Delta * self._register_move("ag", "ae")
             g = g + sandwiches["RESET"] - self.Delta * Nt("ae")
 
         self._sandwiches = sandwiches
-        self.generator = g.tocsr()
+        self.generator = g
 
         # trace and diagonal observables live on diagonal-type classes;
         # a normalized class vector contributes sqrt(multiplicity)
@@ -224,11 +224,11 @@ class SymmetricLiouvillian:
         x0 = np.zeros(self.dim, dtype=complex)
         x0[self.classes[(0, 0, 0, 0, 0)]] = 1.0
         # classes sit on an (n_classes, 1) grid: a block M is the term (M, [[1]])
-        self._one = one = sp.csr_matrix(np.ones((1, 1)))
+        self._one = one = CSR.from_dense(np.ones((1, 1)))
         self._view = EngineView(
             vec_dim=self.dim, n_sectors=1, g0=((self.generator, one),),
-            jump=None, field_ket=(((rm_ld - lm_ld).tocsr(), one),),
-            field_bra=(((lm_l - rm_l).tocsr(), one),),
+            jump=None, field_ket=((rm_ld - lm_ld, one),),
+            field_bra=((lm_l - rm_l, one),),
             trace_row=tr.astype(complex), default_state=x0, adjoint_perm=perm)
 
     # engine interface -----------------------------------------------
@@ -240,13 +240,13 @@ class SymmetricLiouvillian:
         """(g0, jump) terms with the sandwiches of the channels `tags` in
         jump; g0 is the generator less them, computed explicitly so that
         exact cancellations leave no stored entries."""
-        j = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        j = CSR.zeros((self.dim, self.dim), complex)
         for tag in tags:
             if tag not in self._sandwiches:
                 raise ConfigError(
                     f"no channel tagged {tag!r}; have {sorted(self._sandwiches)}")
             j = j + self._sandwiches[tag]
-        return (((self.generator - j).tocsr(), self._one),), ((j.tocsr(), self._one),)
+        return ((self.generator - j, self._one),), ((j, self._one),)
 
     def observable_row(self, name):
         """Row vector giving tr(O rho) for a per-site count observable."""

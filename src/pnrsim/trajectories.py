@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, union_pattern
 from .errors import ConfigError, NumericsError
-from .hierarchy import compile_hierarchy, union_pattern
+from .hierarchy import compile_hierarchy
 from .liouville import check_count
 
 _CHUNK = 256
@@ -108,8 +108,10 @@ class _Prepared:
 # column-for-column equal to that, and np.einsum("ij,jk->ik", a, Y) is but
 # ran 2-5x slower. The drift propagators themselves depend on the step
 # only, never on the batch, so every column of a step meets the same
-# matrix. CSR blocks use `a @ Y`, whose sparse kernel sums every column in
-# the order it uses for a single vector.
+# matrix. CSR blocks use `a @ Y` (`CSR._matmul_dense`), which sums each
+# column's products by np.bincount, in storage order from zero, exactly
+# as for a single vector; np.add.reduceat would not do for this, since its
+# summation may be pairwise.
 def _csr_mul(a, y):
     return (a @ y[:, :, 0].T).T[:, :, None]
 
@@ -186,7 +188,7 @@ def _prepare(liou, field, t_span, opts, rho0):
     a0, am, ap = ode.a0, ode.am, ode.ap
     p.e_mid = None
     if am is None:
-        am = ap = sp.csr_matrix(a0.shape, dtype=complex)
+        am = ap = CSR.zeros(a0.shape, complex)
     elif env is not None:
         p.e_mid = np.asarray(env(t0 + p.dt * (np.arange(p.n_steps) + 0.5)),
                              dtype=complex)

@@ -47,16 +47,21 @@ def expm_evolve(liou, rho0, t):
     return (la.expm(g * t) @ np.asarray(rho0, dtype=complex).reshape(-1)).reshape(d, d)
 
 
+def to_scipy(m):
+    """A package CSR as a scipy csr_matrix on the same arrays."""
+    return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
 def superop(terms):
     """The superoperator of rho -> sum of A rho B over the terms (A, B),
     for vec(rho) stacked by rows: the sum of kron(A, B^T) in term order
-    (CSR, no stored zeros). None stays None."""
+    (scipy CSR, no stored zeros). None stays None."""
     if terms is None:
         return None
     a, b = terms[0]
     out = sp.csr_matrix((a.shape[0] * b.shape[0],) * 2, dtype=complex)
     for a, b in terms:
-        out = out + sp.kron(a, b.T, format="csr")
+        out = out + sp.kron(to_scipy(a), to_scipy(b).T, format="csr")
     return out
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -717,6 +718,47 @@ def test_import_leaves_unused_scipy_submodules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
+    # the package's own CSR type carries every sparse product, so neither
+    # the import nor the three benchmark workloads load any scipy module
+    # (scipy.sparse alone was about 0.24 s of each process's start-up)
+    configs = SRC.parent / "perfbench" / "configs"
+    commands = [None,
+                ["simulate", str(configs / "pnr-tensor.json")],
+                ["sweep", str(configs / "sym-sweep.json"), "--workers", "2"],
+                ["trajectories", str(configs / "traj-ensemble.json"),
+                 "--workers", "2"]]
+    for i, argv in enumerate(commands):
+        run = "" if argv is None else (
+            f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) == 0; ")
+        code = ("import sys; from pnrsim.cli import main; " + run +
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip().splitlines()[-1] == "[]", argv
+
+
+@pytest.mark.parametrize("name,value", [("gamma", 1e100), ("Gamma", 1e150),
+                                        ("Delta", 1e300)])
+def test_huge_rates_are_config_errors(tmp_path, capsys, name, value):
+    # below the amplitude limit, rates whose (entry x span)**2 overflows
+    # leave no step that resolves them: refused at compile, not a solver
+    # failure after overflow warnings
+    params = {"gamma": 1.0, "Gamma": 1.0, "k": 0.5, name: value}
+    path = write_cfg(tmp_path, architecture={"kind": "single", "params": params},
+                     t_span=[-8.0, 12.0],
+                     trajectories={"n_traj": 2, "dt": 0.005})
+    for command in ("simulate", "trajectories"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "rates" in err
+        assert not out.exists()
+
+
 def test_float_lines_write_floats_as_fmt_does():
     values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 3.0, 0.1]
     col = np.array(values)
@@ -729,9 +771,10 @@ def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
     # the explicit solve and the stiffness estimate run on numpy alone, and
     # so does BDF up to hierarchy._DENSE_NEWTON_SIZE kept components (35
     # at exc_cap 2 with 2 photons); above it (112 at exc_cap 3 with 3
-    # photons) BDF needs splu. scipy.integrate (which loads
-    # scipy.optimize, scipy.special, scipy.spatial and scipy.fft) added
-    # about 0.3-0.5 s to start-up, scipy.sparse.linalg about 0.1 s
+    # photons) BDF needs splu, the only reason a run imports scipy.sparse.
+    # scipy.integrate (which loads scipy.optimize, scipy.special,
+    # scipy.spatial and scipy.fft) added about 0.3-0.5 s to start-up,
+    # scipy.sparse about 0.24 s and scipy.sparse.linalg about 0.1 s more
     stiff = write_cfg(tmp_path, name="stiff.json",
                       architecture=STIFF_ARCHITECTURE, field=_photons(2))
     large = dict(STIFF_ARCHITECTURE, params={**STIFF_ARCHITECTURE["params"],

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import bdf as scipy_bdf
 from scipy.sparse.linalg import splu
 
-from pnrsim import hierarchy, ivp
+from pnrsim import csr, hierarchy, ivp, spaces
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element,
                                   build_symmetric_reduced)
@@ -285,8 +285,10 @@ def test_compile_builds_no_superoperator(monkeypatch):
     archs = [build_pnr(2, 3), build_array(2, 0.8, 1.0, Delta=0.3, k=0.4)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy.sparse.kron was called")
+        raise AssertionError("a kron product was formed")
     monkeypatch.setattr(sp, "kron", refuse)
+    monkeypatch.setattr(csr, "kron", refuse)
+    monkeypatch.setattr(spaces, "kron", refuse)
     for arch in archs:
         ode = compile_hierarchy(arch.counting(2),
                                 fock_input(2, gaussian_envelope(2.0)))
@@ -379,6 +381,33 @@ def test_observable_rows_and_operators_agree():
     assert np.allclose(run.observable("op"), run.observable("row"))
     with pytest.raises(ConfigError):
         run.observable("missing")
+
+
+def test_operator_observable_tables_match_dense_rows():
+    # the entries X[j, i] gathered at the kept (i, j) give bitwise the
+    # tables of the dense d**2 row X^T.reshape(-1), read by a scipy CSR
+    arch = build_pnr(2, 2, k=0.5)
+    space = arch.liouvillian().space
+    x = (projector(space, "d0", "C")
+         + transition(space, "d1", "0", "1_0", 0.3 - 0.7j)
+         + transition(space, "a0", "A1", "A0", 1.1j))
+    field = fock_input(2, gaussian_envelope(1.0))
+    run = integrate_hierarchy(arch.counting(2), field, None,
+                              IntegratorOptions(n_points=31),
+                              observables={"x": x})
+    np1, S, vd, total = 3, run.n_sectors, run.vec_dim, run.keep.size
+    row = x.matrix.toarray().T.reshape(-1)
+    blk, pos = np.divmod(run.keep, vd)
+    r = sp.csr_matrix((row[pos], (blk, np.arange(total))),
+                      shape=(np1 * np1 * S, total))
+    want = (r @ run.states.T).reshape(np1, np1, S, -1)
+    assert np.abs(want).max() > 0.1
+    assert run.observables["x"].tobytes() == want.tobytes()
+    small = projector(build_space([("element", 2)]), "element", "1")
+    with pytest.raises(ConfigError, match="shape"):
+        integrate_hierarchy(arch.counting(2), field, None,
+                            IntegratorOptions(n_points=3),
+                            observables={"small": small})
 
 
 def test_t_eval_must_lie_inside_span():

@@ -14,7 +14,7 @@ from pnrsim.liouville import (AmpChannel, JumpChannel,
                               Liouvillian, assemble_liouvillian, counting_resolve)
 from pnrsim.spaces import Operator, build_space, projector, transition
 
-from helpers import dense_generator, random_density, superop
+from helpers import dense_generator, random_density, superop, to_scipy
 
 
 def rand_matrix(rng, d):
@@ -105,7 +105,8 @@ def test_jump_superop_is_completely_positive_form():
     counting = counting_resolve(assemble_liouvillian(None, [("OUT", decay)]),
                                 "OUT", 1)
     ((a, b),) = counting.jump
-    assert (a != decay.matrix).nnz == 0 and (b != decay.matrix.getH()).nnz == 0
+    m = to_scipy(decay.matrix)
+    assert (to_scipy(a) != m).nnz == 0 and (to_scipy(b) != m.getH()).nnz == 0
     m = decay.matrix.toarray()
     assert np.abs(superop(counting.jump).toarray() - np.kron(m, m.conj())).max() == 0.0
 
