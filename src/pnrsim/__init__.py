@@ -9,6 +9,11 @@ dynamics into single-shot records; `architectures` assembles detector
 models; `symmetric` is the permutation-reduced engine for identical
 elements; `metrics`, `oracles`, and `design` turn runs into numbers;
 `config` and `cli` wrap everything for batch use.
+
+Every builder names a model parameter the same way (`delta_omega` is the
+carrier detuning of every architecture kind, the symmetric one
+included). `RunConfig` is the one deserializer; the only serializer is
+`MetricsReport.to_dict`, which the CLI writes.
 """
 
 from .architectures import (
@@ -27,7 +32,6 @@ from .architectures import (
 )
 from .config import RunConfig, build_envelope, canonical_json, config_sha256
 from .design import (
-    PhysicalParams,
     TradeoffCurve,
     TradeoffPoint,
     effective_coupling,

@@ -13,7 +13,6 @@ level l at energy (epsilon_l - delta_omega).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -92,19 +91,6 @@ class DosModel:
             return (float(self.omegas[0]), float(self.omegas[-1]))
         return (self.center - self.width / 2.0, self.center + self.width / 2.0)
 
-    def to_dict(self):
-        d = {"kind": self.kind, "center": self.center}
-        if self.kind == "tabulated":
-            d["omegas"] = self.omegas.tolist()
-            d["densities"] = self.densities.tolist()
-        else:
-            d["width"] = self.width
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class BandDiscretization:
@@ -136,11 +122,6 @@ class BandDiscretization:
     @property
     def total_coupling(self):
         return float(np.sum(self.couplings ** 2))
-
-    def to_dict(self):
-        return {"levels": self.levels.tolist(),
-                "couplings": self.couplings.tolist(),
-                "decays": self.decays.tolist()}
 
 
 def discretize_dos(dos, n_b, total_coupling, Gamma, span=8.0):
@@ -226,7 +207,9 @@ class ArchitectureSpec:
     of `tags` (default: the registration channels) resolved into
     max_count + 1 count sectors, ready for `integrate_hierarchy`.
     `params` holds exactly the builder arguments, so `with_params`
-    rebuilds the architecture with selected values replaced.
+    rebuilds the architecture with selected values replaced. A run config
+    builds one through `RunConfig.build_architecture`, which hands its
+    `architecture.params` to `build_architecture(kind, **params)`.
     """
 
     def __init__(self, kind, params, liou, registration_tags, space=None,
@@ -259,29 +242,6 @@ class ArchitectureSpec:
                               f"have {sorted(params)}")
         params.update(updates)
         return build_architecture(self.kind, **params)
-
-    def to_dict(self):
-        params = {}
-        for key, val in self.params.items():
-            if isinstance(val, DosModel):
-                params[key] = val.to_dict()
-            else:
-                params[key] = val
-        return {"schema_version": 1, "kind": self.kind, "params": params}
-
-    @classmethod
-    def from_dict(cls, d):
-        ver = d.get("schema_version")
-        if ver != 1:
-            raise ConfigError(f"unsupported architecture schema_version {ver!r}")
-        kind = d.get("kind")
-        params = dict(d.get("params", {}))
-        if "dos" in params and isinstance(params["dos"], dict):
-            params["dos"] = DosModel.from_dict(params["dos"])
-        return build_architecture(kind, **params)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_rates(**rates):
@@ -397,7 +357,8 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     if dim > max_dim:
         raise ResourceLimitError(
             f"array tensor space has dimension {dim} > guard {max_dim}; "
-            f"use build_symmetric_reduced(n_D, 0, ...) or raise max_dim")
+            f"use build_symmetric_reduced(n_D, 0, ...) or raise max_dim "
+            f"(limits.max_dim in a run config)")
     space = build_space([(f"d{i}", ("0", "1", "C")) for i in range(n_D)])
     h_mat = sum((-delta_omega) * projector(space, f"d{i}", "1").matrix
                 for i in range(n_D))
@@ -442,7 +403,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
         raise ResourceLimitError(
             f"pnr tensor space has dimension {dim} > guard {max_dim}; use "
             f"build_symmetric_reduced (exact for identical elements) or "
-            f"raise max_dim")
+            f"raise max_dim (limits.max_dim in a run config)")
     if dos is None:
         dos = DosModel("flat2d", width=1.0)
         if n_b != 1:
@@ -491,25 +452,27 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
 
 
 def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
-                            detuning=0.0, exc_cap=1):
+                            delta_omega=0.0, exc_cap=1):
     """Permutation-symmetric build with idealized elements: each element's
     band is collapsed to one effective level with coupling gamma_eff
-    (gamma_eff^2 standing in for n_b gamma^2). Exact for identical
-    elements and symmetric initial states; scales polynomially in n_D
-    and n_A. n_A = 0 gives the no-transfer array, registered by shelf
-    entry instead of register transfer."""
+    (gamma_eff^2 standing in for n_b gamma^2) at energy -delta_omega, as
+    in the tensor builders. Exact for identical elements and symmetric
+    initial states; scales polynomially in n_D and n_A. n_A = 0 gives the
+    no-transfer array, registered by shelf entry instead of register
+    transfer."""
     _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
-    _check_finite(detuning=detuning)
+    _check_finite(delta_omega=delta_omega)
     _check_amplitudes(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A)
     check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
     sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,
-                               detuning=detuning, exc_cap=int(exc_cap))
+                               delta_omega=delta_omega, exc_cap=int(exc_cap))
     registration = ("TRANSFER",) if (n_A > 0 and k_A > 0) else ("SHELVE",)
     return ArchitectureSpec(
         "pnr-symmetric",
         dict(n_D=int(n_D), n_A=int(n_A), gamma_eff=gamma_eff, Gamma=Gamma,
-             k_A=k_A, Delta=Delta, detuning=detuning, exc_cap=int(exc_cap)),
+             k_A=k_A, Delta=Delta, delta_omega=delta_omega,
+             exc_cap=int(exc_cap)),
         sym, registration, space=None,
         metadata={"idealized_elements":
                   "band collapsed to one effective level, gamma_eff^2 = n_b gamma^2",

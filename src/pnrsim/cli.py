@@ -124,14 +124,6 @@ def _workers(args) -> None:
         raise ConfigError(f"--workers must be >= 1, got {w}")
 
 
-def _guard_dim(arch, limits, allow_large) -> None:
-    dim = arch.dim or 0
-    if not allow_large and dim > limits["max_dim"]:
-        raise ResourceLimitError(
-            f"Hilbert dimension {dim} exceeds limits.max_dim="
-            f"{limits['max_dim']}; pass --allow-large or raise the limit")
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -167,8 +159,7 @@ def _dark_counts(arch, run, t_m):
 
 def _simulate_payloads(cfg, allow_large, want_files=True):
     """Run one counting simulation; return (report, files)."""
-    arch = cfg.build_architecture()
-    _guard_dim(arch, cfg.limits, allow_large)
+    arch = cfg.build_architecture(allow_large)
     field = cfg.build_field()
     mspec = cfg.metrics
     run = integrate_hierarchy(arch.counting(cfg.max_count), field,
@@ -310,8 +301,7 @@ def cmd_trajectories(args) -> int:
     if args.seed is not None:
         cfg = RunConfig.from_dict({**cfg.raw, "seed": args.seed})
     out = _out_dir(args, cfg)
-    arch = cfg.build_architecture()
-    _guard_dim(arch, cfg.limits, args.allow_large)
+    arch = cfg.build_architecture(args.allow_large)
     field = cfg.build_field()
     tspec = cfg.trajectories
     liou = arch.liouvillian()

@@ -17,13 +17,19 @@ Top-level sections::
                       "envelope": {"shape": ..., ...}}
     t_span           [t0, t1], optional when the envelope fixes it
     max_count        counting sectors to resolve (default: photon number)
-    integrator       {"method": "adaptive" | "dop853", "rtol", "atol",
-                      "max_step", "n_points", "max_store_bytes",
-                      "trace_tol"}; see IntegratorOptions
+    integrator       {"rtol", "atol", "max_step", "n_points",
+                      "max_store_bytes", "trace_tol"}; see IntegratorOptions
+                      (the solver, RK45 or BDF, is chosen per run)
     metrics          {"compute": [...], "t_MIN", "Delta", "t_m"}
     trajectories     stochastic-run knobs
     sweep            {"axes": [{"parameter": dotted.path, "values": [...]}]}
     limits           {"max_dim", "max_points"} resource guards
+
+`architecture.params` are the builder's keyword arguments, named as in
+`pnrsim.architectures` (a `dos` mapping holds `DosModel`'s). The
+Hilbert-dimension guard is `limits.max_dim` alone: `build_architecture`
+hands it to the builders that guard their own tensor space, so a
+`max_dim` under `architecture.params` is refused.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
-from .architectures import ArchitectureSpec
-from .errors import ConfigError
+from .architectures import DosModel, build_architecture
+from .errors import ConfigError, ResourceLimitError
 from .hierarchy import IntegratorOptions
 from .pulses import (
     fock_input,
@@ -77,6 +84,9 @@ _TOP_KEYS = {
 _METRIC_NAMES = ("efficiency", "jitter", "dark_counts")
 
 _INTEGRATOR_KEYS = {f.name for f in dc_fields(IntegratorOptions)}
+
+# kinds whose builder takes the dimension guard as `max_dim`
+_DIM_GUARDED = ("array", "pnr")
 
 
 def _check_keys(d, allowed, where):
@@ -348,6 +358,9 @@ class RunConfig:
         if not isinstance(params, dict):
             raise ConfigError("architecture.params must be a mapping")
         _check_finite(params, "architecture.params")
+        if "max_dim" in params:
+            raise ConfigError("architecture.params.max_dim is not read: the "
+                              "dimension guard is limits.max_dim")
         resolved["architecture"] = {
             "kind": arch["kind"], "params": copy.deepcopy(params)}
 
@@ -447,14 +460,28 @@ class RunConfig:
                 for ax in self.raw["sweep"]["axes"]]
 
     # -- builders -------------------------------------------------------
-    def build_architecture(self):
-        arch = self.raw["architecture"]
+    def build_architecture(self, allow_large=False):
+        """The configured architecture, refused with ResourceLimitError
+        when its Hilbert dimension exceeds limits.max_dim (the builders
+        with a `max_dim` guard refuse it themselves); `allow_large` lifts
+        the guard."""
+        kind = self.raw["architecture"]["kind"]
+        params = dict(self.raw["architecture"]["params"])
+        max_dim = sys.maxsize if allow_large else self.limits["max_dim"]
+        if kind in _DIM_GUARDED:
+            params["max_dim"] = max_dim
         try:
-            return ArchitectureSpec.from_dict({"schema_version": 1, **arch})
+            if isinstance(params.get("dos"), dict):
+                params["dos"] = DosModel(**params["dos"])
+            arch = build_architecture(kind, **params)
         except TypeError as err:
             raise ConfigError(
-                f"bad parameters for architecture {arch['kind']!r}: {err}"
-            ) from None
+                f"bad parameters for architecture {kind!r}: {err}") from None
+        if (arch.dim or 0) > max_dim:
+            raise ResourceLimitError(
+                f"Hilbert dimension {arch.dim} exceeds limits.max_dim="
+                f"{max_dim}; pass --allow-large or raise the limit")
+        return arch
 
     def build_field(self):
         fld = self.raw["field"]

@@ -36,7 +36,6 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "PhysicalParams",
     "TradeoffCurve",
     "TradeoffPoint",
     "TRADEOFF_CSV_COLUMNS",
@@ -114,68 +113,6 @@ def transport_amplifier(f: float, current: float) -> Callable[[float], float]:
     if current <= 0:
         raise ConfigError("transport_amplifier requires current > 0")
     return lambda t_m: snr0_transport(f, current, t_m)
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Operating-point numbers for one physical realization.
-
-    Optional fields stay None when a calculator does not need them;
-    whatever is set must be positive, and f must lie in (0, 1].
-    Units: lam, film thickness in m; area, sigma_cross in m^2; dos in
-    s; alpha in 1/m; current in A; rates in 1/s.
-    """
-
-    lam: float
-    area: float
-    sigma_cross: float | None = None
-    dos: float | None = None
-    alpha: float | None = None
-    current: float | None = None
-    f: float | None = None
-    gamma_free2: float | None = None
-    gamma_eff2: float | None = None
-    charge: float = elementary_charge
-
-    def __post_init__(self) -> None:
-        for name in (
-            "lam",
-            "area",
-            "sigma_cross",
-            "dos",
-            "alpha",
-            "current",
-            "f",
-            "gamma_free2",
-            "gamma_eff2",
-            "charge",
-        ):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"PhysicalParams.{name} must be positive, got {v}")
-        if self.f is not None and self.f > 1.0:
-            raise ConfigError(f"PhysicalParams.f={self.f} outside (0, 1]")
-
-    def _need(self, *names: str) -> None:
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            raise ConfigError(f"PhysicalParams missing {', '.join(missing)}")
-
-    def effective_coupling(self, n_d: float) -> float:
-        self._need("gamma_free2")
-        return effective_coupling(self.lam, self.area, n_d, self.gamma_free2)
-
-    def required_absorbers(self) -> int:
-        self._need("sigma_cross")
-        return required_absorbers(self.area, self.sigma_cross)
-
-    def film_thickness(self) -> float:
-        self._need("alpha")
-        return film_thickness(self.alpha)
-
-    def snr0(self, t_m: float) -> float:
-        self._need("f", "current")
-        return snr0_transport(self.f, self.current, t_m)
 
 
 class TradeoffPoint(NamedTuple):

@@ -20,8 +20,8 @@ driven segment caps the step, so that a narrow pulse is not stepped
 over; the right-hand side is the same on every segment. Non-stiff runs
 step with the in-package Dormand-Prince 5(4) pair (`ivp.rk45`, step for
 step scipy's RK45). Collective coupling makes the generator stiff, so
-the adaptive method moves to the in-package variable-order NDF of
-Shampine & Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) (`ivp.bdf`, step
+the run moves to the in-package variable-order NDF of Shampine &
+Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) (`ivp.bdf`, step
 for step scipy's BDF) when a one-off Arnoldi estimate of the spectral
 radius says so (see `IntegratorOptions`); undriven runs make the same
 test against their step cap or span. Its Newton matrix I - c J is
@@ -73,7 +73,6 @@ from .liouville import EngineView
 from .pulses import FieldInput
 from .spaces import Operator
 
-_METHODS = ("adaptive", "dop853")
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
 # kept size up to which BDF inverts I - c J densely: on stiff symmetric
@@ -86,7 +85,7 @@ _DENSE_NEWTON_SIZE = 64
 class IntegratorOptions:
     """Knobs for the hierarchy integrator.
 
-    method "adaptive" chooses its solver once per run from the eigenvalue
+    The integrator chooses its solver once per run from the eigenvalue
     lambda* of largest modulus of the undriven generator, estimated by an
     Arnoldi iteration: the in-package NDF/BDF of Shampine & Reichelt
     (1997) with the exact Jacobian, as scipy's BDF, when |lambda*| * step
@@ -96,9 +95,8 @@ class IntegratorOptions:
     envelope.step_bound on driven runs and min(max_step, t1 - t0) on
     undriven ones (no photons). BDF holds the Jacobian as a dense array
     and inverts I - c J with numpy up to _DENSE_NEWTON_SIZE kept
-    components, and as a sparse matrix factorized by splu above. "dop853"
-    is scipy's higher-order explicit pair for tight tolerances. Both
-    methods split the span at the envelope support and cap the step at
+    components, and as a sparse matrix factorized by splu above. Both
+    solvers split the span at the envelope support and cap the step at
     envelope.step_bound on the driven segment only.
 
     The run keeps the state at every output time. Before anything of
@@ -109,7 +107,6 @@ class IntegratorOptions:
     max_store_bytes integers (never bools).
     """
 
-    method: str = "adaptive"
     rtol: float = 1e-8
     atol: float = 1e-10
     max_step: float = np.inf
@@ -118,8 +115,6 @@ class IntegratorOptions:
     trace_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {_METHODS}")
         for names, kind, what in (
                 (("rtol", "atol", "max_step", "trace_tol"), Real,
                  "a real number"),
@@ -524,16 +519,15 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         def rhs(t, y):
             return a0 @ y
 
-    stiffness = jac = factorize = None
-    method = "DOP853" if opts.method == "dop853" else "RK45"
-    if opts.method == "adaptive":
-        # the step an explicit pair wants: the pulse's on a driven run, the
-        # cap or the whole span on an undriven one
-        step = env.step_bound if am is not None else min(opts.max_step, t1 - t0)
-        stiffness = _dominant_eigenvalue(a0)
-        if _is_stiff(stiffness, step):
-            method = "BDF"
-            jac, factorize = _newton_algebra(a0, am, ap, env)
+    jac = factorize = None
+    method = "RK45"
+    # the step an explicit pair wants: the pulse's on a driven run, the cap
+    # or the whole span on an undriven one
+    step = env.step_bound if am is not None else min(opts.max_step, t1 - t0)
+    stiffness = _dominant_eigenvalue(a0)
+    if _is_stiff(stiffness, step):
+        method = "BDF"
+        jac, factorize = _newton_algebra(a0, am, ap, env)
     ys, segments = _solve_segments(rhs, jac, factorize, ode.y0, t0, t1, t_eval,
                                    env if am is not None else None, method, opts)
     nfev = sum(seg["nfev"] for seg in segments)
@@ -576,7 +570,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     probs = result.count_probabilities()
     trace_defect = float(np.abs(probs.sum(axis=0) - 1.0).max())
     result.diagnostics.update(trace_defect=trace_defect, nfev=nfev,
-                              method=opts.method, size=total,
+                              size=total,
                               full_size=ode.full_size, segments=segments,
                               stiffness=stiffness)
     if trace_defect > opts.trace_tol:
@@ -695,14 +689,12 @@ def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
     segment): "RK45" with the in-package `rk45`, "BDF" with the in-package
     NDF `bdf` on the Jacobian `jac` and the factorization `factorize` of
     `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
-    components, splu factors above), and "DOP853" with scipy's solve_ivp.
-    The right-hand side is the same on every segment; only the driven one
-    caps the step at `env.step_bound`, so that the pulse is not stepped
-    over. Each integrator writes its dense output straight into the
+    components, splu factors above). The right-hand side is the same on
+    every segment; only the driven one caps the step at `env.step_bound`,
+    so that the pulse is not stepped over. Each integrator writes its dense output straight into the
     segment's rows of the result. Returns the states at t_eval, shape
     (len(t_eval), len(y0)) in column-major order, and one record per
-    segment: method, nfev, njev, nlu and the rejected steps (None for
-    DOP853, whose solve_ivp does not report them)."""
+    segment: method, nfev, njev, nlu and the rejected steps."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
     if env is not None:
         lo, hi = env.support
@@ -723,21 +715,8 @@ def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
         if method == "RK45":
             y, counts = rk45(rhs, y, a, b, te, out, opts.rtol, opts.atol,
                              max_step)
-        elif method == "BDF":
+        else:
             y, counts = bdf(rhs, jac, factorize, y, a, b, te, out, opts.rtol,
                             opts.atol, max_step)
-        else:
-            from scipy.integrate import solve_ivp
-            # strictly increasing times, ending at b, which starts the next
-            # segment
-            te, back = np.unique(np.append(te, b), return_inverse=True)
-            sol = solve_ivp(rhs, (a, b), y, method=method, t_eval=te,
-                            rtol=opts.rtol, atol=opts.atol, max_step=max_step)
-            if not sol.success:
-                raise NumericsError(f"{method} integration on [{a:.6g}, "
-                                    f"{b:.6g}] failed: {sol.message}")
-            out[:] = sol.y.T[back[:-1]]
-            y, counts = sol.y[:, -1], dict(nfev=sol.nfev, njev=sol.njev,
-                                           nlu=sol.nlu, rejected=None)
         segments.append(dict(t_span=[a, b], method=method, **counts))
     return ys, segments

@@ -108,8 +108,13 @@ def _settled(env, t, t_MIN, Delta):
     tail = float(env.intensity(t[-1] - t_MIN))
     if peak > 0 and tail > 1e-6 * peak:
         return False
-    drain = t_MIN + (5.0 / Delta if Delta > 0 else 0.0)
-    return t[-1] >= hi + drain or peak == 0.0
+    return t[-1] >= hi + _drain_time(t_MIN, Delta) or peak == 0.0
+
+
+def _drain_time(t_MIN, Delta):
+    """How long past the pulse support the registration pipeline takes
+    to drain: the dwell t_MIN, plus 5/Delta when resets are active."""
+    return t_MIN + (5.0 / Delta if Delta > 0 else 0.0)
 
 
 def efficiency(dist):
@@ -210,9 +215,9 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
 
     method "cw" uses the long-pulse steady-state response (fast, exact
     in the quasi-static limit, single and band kinds only); method
-    "hierarchy" rebuilds the architecture at each detuning (its `detuning`
-    parameter for the symmetric reduction, `delta_omega` for the tensor
-    kinds) and runs the driven integrator.
+    "hierarchy" rebuilds the architecture at each detuning `delta_omega`
+    and runs the driven integrator past the pulse for 10/Gamma^2 (the
+    shelving decay) plus the drain time the efficiency readout requires.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if method == "cw":
@@ -235,18 +240,18 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
     if sigma0 is None:
         raise ConfigError("hierarchy efficiency curve needs sigma0")
     from .pulses import gaussian_envelope
-    key = "detuning" if "detuning" in arch.params else "delta_omega"
     out = np.empty(delta_grid.size)
     for i, d in enumerate(delta_grid):
-        a = arch.with_params(**{key: float(d)})
+        a = arch.with_params(delta_omega=float(d))
         env = gaussian_envelope(sigma0)
         f = fock_input(field_photons, env)
         lo, hi = env.support
-        drain = 10.0 / a.params["Gamma"] ** 2 + t_MIN
+        Delta = a.params.get("Delta", 0.0)
+        drain = 10.0 / a.params["Gamma"] ** 2 + _drain_time(t_MIN, Delta)
         run = integrate_hierarchy(
             a.counting(field_photons), f, (lo, hi + drain),
             opts or IntegratorOptions(n_points=2, rtol=1e-6, atol=1e-9))
-        dist = detection_probabilities(run, t_MIN, a.params.get("Delta", 0.0))
+        dist = detection_probabilities(run, t_MIN, Delta)
         out[i] = efficiency(dist)
     return out
 

@@ -16,23 +16,11 @@ from .errors import ConfigError, NumericsError
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A pure closed-form evaluation: the value, which formula produced
-    it, and an echo of the inputs for report files."""
+    """A pure closed-form evaluation: the value and which formula
+    produced it."""
 
     value: object
     formula: str
-    inputs: dict
-
-    def to_dict(self):
-        val = self.value
-        if isinstance(val, tuple) and hasattr(val, "_asdict"):
-            val = {k: float(v) for k, v in val._asdict().items()}
-        elif isinstance(val, (int, float, np.floating)):
-            val = float(val)
-        return {"value": val, "formula": self.formula,
-                "inputs": {k: (float(v) if isinstance(v, (int, float, np.floating))
-                               else v)
-                           for k, v in self.inputs.items()}}
 
 
 def band_efficiency(n_b, gamma, Gamma, zeta, delta_omega=0.0):
@@ -236,7 +224,7 @@ def check_ideal_conditions(arch, tol=1e-9):
 
 
 def evaluate(name, **inputs):
-    """Run one oracle by name, wrapping the result for report files."""
+    """Run one oracle by name; the result carries its formula."""
     table = {
         "band-eff": (band_efficiency, "band detection probability"),
         "count-rate": (single_element_count_rate, "single-element count rate"),
@@ -246,4 +234,4 @@ def evaluate(name, **inputs):
     if name not in table:
         raise ConfigError(f"unknown oracle {name!r}; have {sorted(table)}")
     fn, formula = table[name]
-    return OracleResult(fn(**inputs), formula, inputs)
+    return OracleResult(fn(**inputs), formula)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-_SHAPES = ("gaussian", "square", "rising_exponential", "tabulated")
+_SHAPES = ("gaussian", "square", "rising-exponential", "tabulated")
 
 
 class PulseEnvelope:
@@ -43,9 +43,9 @@ class PulseEnvelope:
             self.width = float(width)
             self.t_center = float(t_center)
             self.sigma0 = self.width / np.sqrt(12.0)
-        elif shape == "rising_exponential":
+        elif shape == "rising-exponential":
             if rate is None or rate <= 0:
-                raise ConfigError("rising_exponential envelope needs rate > 0")
+                raise ConfigError("rising-exponential envelope needs rate > 0")
             self.rate = float(rate)
             self.t_stop = 0.0 if t_stop is None else float(t_stop)
             self.sigma0 = 1.0 / self.rate
@@ -81,7 +81,7 @@ class PulseEnvelope:
             lo = self.t_center - 0.5 * self.width
             hi = self.t_center + 0.5 * self.width
             amp = np.where((t >= lo) & (t < hi), 1.0 / np.sqrt(self.width), 0.0)
-        elif self.shape == "rising_exponential":
+        elif self.shape == "rising-exponential":
             x = self.rate * (t - self.t_stop)
             amp = np.where(t <= self.t_stop,
                            np.sqrt(self.rate) * np.exp(0.5 * np.clip(x, -745.0, 0.0)),
@@ -109,7 +109,7 @@ class PulseEnvelope:
         elif self.shape == "square":
             lo = self.t_center - 0.5 * self.width
             out = np.clip((t - lo) / self.width, 0.0, 1.0)
-        elif self.shape == "rising_exponential":
+        elif self.shape == "rising-exponential":
             x = self.rate * (t - self.t_stop)
             out = np.where(t <= self.t_stop, np.exp(np.clip(x, -745.0, 0.0)), 1.0)
         else:
@@ -124,7 +124,7 @@ class PulseEnvelope:
             return (self.t_center - 8.0 * self.sigma0, self.t_center + 8.0 * self.sigma0)
         if self.shape == "square":
             return (self.t_center - 0.5 * self.width, self.t_center + 0.5 * self.width)
-        if self.shape == "rising_exponential":
+        if self.shape == "rising-exponential":
             return (self.t_stop - 40.0 / self.rate, self.t_stop)
         return (float(self.times[0]), float(self.times[-1]))
 
@@ -134,56 +134,6 @@ class PulseEnvelope:
         support width, which is sigma0 / 4 for a Gaussian."""
         lo, hi = self.support
         return (hi - lo) / 64
-
-    def to_dict(self):
-        d = {"schema_version": 1, "shape": self.shape, "detuning": self.detuning}
-        if self.shape == "gaussian":
-            d.update(sigma0=self.sigma0, t_center=self.t_center)
-        elif self.shape == "square":
-            d.update(width=self.width, t_center=self.t_center)
-        elif self.shape == "rising_exponential":
-            d.update(rate=self.rate, t_stop=self.t_stop)
-        else:
-            d.update(times=self.times.tolist(),
-                     values_re=self.values.real.tolist(),
-                     values_im=self.values.imag.tolist())
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        ver = d.pop("schema_version", 1)
-        if ver != 1:
-            raise ConfigError(f"unsupported envelope schema_version {ver!r}")
-        shape = d.pop("shape", None)
-        if shape == "tabulated":
-            times = d.pop("times")
-            vals = np.asarray(d.pop("values_re"), dtype=float) + 1j * np.asarray(
-                d.pop("values_im", np.zeros(len(times))), dtype=float)
-            return cls("tabulated", times=times, values=vals, **d)
-        return cls(shape, **d)
-
-    @classmethod
-    def from_file(cls, path, detuning=0.0):
-        """Load a tabulated envelope from a text file.
-
-        Columns: time, amplitude [, imaginary part]. Lines starting with
-        '#' are comments. The profile is renormalized on load.
-        """
-        data = np.loadtxt(path, ndmin=2)
-        if data.shape[1] < 2:
-            raise ConfigError(f"{path}: need at least two columns (t, amplitude)")
-        vals = data[:, 1].astype(complex)
-        if data.shape[1] >= 3:
-            vals = vals + 1j * data[:, 2]
-        return cls("tabulated", times=data[:, 0], values=vals, detuning=detuning)
-
-    def to_file(self, path, n_points=2001):
-        lo, hi = self.support
-        t = np.linspace(lo, hi, n_points) if self.shape != "tabulated" else self.times
-        v = np.atleast_1d(self.__call__(t))
-        np.savetxt(path, np.column_stack([t, v.real, v.imag]),
-                   header="time re(E) im(E)")
 
 
 def gaussian_envelope(sigma0, t_center=0.0, detuning=0.0):
@@ -197,7 +147,7 @@ def square_envelope(width, t_center=0.0, detuning=0.0):
 
 def rising_exponential_envelope(rate, t_stop=0.0, detuning=0.0):
     """Exponentially rising pulse cut off at t_stop (time-reversed decay)."""
-    return PulseEnvelope("rising_exponential", rate=rate, t_stop=t_stop, detuning=detuning)
+    return PulseEnvelope("rising-exponential", rate=rate, t_stop=t_stop, detuning=detuning)
 
 
 def tabulated_envelope(times, values, detuning=0.0):

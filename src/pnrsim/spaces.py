@@ -8,16 +8,12 @@ Grades let the oracles tell bright excited states from dark ones.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csr import CSR, as_csr, kron
 from .errors import ConfigError
-
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class Subsystem:
@@ -138,26 +134,6 @@ class HilbertSpace:
         parts = ", ".join(f"{s.label}:{s.dim}" for s in self.subsystems)
         return f"HilbertSpace({parts}, dim={self.dim})"
 
-    def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "subsystems": [
-                {"label": s.label, "states": list(s.states), "grades": list(s.grades)}
-                for s in self.subsystems
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        ver = d.get("schema_version")
-        if ver != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported space schema_version {ver!r}")
-        subs = [
-            Subsystem(e["label"], tuple(e["states"]), tuple(e.get("grades") or ()) or None)
-            for e in d["subsystems"]
-        ]
-        return cls(subs)
-
 
 def build_space(subsystem_specs):
     """Build a HilbertSpace from a list of subsystem specs.
@@ -242,40 +218,6 @@ class Operator:
     def expect(self, rho):
         """tr(op rho) for a dense density matrix."""
         return complex(np.trace(self.matrix.toarray() @ rho))
-
-    def to_dict(self):
-        m = self.matrix
-        entries = [
-            [int(r), int(c), float(v.real), float(v.imag)]
-            for r, c, v in zip(m.rows(), m.indices, m.data)
-        ]
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "space": self.space.to_dict(),
-            "name": self.name,
-            "hermitian": self.hermitian,
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_dict(cls, d, space=None):
-        ver = d.get("schema_version")
-        if ver != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported operator schema_version {ver!r}")
-        space = space or HilbertSpace.from_dict(d["space"])
-        entries = d["entries"]
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] + 1j * e[3] for e in entries]
-        m = CSR.from_triplets(vals, rows, cols, (space.dim, space.dim), complex)
-        return cls(space, m, name=d.get("name", ""), hermitian=d.get("hermitian", False))
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 def _check_same_space(a, b):

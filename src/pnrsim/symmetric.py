@@ -62,8 +62,10 @@ class SymmetricLiouvillian:
     """Generator of the symmetric model in the class basis.
 
     gamma, Gamma, k_transfer are amplitudes (their squares are rates);
-    Delta is the register reset rate; detuning shifts the element
-    transition relative to the drive carrier. Channels carry the same
+    Delta is the register reset rate; delta_omega is the carrier detuning
+    with the tensor builders' sign: each excited element has energy
+    -delta_omega in the rotating frame, so the generator carries
+    +i delta_omega (N_k - N_b). Channels carry the same
     tags as the tensor builders: ABSORB (joint coupling to the mode),
     SHELVE, TRANSFER, RESET. The class basis carries no monitored
     amplifier channel, so `amps` is empty.
@@ -72,7 +74,7 @@ class SymmetricLiouvillian:
     amps = ()
 
     def __init__(self, n_elements, n_registers, gamma, Gamma, k_transfer=0.0,
-                 Delta=0.0, detuning=0.0, exc_cap=1):
+                 Delta=0.0, delta_omega=0.0, exc_cap=1):
         if n_elements < 1:
             raise ConfigError(f"need at least one element, got {n_elements}")
         if n_registers < 0:
@@ -87,7 +89,7 @@ class SymmetricLiouvillian:
         self.Gamma = float(Gamma)
         self.k_transfer = float(k_transfer)
         self.Delta = float(Delta)
-        self.detuning = float(detuning)
+        self.delta_omega = float(delta_omega)
         self.exc_cap = int(exc_cap)
 
         cls = enumerate_classes(self.n_elements, self.n_registers, self.exc_cap)
@@ -178,7 +180,7 @@ class SymmetricLiouvillian:
 
         sandwiches = {}
         sandwiches["ABSORB"] = lm_l @ rm_ld
-        g = -1j * self.detuning * (Nt("k") - Nt("b"))
+        g = 1j * self.delta_omega * (Nt("k") - Nt("b"))
         g = g + sandwiches["ABSORB"] - 0.5 * (lm_ld @ lm_l) - 0.5 * (rm_l @ rm_ld)
 
         sandwiches["SHELVE"] = G2 * T("C", "e")

@@ -164,6 +164,37 @@ def dense_count_probabilities(ev, field, t_eval, **solve_kw):
     return np.real(np.einsum("nm,tnms->st", field.coefficients, traces))
 
 
+def compiled_reference(model, field, t_span, t_eval, rho0=None, rtol=1e-12,
+                       atol=1e-14):
+    """States at t_eval, (nt, kept), and sector traces,
+    (n_max+1, n_max+1, S, nt), of `compile_hierarchy`'s ODE integrated by
+    scipy's DOP853, independently of the package's integrators. A driven
+    run caps the step at the envelope's step bound over the whole span."""
+    from pnrsim.hierarchy import compile_hierarchy
+    ode = compile_hierarchy(model, field, t_span, rho0=rho0)
+    a0 = to_scipy(ode.a0)
+    max_step = np.inf
+    if ode.am is None:
+        def rhs(t, y):
+            return a0 @ y
+    else:
+        am, ap, env = to_scipy(ode.am), to_scipy(ode.ap), ode.envelope
+        max_step = env.step_bound
+
+        def rhs(t, y):
+            e = env(t)
+            return a0 @ y + e * (am @ y) + np.conj(e) * (ap @ y)
+
+    sol = solve_ivp(rhs, (ode.t0, ode.t1), ode.y0, method="DOP853",
+                    t_eval=t_eval, rtol=rtol, atol=atol, max_step=max_step)
+    assert sol.success, sol.message
+    ev, np1 = ode.engine, ode.n_max + 1
+    blk, pos = np.divmod(ode.keep, ev.vec_dim)
+    traces = np.zeros((np1 * np1 * ev.n_sectors, len(t_eval)), dtype=complex)
+    np.add.at(traces, blk, sol.y * ev.trace_row[pos][:, None])
+    return sol.y.T, traces.reshape(np1, np1, ev.n_sectors, len(t_eval))
+
+
 def random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T

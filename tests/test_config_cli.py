@@ -16,7 +16,7 @@ import pytest
 from pnrsim.cli import _float_lines, _fmt, main
 from pnrsim.config import (RunConfig, build_envelope, canonical_json,
                            config_sha256)
-from pnrsim.errors import ConfigError
+from pnrsim.errors import ConfigError, ResourceLimitError
 from pnrsim.hierarchy import IntegratorOptions
 from pnrsim.pulses import FieldInput
 from pnrsim.trajectories import _prepare
@@ -535,10 +535,40 @@ def test_cli_design_tradeoff_stdout(capsys):
 
 
 def test_cli_bad_architecture_params(tmp_path, capsys):
-    path = write_cfg(tmp_path, architecture={"kind": "single",
-                                             "params": {"bogus": 1.0}})
-    assert main(["simulate", path, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    sym = {"n_D": 2, "n_A": 1, "gamma_eff": 1.0, "Gamma": 1.0}
+    cases = [
+        ({"kind": "single", "params": {"bogus": 1.0}}, "bogus"),
+        # the symmetric detuning is delta_omega, with the tensor sign: the
+        # old name would flip it silently, so it is refused
+        ({"kind": "pnr-symmetric", "params": {**sym, "detuning": 0.3}},
+         "detuning"),
+        # the dimension guard is limits.max_dim alone
+        ({"kind": "pnr", "params": {"n_D": 1, "n_A": 1, "max_dim": 10**5}},
+         "limits.max_dim"),
+    ]
+    for i, (arch, name) in enumerate(cases):
+        path = write_cfg(tmp_path, name=f"arch{i}.json", architecture=arch)
+        out = tmp_path / f"arch{i}"
+        assert main(["simulate", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert not out.exists()
+
+
+def test_limits_max_dim_is_the_builders_guard():
+    # a 5,832-dimensional PNR tensor: the builder's own guard of 4,096
+    # used to refuse it whatever limits.max_dim and --allow-large said
+    doc = base_doc(architecture={"kind": "pnr",
+                                 "params": {"n_D": 6, "n_A": 3}},
+                   field=_photons(2))
+    big = RunConfig.from_dict({**doc, "limits": {"max_dim": 100000}})
+    assert big.build_architecture().dim == 5832
+    assert RunConfig.from_dict(doc).build_architecture(True).dim == 5832
+    with pytest.raises(ResourceLimitError, match="limits.max_dim"):
+        RunConfig.from_dict(doc).build_architecture()
+    small = RunConfig.from_dict({**base_doc(), "limits": {"max_dim": 2}})
+    with pytest.raises(ResourceLimitError, match="limits.max_dim=2"):
+        small.build_architecture()
 
 
 def test_cli_vacuum_run(tmp_path, capsys):
@@ -552,8 +582,8 @@ def test_cli_vacuum_run(tmp_path, capsys):
 
 
 def test_cli_band_and_banded_pnr_take_a_dos_mapping(tmp_path, capsys):
-    # the config's DOS mapping goes through the same deserializer as
-    # ArchitectureSpec.from_dict, so both kinds build and run
+    # RunConfig.build_architecture turns the config's DOS mapping into a
+    # DosModel, so both kinds build and run
     dos = {"kind": "flat2d", "width": 1.0}
     archs = {
         "band": {"kind": "band", "params": {"dos": dos, "n_b": 2,
@@ -659,9 +689,11 @@ def test_cli_non_finite_integrator_options_are_config_errors(tmp_path, capsys):
         ("simulate", {"integrator": {"max_store_bytes": "big"}},
          "max_store_bytes"),
     ]
-    # the trapezoid method and its dt, and store_states, are gone: a config
-    # that still sets one names it under simulate and validate-config alike
-    for over, name in (({"method": "trapezoid"}, "'trapezoid'"),
+    # the integrator method, the trapezoid's dt and store_states are gone:
+    # a config that still sets one names it under simulate and
+    # validate-config alike
+    for over, name in (({"method": "trapezoid"}, "integrator: method"),
+                       ({"method": "dop853"}, "integrator: method"),
                        ({"dt": 1e-3}, "integrator: dt"),
                        ({"store_states": True}, "integrator: store_states")):
         cases += [(cmd, {"integrator": over}, name)

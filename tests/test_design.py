@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from pnrsim.design import (PhysicalParams, TRADEOFF_CSV_COLUMNS,
+from pnrsim.design import (TRADEOFF_CSV_COLUMNS,
                            effective_coupling, film_thickness,
                            required_absorbers, snr0_transport,
                            tradeoff_curve, tradeoff_family,
@@ -174,22 +174,3 @@ def test_dark_rate_formula_traceable():
                                    rel=1e-13)
     assert p.Delta == pytest.approx(-math.log1p(-0.02) / (3 * 2e-9),
                                     rel=1e-14)
-
-
-def test_physical_params():
-    pp = PhysicalParams(lam=1.55e-6, area=1e-12, sigma_cross=1e-18,
-                        alpha=2e7, current=10e-6, f=0.1, gamma_free2=1.0)
-    assert pp.required_absorbers() == 666667
-    assert pp.film_thickness() == pytest.approx(film_thickness(2e7))
-    assert pp.snr0(1e-9) == pytest.approx(17.665657466481065, rel=1e-12)
-    assert pp.effective_coupling(1e5) == pytest.approx(57355.46261674178,
-                                                       rel=1e-12)
-    with pytest.raises(ConfigError):
-        PhysicalParams(lam=0.0, area=1e-12)
-    with pytest.raises(ConfigError):
-        PhysicalParams(lam=1e-6, area=1e-12, f=1.5)
-    bare = PhysicalParams(lam=1e-6, area=1e-12)
-    with pytest.raises(ConfigError):
-        bare.required_absorbers()
-    with pytest.raises(ConfigError):
-        bare.snr0(1e-9)

@@ -244,8 +244,8 @@ def test_efficiency_curve_cw_matches_hierarchy():
 
 
 def test_efficiency_curve_sweeps_the_symmetric_detuning():
-    # the symmetric reduction names its detuning `detuning`, the tensor
-    # kinds `delta_omega`; both builds describe the same two-element array
+    # every kind, the symmetric reduction included, names its detuning
+    # `delta_omega`; both builds describe the same two-element array
     deltas = [-0.6, 0.0, 0.6]
     sym = efficiency_curve(build_symmetric_reduced(2, 0, 1.0, 1.0), deltas,
                            method="hierarchy", sigma0=2.0)
@@ -253,6 +253,16 @@ def test_efficiency_curve_sweeps_the_symmetric_detuning():
                             method="hierarchy", sigma0=2.0)
     assert np.abs(sym - full).max() < 1e-6
     assert sym[1] > sym[0] + 0.01
+
+
+def test_efficiency_curve_drains_past_slow_resets():
+    # the run stopped 10/Gamma^2 past the pulse, short of the 5/Delta the
+    # readout waits for, so any reset rate below 0.5 raised NumericsError;
+    # a single photon's registration does not depend on the reset rate
+    def curve(Delta):
+        arch = build_single_element(1.0, 1.0, Delta=Delta)
+        return efficiency_curve(arch, [0.0], method="hierarchy", sigma0=1.0)
+    assert abs(curve(0.1)[0] - curve(0.0)[0]) < 1e-6
 
 
 def test_metrics_report_serialization():

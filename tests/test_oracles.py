@@ -199,11 +199,9 @@ def test_evaluate_registry():
     res = evaluate("band-eff", n_b=16, gamma=0.25, Gamma=1.0, zeta=0.0)
     assert isinstance(res, OracleResult)
     assert res.value == 1.0
-    assert res.to_dict()["inputs"]["n_b"] == 16
     rates = evaluate("rates", N=2, Delta=0.3, t_MIN=1.0, snr0=2.0)
-    d = rates.to_dict()
-    assert d["value"]["r_C"] == pytest.approx(0.6)
-    assert set(d["value"]) == {"r_C", "r_DC", "ratio", "eff_loss", "Delta",
-                               "r_C_approx"}
+    assert rates.value.r_C == pytest.approx(0.6)
+    assert set(rates.value._fields) == {"r_C", "r_DC", "ratio", "eff_loss",
+                                        "Delta", "r_C_approx"}
     with pytest.raises(ConfigError):
         evaluate("mystery")

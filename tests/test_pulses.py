@@ -94,29 +94,6 @@ def test_tabulated_renormalizes_and_reports_moments():
     assert env.cumulative(0.0) == pytest.approx(0.5, abs=1e-6)
 
 
-def test_tabulated_file_round_trip(tmp_path):
-    src = gaussian_envelope(1.3, t_center=0.4)
-    path = tmp_path / "pulse.txt"
-    src.to_file(path, n_points=8001)
-    loaded = PulseEnvelope.from_file(path)
-    t = np.linspace(-5, 5, 301)
-    assert np.abs(np.asarray(loaded(t)) - np.asarray(src(t))).max() < 1e-6
-    assert loaded.sigma0 == pytest.approx(1.3, rel=1e-4)
-
-
-def test_dict_round_trip_all_shapes():
-    t = np.linspace(0, 1, 64)
-    for env in (gaussian_envelope(0.8, 0.1, detuning=1.5),
-                square_envelope(2.0, -0.5),
-                rising_exponential_envelope(3.0, 1.0),
-                tabulated_envelope(t, np.sin(np.pi * t) + 0.2j * t)):
-        clone = PulseEnvelope.from_dict(env.to_dict())
-        probe = np.linspace(*env.support, 97)
-        assert np.allclose(np.asarray(clone(probe)), np.asarray(env(probe)))
-    with pytest.raises(ConfigError):
-        PulseEnvelope.from_dict({"schema_version": 99, "shape": "gaussian", "sigma0": 1.0})
-
-
 def test_envelope_validation():
     with pytest.raises(ConfigError):
         gaussian_envelope(0.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pnrsim.errors import ConfigError
-from pnrsim.spaces import (HilbertSpace, Operator, build_space, embed, identity,
-                           projector, transition)
+from pnrsim.spaces import (Operator, build_space, embed, identity, projector,
+                           transition)
 
 
 def test_build_space_dims():
@@ -52,11 +52,6 @@ def test_grades_default_and_composite():
 def test_explicit_grades():
     sp = build_space([("d", ("0", "1", "C"), (0, 1, 2))])
     assert list(sp.grades) == [0, 1, 2]
-
-
-def test_space_serialization_round_trip():
-    sp = build_space([("d", ("0", "1", "C")), ("a", 2)])
-    assert HilbertSpace.from_dict(sp.to_dict()) == sp
 
 
 def test_projector_and_transition():
@@ -109,14 +104,6 @@ def test_hermitian_flag_checked():
     sp = build_space([("element", 2)])
     with pytest.raises(ConfigError):
         Operator(sp, np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-
-
-def test_operator_serialization_round_trip():
-    sp = build_space([("element", ("0", "1", "C"))])
-    op = transition(sp, "element", "C", "1", 0.5 + 0.25j)
-    back = Operator.from_json(op.to_json())
-    assert back.space == op.space
-    assert np.allclose(back.matrix.toarray(), op.matrix.toarray())
 
 
 def test_identity_operator():

@@ -58,9 +58,8 @@ def test_observable_row_names():
         sym.observable_row("charm")
 
 
-def full_single_run(gamma, Gamma, n, sigma0, detuning=0.0):
-    arch = build_single_element(gamma, Gamma, delta_omega=detuning)
-    env = gaussian_envelope(sigma0)
+def full_single_run(gamma, Gamma, n, env, delta_omega=0.0):
+    arch = build_single_element(gamma, Gamma, delta_omega=delta_omega)
     lo, hi = env.support
     span = (lo, hi + 6.0 / Gamma ** 2)
     opts = IntegratorOptions(rtol=1e-10, atol=1e-12, n_points=41)
@@ -70,10 +69,9 @@ def full_single_run(gamma, Gamma, n, sigma0, detuning=0.0):
                                observables=obs)
 
 
-def sym_single_run(gamma, Gamma, n, sigma0, detuning=0.0):
-    arch = build_symmetric_reduced(1, 0, gamma, Gamma, detuning=detuning,
+def sym_single_run(gamma, Gamma, n, env, delta_omega=0.0):
+    arch = build_symmetric_reduced(1, 0, gamma, Gamma, delta_omega=delta_omega,
                                    exc_cap=n)
-    env = gaussian_envelope(sigma0)
     lo, hi = env.support
     span = (lo, hi + 6.0 / Gamma ** 2)
     opts = IntegratorOptions(rtol=1e-10, atol=1e-12, n_points=41)
@@ -86,12 +84,23 @@ def sym_single_run(gamma, Gamma, n, sigma0, detuning=0.0):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_single_element_reduction_is_exact(n):
-    full = full_single_run(0.9, 1.1, n, 1.5, detuning=0.3)
-    sym = sym_single_run(0.9, 1.1, n, 1.5, detuning=0.3)
+    env = gaussian_envelope(1.5)
+    full = full_single_run(0.9, 1.1, n, env, delta_omega=0.3)
+    sym = sym_single_run(0.9, 1.1, n, env, delta_omega=0.3)
     assert np.abs(full.count_probabilities() - sym.count_probabilities()).max() < 1e-8
     for name in ("excited", "shelved"):
         assert np.abs(np.real(full.observable(name))
                       - np.real(sym.observable(name))).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symmetric_detuning_has_the_tensor_sign(n):
+    # a detuned carrier tells the sign of delta_omega apart: with the
+    # opposite sign the two models differ by up to 0.25 in count probability
+    env = gaussian_envelope(1.5, detuning=0.5)
+    full = full_single_run(0.9, 1.1, n, env, delta_omega=0.3)
+    sym = sym_single_run(0.9, 1.1, n, env, delta_omega=0.3)
+    assert np.abs(full.count_probabilities() - sym.count_probabilities()).max() < 1e-8
 
 
 def test_pnr_reduction_matches_full_tensor():
