@@ -35,6 +35,16 @@ def runs(indptr, idx):
                                                     count)
 
 
+def unique(a):
+    """The sorted distinct values of `a` (flattened), as np.unique gives
+    them. np.unique without return_inverse, and np.union1d, import
+    numpy.ma (about 11 ms) on their first call."""
+    a = np.sort(a, axis=None)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 # products a 2-D product forms at a time
 _BLOCK = 2 ** 15
 
@@ -190,7 +200,7 @@ class CSR:
         if other.shape != self.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
         ka, kb = self._keys(), other._keys()
-        keys = np.union1d(ka, kb)
+        keys = unique(np.concatenate((ka, kb)))
         va = np.zeros(keys.size, dtype=self.dtype)
         vb = np.zeros(keys.size, dtype=other.dtype)
         va[np.searchsorted(keys, ka)] = self.data
@@ -314,7 +324,7 @@ def union_pattern(mats):
     each matrix's values on that pattern (0 where it has no entry). A
     combination of the matrices is then a few vector operations written
     into the pattern's `data`, with no sparse-object construction."""
-    keys = np.unique(np.concatenate([m._keys()[m.data != 0] for m in mats]))
+    keys = unique(np.concatenate([m._keys()[m.data != 0] for m in mats]))
     pattern = CSR._from_keys(keys, np.zeros(keys.size, dtype=complex),
                              mats[0].shape)
     rows, cols = pattern.rows(), pattern.indices

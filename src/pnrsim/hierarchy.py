@@ -22,14 +22,18 @@ step with the in-package Dormand-Prince 5(4) pair (`ivp.rk45`, step for
 step scipy's RK45). Collective coupling makes the generator stiff, so
 the run moves to the in-package variable-order NDF of Shampine &
 Reichelt (SIAM J. Sci. Comput. 18, 1 (1997)) (`ivp.bdf`, step
-for step scipy's BDF) when a one-off Arnoldi estimate of the spectral
-radius says so (see `IntegratorOptions`); undriven runs make the same
-test against their step cap or span. Its Newton matrix I - c J is
-inverted densely by numpy up to _DENSE_NEWTON_SIZE kept components,
-where that is faster and loads no scipy module, and factorized with
-scipy.sparse.linalg.splu above (`_newton_algebra`), the one place the
-run imports scipy.sparse. The run keeps the
-state at every output time; a run whose states would exceed
+for step scipy's BDF) when a one-off estimate of the spectral radius
+says so (see `IntegratorOptions`); undriven runs make the same test
+against their step cap or span.
+
+Small hierarchies, up to _DENSE_SIZE kept components, are solved on
+dense blocks, made once per run: the right-hand side is one or three
+small single-threaded BLAS products per call (`_rhs`), the spectral
+radius is exact (np.linalg.eigvals), and BDF's Newton matrix I - c J is
+inverted by numpy. Larger ones keep the CSR blocks: an Arnoldi estimate
+of the radius, and splu factors of I - c J (`_newton_algebra`), the one
+place a run imports scipy.sparse. The run keeps the state at every
+output time; a run whose states would exceed
 `max_store_bytes` is refused before they are allocated. The diagnostics
 record each segment's method and its nfev, njev, nlu and rejected steps,
 and the trace and Hermiticity defects of the result.
@@ -66,7 +70,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .csr import CSR, runs, union_pattern, vstack
+from .csr import CSR, runs, union_pattern, unique, vstack
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .ivp import bdf, rk45
 from .liouville import EngineView
@@ -75,10 +79,17 @@ from .spaces import Operator
 
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
-# kept size up to which BDF inverts I - c J densely: on stiff symmetric
+# kept size up to which the blocks are dense arrays (the RHS, the exact
+# stiffness estimate and BDF's inverted I - c J): on stiff symmetric
 # models the inverse beat splu per solve at 35 and 62 kept components,
-# was about even at 89 and lost at 112 and 189
-_DENSE_NEWTON_SIZE = 64
+# was about even at 89 and lost at 112 and 189. Up to 63, an n x n
+# matrix-vector product has fewer than _SERIAL_GEMV entries.
+_DENSE_SIZE = 63
+# OpenBLAS (0.3.31, as numpy ships it) runs a complex matrix-vector
+# product of this many entries or more on its thread pool; at 64 x 64 a
+# product that took 3 us on one thread took 39 us in a fresh process with
+# two threads
+_SERIAL_GEMV = 4096
 
 
 @dataclass(frozen=True)
@@ -86,18 +97,18 @@ class IntegratorOptions:
     """Knobs for the hierarchy integrator.
 
     The integrator chooses its solver once per run from the eigenvalue
-    lambda* of largest modulus of the undriven generator, estimated by an
-    Arnoldi iteration: the in-package NDF/BDF of Shampine & Reichelt
-    (1997) with the exact Jacobian, as scipy's BDF, when |lambda*| * step
-    > 20 and lambda* lies within 45 degrees of the negative real axis
-    (stiff, damped spectra such as strong collective coupling), the
-    in-package Dormand-Prince pair RK45 otherwise. The step is
-    envelope.step_bound on driven runs and min(max_step, t1 - t0) on
-    undriven ones (no photons). BDF holds the Jacobian as a dense array
-    and inverts I - c J with numpy up to _DENSE_NEWTON_SIZE kept
-    components, and as a sparse matrix factorized by splu above. Both
-    solvers split the span at the envelope support and cap the step at
-    envelope.step_bound on the driven segment only.
+    lambda* of largest modulus of the undriven generator: the in-package
+    NDF/BDF of Shampine & Reichelt (1997) with the exact Jacobian, as
+    scipy's BDF, when |lambda*| * step > 20 and lambda* lies within 45
+    degrees of the negative real axis (stiff, damped spectra such as
+    strong collective coupling), the in-package Dormand-Prince pair RK45
+    otherwise. The step is envelope.step_bound on driven runs and
+    min(max_step, t1 - t0) on undriven ones (no photons). Up to
+    _DENSE_SIZE kept components the blocks are dense arrays: lambda* is
+    the exact eigenvalue, and BDF inverts I - c J with numpy. Above it
+    lambda* is an Arnoldi estimate, and BDF factorizes the sparse I - c J
+    by splu. Both solvers split the span at the envelope support and cap
+    the step at envelope.step_bound on the driven segment only.
 
     The run keeps the state at every output time. Before anything of
     that size is allocated, a run whose kept size x output times x 16
@@ -185,10 +196,10 @@ class _BlockGraph:
         found = front = seeds
         while front.size:
             row = self._entries(front)[2]
-            row = np.unique(row[row >= 0])
+            row = unique(row[row >= 0])
             # the rows not in `found` yet (sorted, so one searchsorted)
             front = row[found.take(np.searchsorted(found, row), mode="clip") != row]
-            found = np.union1d(found, front)
+            found = unique(np.concatenate((found, front)))
         return found
 
     def restrict(self, keep):
@@ -505,20 +516,9 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     if t_eval is None:
         t_eval = np.linspace(t0, t1, nt)
 
-    if am is not None:
-        # one product gives a0 y, am y and ap y, stacked
-        blocks = vstack([a0, am, ap])
-
-        def rhs(t, y):
-            e = env(t)
-            if e == 0:
-                return a0 @ y
-            u = blocks @ y
-            return u[:total] + e * u[total:2 * total] + np.conj(e) * u[2 * total:]
-    else:
-        def rhs(t, y):
-            return a0 @ y
-
+    if total <= _DENSE_SIZE:
+        a0, am, ap = (m if m is None else m.toarray() for m in (a0, am, ap))
+    rhs = _rhs(a0, am, ap, env)
     jac = factorize = None
     method = "RK45"
     # the step an explicit pair wants: the pulse's on a driven run, the cap
@@ -590,7 +590,7 @@ def _hermiticity_defect(result, ev):
     np1, S, vd = result.n_max + 1, result.n_sectors, result.vec_dim
     blk, comp = np.divmod(result.keep, vd)
     key = blk // S * vd + comp          # member and component
-    keys, y = np.unique(key), result.states[-1]
+    keys, y = unique(key), result.states[-1]
     member = np.zeros(keys.size, dtype=complex)
     for s in range(S):
         on = blk % S == s
@@ -602,16 +602,63 @@ def _hermiticity_defect(result, ev):
     return float(np.abs(member - np.conj(other)).max())
 
 
+def _rhs(a0, am, ap, env):
+    """f(t, y) = (a0 + E(t) am + E*(t) ap) y, a0 y where E(t) = 0 or am is
+    None. Sparse blocks take one product with the three stacked. Dense
+    blocks (up to _DENSE_SIZE kept components) take one product with
+    [a0 am ap] on (y, E y, E* y) while that matrix stays below
+    _SERIAL_GEMV entries (up to 36 components), and three products above,
+    so that no product runs on OpenBLAS's threads. On a 2-vCPU x86-64
+    host, a call at 35 components took 9.6 us this way, 12.5 us with
+    three products, 10.2 us with the stacked (3n x n) array and 20 us
+    with the stacked CSR blocks. At 62 components the [a0 am ap] product,
+    threaded there, took about the wall time of three products and twice
+    their CPU time."""
+    if am is None:
+        return lambda t, y: a0 @ y
+    n = a0.shape[0]
+    if not isinstance(a0, np.ndarray):
+        # one product gives a0 y, am y and ap y, stacked
+        blocks = vstack([a0, am, ap])
+
+        def rhs(t, y):
+            e = env(t)
+            if e == 0:
+                return a0 @ y
+            u = blocks @ y
+            return u[:n] + e * u[n:2 * n] + e.conjugate() * u[2 * n:]
+    elif 3 * n * n < _SERIAL_GEMV:
+        wide = np.hstack((a0, am, ap))
+
+        def rhs(t, y):
+            e = env(t)
+            if e == 0:
+                return a0 @ y
+            return wide @ np.concatenate((y, e * y, e.conjugate() * y))
+    else:
+        def rhs(t, y):
+            e = env(t)
+            if e == 0:
+                return a0 @ y
+            return a0 @ y + e * (am @ y) + e.conjugate() * (ap @ y)
+    return rhs
+
+
 def _dominant_eigenvalue(a):
-    """Eigenvalue of largest modulus of the sparse matrix `a`: the Ritz
-    value of largest modulus after m = min(n, _ARNOLDI_STEPS) Arnoldi
-    steps from a fixed start vector (so repeated runs agree), each new
-    direction orthogonalised twice against the basis. If the Krylov space
-    closes early it is invariant and its Ritz values are eigenvalues; with
-    n <= m the basis spans the whole space and the estimate is the dense
-    one. The projections are elementwise products and sums, not BLAS
-    gemv: a fresh process's first threaded gemv calls took up to a second
-    on a 2-vCPU host."""
+    """Eigenvalue of largest modulus of `a`. A dense array (the blocks up
+    to _DENSE_SIZE kept components) gets the exact one from
+    np.linalg.eigvals. A sparse matrix gets the Ritz value of largest
+    modulus after m = min(n, _ARNOLDI_STEPS) Arnoldi steps from a fixed
+    start vector (so repeated runs agree), each new direction
+    orthogonalised twice against the basis. If the Krylov space closes
+    early it is invariant and its Ritz values are eigenvalues; with n <= m
+    the basis spans the whole space and the estimate is the dense one.
+    The projections are elementwise products and sums, not BLAS gemv: a
+    fresh process's first threaded gemv calls took up to a second on a
+    2-vCPU host."""
+    if isinstance(a, np.ndarray):
+        lam = np.linalg.eigvals(a)
+        return complex(lam[np.argmax(np.abs(lam))])
     n = a.shape[0]
     m = min(n, _ARNOLDI_STEPS)
     v = np.random.default_rng(0).standard_normal(n).astype(complex)
@@ -636,16 +683,17 @@ def _dominant_eigenvalue(a):
 def _newton_algebra(a0, am, ap, env):
     """The Jacobian J(t) = a0 + E(t) am + E*(t) ap of the hierarchy (a0
     alone when am is None) and `factorize(J, c)`, the solve of I - c J,
-    for `ivp.bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
-    array and the factorization its inverse, applied by one product per
-    Newton iteration: numpy alone, with no sparse object made per call
-    and no scipy module loaded. Above it, J is a scipy CSC matrix on the
-    union pattern of the blocks and factorized by splu, whose fill stays
-    far below the n^2 of an inverse."""
+    for `ivp.bdf`. Dense blocks (up to _DENSE_SIZE kept components, made
+    once by `integrate_hierarchy`) give a dense J, and the factorization
+    is its inverse, applied by one product per Newton iteration: numpy
+    alone, with no sparse object made per call and no scipy module
+    loaded. Sparse blocks give a scipy CSC matrix J on the union pattern
+    of the blocks, factorized by splu, whose fill stays far below the n^2
+    of an inverse."""
     mats = [m for m in (a0, am, ap) if m is not None]
     n = a0.shape[0]
-    if n <= _DENSE_NEWTON_SIZE:
-        blocks, make = [m.toarray() for m in mats], np.asarray
+    if isinstance(a0, np.ndarray):
+        blocks, make = mats, np.asarray
         eye = np.eye(n)
 
         def factorize(J, c):
@@ -688,8 +736,8 @@ def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
     """Integrate on [t0, t1] split at the support of `env` (None: one
     segment): "RK45" with the in-package `rk45`, "BDF" with the in-package
     NDF `bdf` on the Jacobian `jac` and the factorization `factorize` of
-    `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
-    components, splu factors above). The right-hand side is the same on
+    `_newton_algebra` (a dense inverse up to _DENSE_SIZE kept components,
+    splu factors above). The right-hand side is the same on
     every segment; only the driven one caps the step at `env.step_bound`,
     so that the pulse is not stepped over. Each integrator writes its dense output straight into the
     segment's rows of the result. Returns the states at t_eval, shape

@@ -239,6 +239,9 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
         raise ConfigError(f"unknown efficiency-curve method {method!r}")
     if sigma0 is None:
         raise ConfigError("hierarchy efficiency curve needs sigma0")
+    if arch.params["Gamma"] == 0:
+        raise ConfigError("hierarchy efficiency curve drains for 10/Gamma^2 "
+                          "and needs Gamma > 0, got Gamma = 0")
     from .pulses import gaussian_envelope
     out = np.empty(delta_grid.size)
     for i, d in enumerate(delta_grid):

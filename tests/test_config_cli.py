@@ -753,7 +753,12 @@ def test_import_leaves_unused_scipy_submodules_unloaded():
 def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     # the package's own CSR type carries every sparse product, so neither
     # the import nor the three benchmark workloads load any scipy module
-    # (scipy.sparse alone was about 0.24 s of each process's start-up)
+    # (scipy.sparse alone was about 0.24 s of each process's start-up).
+    # Nor do they load numpy.ma (about 11 ms), which np.unique without
+    # return_inverse and np.union1d import, and the dense-block sweep
+    # loads no numpy.random (about 22 ms), which only the Arnoldi start
+    # vector and the trajectories use. Names are matched exactly: the
+    # prefix numpy.ma also matches numpy.matrixlib
     configs = SRC.parent / "perfbench" / "configs"
     commands = [None,
                 ["simulate", str(configs / "pnr-tensor.json")],
@@ -763,8 +768,12 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     for i, argv in enumerate(commands):
         run = "" if argv is None else (
             f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) == 0; ")
+        banned = ["scipy", "numpy.ma"]
+        if argv is None or argv[0] == "sweep":
+            banned.append("numpy.random")
         code = ("import sys; from pnrsim.cli import main; " + run +
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+                f"print(sorted(m for m in sys.modules for b in {banned!r} "
+                "if m == b or m.startswith(b + '.')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -801,7 +810,7 @@ def test_float_lines_write_floats_as_fmt_does():
 
 def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
     # the explicit solve and the stiffness estimate run on numpy alone, and
-    # so does BDF up to hierarchy._DENSE_NEWTON_SIZE kept components (35
+    # so does BDF up to hierarchy._DENSE_SIZE kept components (35
     # at exc_cap 2 with 2 photons); above it (112 at exc_cap 3 with 3
     # photons) BDF needs splu, the only reason a run imports scipy.sparse.
     # scipy.integrate (which loads scipy.optimize, scipy.special,

@@ -765,7 +765,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
                            (-16, 28), IntegratorOptions(), {})]
     records = []
     with monkeypatch.context() as m:
-        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        m.setattr(hierarchy, "_DENSE_SIZE", 0)
         pairs = list(_bdf_against_solve_ivp(monkeypatch, runs[:-1]))
     pairs += _bdf_against_solve_ivp(monkeypatch, runs[-1:])
     for got, ref in pairs:
@@ -773,7 +773,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
         assert segs == ref.diagnostics["segments"]
         assert np.array_equal(got.states, ref.states)
         records.append(segs)
-    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_NEWTON_SIZE
+    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_SIZE
     # counts of the sym-sweep points; Newton failures refresh the
     # Jacobian and some steps are rejected
     assert [(s["nfev"], s["njev"], s["nlu"]) for s in records[0]] == [
@@ -806,7 +806,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
 
 
 def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
-    # up to _DENSE_NEWTON_SIZE kept components J is a dense array and
+    # up to _DENSE_SIZE kept components J is a dense array and
     # I - c J is inverted; solve_ivp's BDF takes the same dense J through
     # an LU factorization, so the steps agree and the states to rounding
     runs = _bdf_runs()
@@ -819,7 +819,7 @@ def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
         return jac, factorize
     monkeypatch.setattr(hierarchy, "_newton_algebra", spy)
     for got, ref in _bdf_against_solve_ivp(monkeypatch, runs):
-        assert got.diagnostics["size"] <= hierarchy._DENSE_NEWTON_SIZE
+        assert got.diagnostics["size"] <= hierarchy._DENSE_SIZE
         assert isinstance(jacs[-1], np.ndarray)
         assert got.diagnostics["segments"] == ref.diagnostics["segments"]
         scale = np.abs(ref.states).max()
@@ -835,7 +835,7 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     got = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
     ref = compiled_reference(model, None, (0.5, 12.5), got.t, **kw)[0]
     d = got.diagnostics
-    assert d["size"] == 5 <= hierarchy._DENSE_NEWTON_SIZE
+    assert d["size"] == 5 <= hierarchy._DENSE_SIZE
     assert d["stiffness"] == pytest.approx(-201.0, rel=1e-3)
     (seg,) = d["segments"]
     # RK45 took nfev 5,342 with 123 rejected steps here
@@ -843,7 +843,7 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     assert np.abs(got.states - ref).max() < 1e-8
     # the splu path takes the same steps on the constant Jacobian a0
     with monkeypatch.context() as m:
-        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        m.setattr(hierarchy, "_DENSE_SIZE", 0)
         sparse = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
     assert sparse.diagnostics["segments"] == d["segments"]
     assert np.abs(sparse.states - got.states).max() < 1e-13
@@ -851,6 +851,39 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     vac = integrate_hierarchy(model, None, (0.5, 12.5))
     assert vac.diagnostics["size"] == 1 and vac.diagnostics["stiffness"] == 0
     assert {s["method"] for s in vac.diagnostics["segments"]} == {"RK45"}
+
+
+@pytest.mark.parametrize("case", ["sym-0.0707", "sym-0.1", "sym-0.2",
+                                  "sym-0.4", "sym-0.7", "sym-1.0",
+                                  "sym-1.0-detuned", "pnr-2-2"])
+def test_dense_blocks_match_the_sparse_path(monkeypatch, case):
+    # up to _DENSE_SIZE kept components the RHS, the stiffness estimate and
+    # the Newton algebra run on dense blocks. The six benchmark sweep points
+    # (35 kept components, one product with [a0 am ap]; the last three on
+    # BDF), the last one under a detuned pulse (a complex E(t)), and a
+    # detuned PNR(2, 2) (62, three products) take the steps the CSR path
+    # takes, with states equal to rounding
+    if case.startswith("sym"):
+        model = _sym_sweep_model(float(case.split("-")[1]))
+        field = fock_input(2, gaussian_envelope(
+            2.0, detuning=0.2 if case.endswith("detuned") else 0.0))
+    else:
+        model = build_pnr(2, 2).counting(2)
+        field = fock_input(2, gaussian_envelope(2.0, detuning=0.2))
+    got = integrate_hierarchy(model, field, (-16, 28))
+    with monkeypatch.context() as m:
+        m.setattr(hierarchy, "_DENSE_SIZE", 0)
+        ref = integrate_hierarchy(model, field, (-16, 28))
+    size = got.diagnostics["size"]
+    assert size == (35 if case.startswith("sym") else 62) <= hierarchy._DENSE_SIZE
+    assert 3 * 35 ** 2 < hierarchy._SERIAL_GEMV <= 3 * 62 ** 2
+    assert got.diagnostics["segments"] == ref.diagnostics["segments"]
+    scale = np.abs(ref.states).max()
+    assert np.abs(got.states - ref.states).max() <= 1e-12 * scale
+    # the exact eigenvalue against the Arnoldi estimate, which 40 steps do
+    # not converge at 62 components (-4.0000069-9.4e-6j for -4 there)
+    assert got.diagnostics["stiffness"] == pytest.approx(
+        ref.diagnostics["stiffness"], rel=1e-5)
 
 
 def test_arnoldi_estimate_is_the_dense_eigenvalue_on_small_states():
@@ -882,9 +915,19 @@ def test_arnoldi_estimate_keeps_the_stiffness_decisions():
                              (0.2, 17.92, False), (0.4, 65.68, True),
                              (0.7, 197.02, True), (1.0, 400.0, True)):
         cases.append((_sym_sweep_model(g), fock_input(2, env), radius, stiff))
+    above = 0
     for model, field, radius, stiff in cases:
         a0 = compile_hierarchy(model, field).a0
         lam = _dominant_eigenvalue(a0)
         assert abs(lam) == pytest.approx(radius, rel=1e-6)
         assert _is_stiff(lam, field.envelope.step_bound) == stiff
         assert _dominant_eigenvalue(a0) == lam
+        # runs up to _DENSE_SIZE kept components decide on the exact
+        # eigenvalue of the dense block; the Arnoldi estimate acts above
+        if a0.shape[0] <= hierarchy._DENSE_SIZE:
+            exact = _dominant_eigenvalue(a0.toarray())
+            assert abs(exact) == pytest.approx(radius, rel=1e-6)
+            assert _is_stiff(exact, field.envelope.step_bound) == stiff
+        else:
+            above += 1
+    assert above >= 5

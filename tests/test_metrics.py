@@ -265,6 +265,14 @@ def test_efficiency_curve_drains_past_slow_resets():
     assert abs(curve(0.1)[0] - curve(0.0)[0]) < 1e-6
 
 
+def test_efficiency_curve_without_shelving_is_a_config_error():
+    # the drain lasts 10/Gamma^2: Gamma = 0, which the builders accept,
+    # ended in a bare ZeroDivisionError
+    arch = build_single_element(1.0, 0.0)
+    with pytest.raises(ConfigError, match="Gamma"):
+        efficiency_curve(arch, [0.0], method="hierarchy", sigma0=1.0)
+
+
 def test_metrics_report_serialization():
     rep = MetricsReport(efficiency=0.95, jitter_sigma=1.2, jitter_sys=0.4j,
                         dark_rate=1e-6, count_rate=2e7, bandwidth_width=0.3,

@@ -163,3 +163,29 @@ def test_step_bound_is_a_sixty_fourth_of_the_support():
     assert square_envelope(2.0).step_bound == pytest.approx(2.0 / 64)
     assert rising_exponential_envelope(4.0).step_bound == pytest.approx(
         10.0 / 64)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.37, -1.3])
+def test_float_times_match_the_array_path_bitwise(detuning):
+    # a float t skips np.asarray and the shape checks (the integrators call
+    # E(t) once per RHS evaluation); its value and type must be those of
+    # the 0-d array path, bit for bit
+    envs = [gaussian_envelope(2.0, 0.3, detuning),
+            square_envelope(3.0, 0.1, detuning),
+            rising_exponential_envelope(1.7, 0.5, detuning),
+            tabulated_envelope(np.linspace(-3, 3, 11),
+                               np.exp(1j * np.linspace(0, 1, 11)), detuning)]
+
+    def bits(x):
+        return type(x), np.array(x).tobytes()
+    for env in envs:
+        lo, hi = env.support
+        special = [lo, hi, np.nextafter(hi, -np.inf), 0.5,
+                   np.nextafter(0.5, np.inf), -0.0, 0.0, -1e300, 1e300,
+                   -np.inf, np.inf]
+        ts = np.concatenate([np.linspace(lo - 5.0, hi + 5.0, 4001), special])
+        with np.errstate(all="ignore"):
+            for t in ts:
+                want = bits(env(np.asarray(t)))
+                assert bits(env(float(t))) == want, (env.shape, t)
+                assert bits(env(t)) == want, (env.shape, t)
