@@ -27,13 +27,14 @@ says so (see `IntegratorOptions`); undriven runs make the same test
 against their step cap or span.
 
 Small hierarchies, up to _DENSE_SIZE kept components, are solved on
-dense blocks, made once per run: the right-hand side is one or three
-small single-threaded BLAS products per call (`_rhs`), the spectral
-radius is exact (np.linalg.eigvals), and BDF's Newton matrix I - c J is
-inverted by numpy. Larger ones keep the CSR blocks: an Arnoldi estimate
-of the radius, and splu factors of I - c J (`_newton_algebra`), the one
-place a run imports scipy.sparse. The run keeps the state at every
-output time; a run whose states would exceed
+dense blocks, made once per run: the right-hand side is one small
+single-threaded BLAS product per call (`_rhs`) and the spectral radius
+is exact (np.linalg.eigvals). Larger ones keep the CSR blocks and an
+Arnoldi estimate of the radius. BDF's Newton matrix I - c J is inverted
+densely by numpy up to _DENSE_NEWTON_SIZE kept components, and
+factorized by splu above (`_newton_algebra`), the one place a run
+imports scipy.sparse. The run keeps the state at every output time; a
+run whose states would exceed
 `max_store_bytes` is refused before they are allocated. The diagnostics
 record each segment's method and its nfev, njev, nlu and rejected steps,
 and the trace and Hermiticity defects of the result.
@@ -79,17 +80,19 @@ from .spaces import Operator
 
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
-# kept size up to which the blocks are dense arrays (the RHS, the exact
-# stiffness estimate and BDF's inverted I - c J): on stiff symmetric
-# models the inverse beat splu per solve at 35 and 62 kept components,
-# was about even at 89 and lost at 112 and 189. Up to 63, an n x n
-# matrix-vector product has fewer than _SERIAL_GEMV entries.
-_DENSE_SIZE = 63
 # OpenBLAS (0.3.31, as numpy ships it) runs a complex matrix-vector
 # product of this many entries or more on its thread pool; at 64 x 64 a
 # product that took 3 us on one thread took 39 us in a fresh process with
 # two threads
 _SERIAL_GEMV = 4096
+# kept size up to which the blocks are dense arrays (the RHS and the exact
+# stiffness estimate): the largest n whose n x 3n product [a0 am ap] stays
+# below _SERIAL_GEMV entries, 36
+_DENSE_SIZE = math.isqrt((_SERIAL_GEMV - 1) // 3)
+# kept size up to which BDF inverts I - c J densely: on stiff symmetric
+# models the inverse beat splu per solve at 35 and 62 kept components,
+# was about even at 89 and lost at 112 and 189
+_DENSE_NEWTON_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -104,11 +107,13 @@ class IntegratorOptions:
     strong collective coupling), the in-package Dormand-Prince pair RK45
     otherwise. The step is envelope.step_bound on driven runs and
     min(max_step, t1 - t0) on undriven ones (no photons). Up to
-    _DENSE_SIZE kept components the blocks are dense arrays: lambda* is
-    the exact eigenvalue, and BDF inverts I - c J with numpy. Above it
-    lambda* is an Arnoldi estimate, and BDF factorizes the sparse I - c J
-    by splu. Both solvers split the span at the envelope support and cap
-    the step at envelope.step_bound on the driven segment only.
+    _DENSE_SIZE kept components the blocks are dense arrays and lambda*
+    is the exact eigenvalue; above it lambda* is an Arnoldi estimate. BDF
+    holds the Jacobian as a dense array and inverts I - c J with numpy up
+    to _DENSE_NEWTON_SIZE kept components, and as a sparse matrix
+    factorized by splu above. Both solvers split the span at the envelope
+    support and cap the step at envelope.step_bound on the driven segment
+    only.
 
     The run keeps the state at every output time. Before anything of
     that size is allocated, a run whose kept size x output times x 16
@@ -605,15 +610,12 @@ def _hermiticity_defect(result, ev):
 def _rhs(a0, am, ap, env):
     """f(t, y) = (a0 + E(t) am + E*(t) ap) y, a0 y where E(t) = 0 or am is
     None. Sparse blocks take one product with the three stacked. Dense
-    blocks (up to _DENSE_SIZE kept components) take one product with
-    [a0 am ap] on (y, E y, E* y) while that matrix stays below
-    _SERIAL_GEMV entries (up to 36 components), and three products above,
-    so that no product runs on OpenBLAS's threads. On a 2-vCPU x86-64
-    host, a call at 35 components took 9.6 us this way, 12.5 us with
-    three products, 10.2 us with the stacked (3n x n) array and 20 us
-    with the stacked CSR blocks. At 62 components the [a0 am ap] product,
-    threaded there, took about the wall time of three products and twice
-    their CPU time."""
+    blocks (up to _DENSE_SIZE kept components, so that the product stays
+    below _SERIAL_GEMV entries and off OpenBLAS's threads) take one
+    product with [a0 am ap] on (y, E y, E* y). On a 2-vCPU x86-64 host, a
+    call at 35 components took 9.6 us this way, 12.5 us with three
+    products, 10.2 us with the stacked (3n x n) array and 20 us with the
+    stacked CSR blocks."""
     if am is None:
         return lambda t, y: a0 @ y
     n = a0.shape[0]
@@ -627,7 +629,7 @@ def _rhs(a0, am, ap, env):
                 return a0 @ y
             u = blocks @ y
             return u[:n] + e * u[n:2 * n] + e.conjugate() * u[2 * n:]
-    elif 3 * n * n < _SERIAL_GEMV:
+    else:
         wide = np.hstack((a0, am, ap))
 
         def rhs(t, y):
@@ -635,12 +637,6 @@ def _rhs(a0, am, ap, env):
             if e == 0:
                 return a0 @ y
             return wide @ np.concatenate((y, e * y, e.conjugate() * y))
-    else:
-        def rhs(t, y):
-            e = env(t)
-            if e == 0:
-                return a0 @ y
-            return a0 @ y + e * (am @ y) + e.conjugate() * (ap @ y)
     return rhs
 
 
@@ -683,17 +679,18 @@ def _dominant_eigenvalue(a):
 def _newton_algebra(a0, am, ap, env):
     """The Jacobian J(t) = a0 + E(t) am + E*(t) ap of the hierarchy (a0
     alone when am is None) and `factorize(J, c)`, the solve of I - c J,
-    for `ivp.bdf`. Dense blocks (up to _DENSE_SIZE kept components, made
-    once by `integrate_hierarchy`) give a dense J, and the factorization
-    is its inverse, applied by one product per Newton iteration: numpy
-    alone, with no sparse object made per call and no scipy module
-    loaded. Sparse blocks give a scipy CSC matrix J on the union pattern
-    of the blocks, factorized by splu, whose fill stays far below the n^2
-    of an inverse."""
+    for `ivp.bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
+    array (the blocks as given when `integrate_hierarchy` made them dense,
+    up to _DENSE_SIZE) and the factorization its inverse, applied by one
+    product per Newton iteration: numpy alone, with no sparse object made
+    per call and no scipy module loaded. Above it, J is a scipy CSC
+    matrix on the union pattern of the blocks and factorized by splu,
+    whose fill stays far below the n^2 of an inverse."""
     mats = [m for m in (a0, am, ap) if m is not None]
     n = a0.shape[0]
-    if isinstance(a0, np.ndarray):
-        blocks, make = mats, np.asarray
+    if n <= _DENSE_NEWTON_SIZE:
+        blocks = [m if isinstance(m, np.ndarray) else m.toarray() for m in mats]
+        make = np.asarray
         eye = np.eye(n)
 
         def factorize(J, c):
@@ -736,8 +733,8 @@ def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
     """Integrate on [t0, t1] split at the support of `env` (None: one
     segment): "RK45" with the in-package `rk45`, "BDF" with the in-package
     NDF `bdf` on the Jacobian `jac` and the factorization `factorize` of
-    `_newton_algebra` (a dense inverse up to _DENSE_SIZE kept components,
-    splu factors above). The right-hand side is the same on
+    `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
+    components, splu factors above). The right-hand side is the same on
     every segment; only the driven one caps the step at `env.step_bound`,
     so that the pulse is not stepped over. Each integrator writes its dense output straight into the
     segment's rows of the result. Returns the states at t_eval, shape

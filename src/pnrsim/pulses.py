@@ -76,13 +76,19 @@ class PulseEnvelope:
         """E(t): a float (a complex number when detuned or tabulated with
         complex values) at a scalar time, an array at an array of times.
 
-        A float t (np.float64 included) of an analytic shape takes a fast
-        path without np.asarray, np.where and the result-shape checks. It
-        gives the 0-d array result bit for bit: the same operations on
-        numpy scalars, and np.exp, not math.exp, which rounds differently.
+        A float t (np.float64 included) of the gaussian shape takes a fast
+        path without np.asarray and the result-shape checks. It gives the
+        0-d array result bit for bit: the same operations on numpy scalars,
+        and np.exp, not math.exp, which rounds differently. Every other
+        shape takes the array path.
         """
-        if isinstance(t, float) and self.shape != "tabulated":
-            return self._at(t)
+        if self.shape == "gaussian" and isinstance(t, float):
+            # numpy's scalar power, as on the array path: float ** 2 raises
+            # OverflowError where numpy gives inf
+            amp = self._gaussian(np.float64(t))
+            if self.detuning:
+                return complex(amp * np.exp(-1j * self.detuning * t))
+            return float(amp)
         t = np.asarray(t, dtype=float)
         if self.shape == "gaussian":
             amp = self._gaussian(t)
@@ -108,24 +114,6 @@ class PulseEnvelope:
     def _gaussian(self, t):
         s = self.sigma0
         return (2.0 * np.pi * s * s) ** -0.25 * np.exp(-((t - self.t_center) ** 2) / (4.0 * s * s))
-
-    def _at(self, t):
-        """E(t) at a float t for the analytic shapes (see __call__)."""
-        if self.shape == "gaussian":
-            # numpy's scalar power, as on the array path: float ** 2 raises
-            # OverflowError where numpy gives inf
-            amp = self._gaussian(np.float64(t))
-        elif self.shape == "square":
-            lo = self.t_center - 0.5 * self.width
-            hi = self.t_center + 0.5 * self.width
-            amp = 1.0 / np.sqrt(self.width) if lo <= t < hi else 0.0
-        else:
-            # t <= t_stop makes the exponent at most 0: only the lower clip acts
-            amp = (np.sqrt(self.rate) * np.exp(0.5 * max(self.rate * (t - self.t_stop), -745.0))
-                   if t <= self.t_stop else 0.0)
-        if self.detuning:
-            return complex(amp * np.exp(-1j * self.detuning * t))
-        return float(amp)
 
     def intensity(self, t):
         return np.abs(self.__call__(t)) ** 2

@@ -810,7 +810,7 @@ def test_float_lines_write_floats_as_fmt_does():
 
 def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
     # the explicit solve and the stiffness estimate run on numpy alone, and
-    # so does BDF up to hierarchy._DENSE_SIZE kept components (35
+    # so does BDF up to hierarchy._DENSE_NEWTON_SIZE kept components (35
     # at exc_cap 2 with 2 photons); above it (112 at exc_cap 3 with 3
     # photons) BDF needs splu, the only reason a run imports scipy.sparse.
     # scipy.integrate (which loads scipy.optimize, scipy.special,

@@ -766,6 +766,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     records = []
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
+        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
         pairs = list(_bdf_against_solve_ivp(monkeypatch, runs[:-1]))
     pairs += _bdf_against_solve_ivp(monkeypatch, runs[-1:])
     for got, ref in pairs:
@@ -773,7 +774,7 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
         assert segs == ref.diagnostics["segments"]
         assert np.array_equal(got.states, ref.states)
         records.append(segs)
-    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_SIZE
+    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_NEWTON_SIZE
     # counts of the sym-sweep points; Newton failures refresh the
     # Jacobian and some steps are rejected
     assert [(s["nfev"], s["njev"], s["nlu"]) for s in records[0]] == [
@@ -806,10 +807,15 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
 
 
 def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
-    # up to _DENSE_SIZE kept components J is a dense array and
+    # up to _DENSE_NEWTON_SIZE kept components J is a dense array and
     # I - c J is inverted; solve_ivp's BDF takes the same dense J through
-    # an LU factorization, so the steps agree and the states to rounding
-    runs = _bdf_runs()
+    # an LU factorization, so the steps agree and the states to rounding.
+    # The last run has exactly _DENSE_NEWTON_SIZE = 64 kept components,
+    # above _DENSE_SIZE: CSR blocks for the RHS, a dense Newton inverse
+    edge = build_symmetric_reduced(200, 8, 1.0, 1.0, k_A=1.0, Delta=0.5,
+                                   exc_cap=1).counting(2)
+    runs = _bdf_runs() + [(edge, fock_input(4, gaussian_envelope(2.0)),
+                           (-16, 28), IntegratorOptions(), {})]
     jacs = []
     newton_algebra = hierarchy._newton_algebra
 
@@ -819,11 +825,12 @@ def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
         return jac, factorize
     monkeypatch.setattr(hierarchy, "_newton_algebra", spy)
     for got, ref in _bdf_against_solve_ivp(monkeypatch, runs):
-        assert got.diagnostics["size"] <= hierarchy._DENSE_SIZE
+        assert got.diagnostics["size"] <= hierarchy._DENSE_NEWTON_SIZE
         assert isinstance(jacs[-1], np.ndarray)
         assert got.diagnostics["segments"] == ref.diagnostics["segments"]
         scale = np.abs(ref.states).max()
         assert np.abs(got.states - ref.states).max() < 1e-13 * scale
+    assert got.diagnostics["size"] == 64 == hierarchy._DENSE_NEWTON_SIZE
 
 
 def test_undriven_stiff_run_takes_bdf(monkeypatch):
@@ -844,6 +851,7 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     # the splu path takes the same steps on the constant Jacobian a0
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
+        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
         sparse = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
     assert sparse.diagnostics["segments"] == d["segments"]
     assert np.abs(sparse.states - got.states).max() < 1e-13
@@ -855,33 +863,33 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
 
 @pytest.mark.parametrize("case", ["sym-0.0707", "sym-0.1", "sym-0.2",
                                   "sym-0.4", "sym-0.7", "sym-1.0",
-                                  "sym-1.0-detuned", "pnr-2-2"])
+                                  "sym-1.0-detuned", "pnr-1-2"])
 def test_dense_blocks_match_the_sparse_path(monkeypatch, case):
-    # up to _DENSE_SIZE kept components the RHS, the stiffness estimate and
-    # the Newton algebra run on dense blocks. The six benchmark sweep points
-    # (35 kept components, one product with [a0 am ap]; the last three on
-    # BDF), the last one under a detuned pulse (a complex E(t)), and a
-    # detuned PNR(2, 2) (62, three products) take the steps the CSR path
-    # takes, with states equal to rounding
+    # up to _DENSE_SIZE kept components the RHS and the stiffness estimate
+    # run on dense blocks. The six benchmark sweep points (35 kept
+    # components; the last three on BDF), the last one under a detuned
+    # pulse (a complex E(t)), and a detuned PNR(1, 2) (24) take the steps
+    # the CSR path takes, with states equal to rounding
     if case.startswith("sym"):
         model = _sym_sweep_model(float(case.split("-")[1]))
         field = fock_input(2, gaussian_envelope(
             2.0, detuning=0.2 if case.endswith("detuned") else 0.0))
     else:
-        model = build_pnr(2, 2).counting(2)
+        model = build_pnr(1, 2).counting(2)
         field = fock_input(2, gaussian_envelope(2.0, detuning=0.2))
     got = integrate_hierarchy(model, field, (-16, 28))
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
         ref = integrate_hierarchy(model, field, (-16, 28))
     size = got.diagnostics["size"]
-    assert size == (35 if case.startswith("sym") else 62) <= hierarchy._DENSE_SIZE
-    assert 3 * 35 ** 2 < hierarchy._SERIAL_GEMV <= 3 * 62 ** 2
+    assert size == (35 if case.startswith("sym") else 24) <= hierarchy._DENSE_SIZE
+    # the dense size is the largest whose [a0 am ap] product stays serial
+    n = hierarchy._DENSE_SIZE
+    assert 3 * n ** 2 < hierarchy._SERIAL_GEMV <= 3 * (n + 1) ** 2
     assert got.diagnostics["segments"] == ref.diagnostics["segments"]
     scale = np.abs(ref.states).max()
     assert np.abs(got.states - ref.states).max() <= 1e-12 * scale
-    # the exact eigenvalue against the Arnoldi estimate, which 40 steps do
-    # not converge at 62 components (-4.0000069-9.4e-6j for -4 there)
+    # the exact eigenvalue against the Arnoldi estimate
     assert got.diagnostics["stiffness"] == pytest.approx(
         ref.diagnostics["stiffness"], rel=1e-5)
 
