@@ -173,6 +173,11 @@ def _simulate_payloads(cfg, allow_large, want_files=True):
     prov = {"settled": bool(dist.meta.get("settled", True)), "vacuum": vacuum,
             # solver record only: wall times would break byte-identical reruns
             "run": {"size": diag["size"], "full_size": diag["full_size"],
+                    "basis_size": diag["basis_size"],
+                    "stiffness": [diag["stiffness"].real,
+                                  diag["stiffness"].imag],
+                    "stiffness_estimate": ("exact" if diag["stiffness_exact"]
+                                           else "arnoldi"),
                     "segments": diag["segments"],
                     "trace_defect": diag["trace_defect"],
                     "hermiticity_defect": diag["hermiticity_defect"]}}

@@ -26,18 +26,21 @@ for step scipy's BDF) when a one-off estimate of the spectral radius
 says so (see `IntegratorOptions`); undriven runs make the same test
 against their step cap or span.
 
-Small hierarchies, up to _DENSE_SIZE kept components, are solved on
-dense blocks, made once per run: the right-hand side is one small
-single-threaded BLAS product per call (`_rhs`) and the spectral radius
-is exact (np.linalg.eigvals). Larger ones keep the CSR blocks and an
-Arnoldi estimate of the radius. BDF's Newton matrix I - c J is inverted
-densely by numpy up to _DENSE_NEWTON_SIZE kept components, and
-factorized by splu above (`_newton_algebra`), the one place a run
-imports scipy.sparse. The run keeps the state at every output time; a
-run whose states would exceed
-`max_store_bytes` is refused before they are allocated. The diagnostics
-record each segment's method and its nfev, njev, nlu and rejected steps,
-and the trace and Hermiticity defects of the result.
+Above _DENSE_SIZE kept components the run is solved on the exact Krylov
+reduction of the kept system (`krylov.krylov_reduction`) when one of at
+most _BASIS_MAX directions exists: z' = Q^dag (a0 + E am + E* ap) Q z on
+dense blocks, with states stored as z, read through R Q and lifted with
+Q (`HierarchyResult.kept_states`), and errors measured on Q z. The
+PNR(2, 3) hierarchy under two photons keeps 76 components and moves in
+26 dimensions. Dense blocks, at most _DENSE_SIZE components kept or
+solved, take the exact spectral radius and a dense Newton inverse; CSR
+blocks (larger runs that do not reduce) take an Arnoldi estimate and
+splu (`_newton_algebra`), the one place a run imports scipy.sparse.
+Dense products run in row blocks that stay on the calling thread. A run
+whose states would exceed `max_store_bytes` is refused before they or
+the Krylov search are allocated. The diagnostics record the kept and
+solved sizes, the stiffness estimate, each segment's method, nfev, njev,
+nlu and rejected steps, and the trace and Hermiticity defects.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -73,26 +76,29 @@ import numpy as np
 
 from .csr import CSR, runs, union_pattern, unique, vstack
 from .errors import ConfigError, NumericsError, ResourceLimitError
-from .ivp import bdf, rk45
+from .ivp import _identity, bdf, rk45
+from .krylov import (SERIAL_GEMV, krylov_reduction, serial_matmul,
+                     serial_matvec)
 from .liouville import EngineView
 from .pulses import FieldInput
 from .spaces import Operator
 
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # step of the Arnoldi start vector
 _STIFF_RATIO = 20.0     # |lambda*| * step_bound above which BDF can win
-# OpenBLAS (0.3.31, as numpy ships it) runs a complex matrix-vector
-# product of this many entries or more on its thread pool; at 64 x 64 a
-# product that took 3 us on one thread took 39 us in a fresh process with
-# two threads
-_SERIAL_GEMV = 4096
-# kept size up to which the blocks are dense arrays (the RHS and the exact
-# stiffness estimate): the largest n whose n x 3n product [a0 am ap] stays
-# below _SERIAL_GEMV entries, 36
-_DENSE_SIZE = math.isqrt((_SERIAL_GEMV - 1) // 3)
-# kept size up to which BDF inverts I - c J densely: on stiff symmetric
-# models the inverse beat splu per solve at 35 and 62 kept components,
-# was about even at 89 and lost at 112 and 189
-_DENSE_NEWTON_SIZE = 64
+# size up to which the blocks are dense arrays with the exact stiffness
+# estimate and a dense Newton inverse: the largest n whose n x (n - 1)
+# level-2 calls inside np.linalg.eigvals and inv stay below SERIAL_GEMV
+# entries, 64 (eigvals took 2.9 ms at 64 and 385 ms at 81 with threads,
+# 7.6 ms at 81 on one thread). On stiff symmetric models the dense inverse
+# also beat splu per solve at 35 and 62 kept components and was about even
+# at 89
+_DENSE_SIZE = math.isqrt(SERIAL_GEMV)
+# largest Krylov basis solved on, so that every reduced run takes the
+# dense blocks above. No benchmark workload reduces to more than 26
+# directions; larger bases (81 for PNR(3, 3) and PNR(4, 3) under three
+# photons) wait for a workload that can show their gain
+_BASIS_MAX = _DENSE_SIZE
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,22 @@ class IntegratorOptions:
     degrees of the negative real axis (stiff, damped spectra such as
     strong collective coupling), the in-package Dormand-Prince pair RK45
     otherwise. The step is envelope.step_bound on driven runs and
-    min(max_step, t1 - t0) on undriven ones (no photons). Up to
-    _DENSE_SIZE kept components the blocks are dense arrays and lambda*
-    is the exact eigenvalue; above it lambda* is an Arnoldi estimate. BDF
-    holds the Jacobian as a dense array and inverts I - c J with numpy up
-    to _DENSE_NEWTON_SIZE kept components, and as a sparse matrix
-    factorized by splu above. Both solvers split the span at the envelope
-    support and cap the step at envelope.step_bound on the driven segment
-    only.
+    min(max_step, t1 - t0) on undriven ones (no photons). Runs above
+    _DENSE_SIZE kept components are solved on their exact Krylov basis
+    where one of at most _BASIS_MAX directions exists. Up to _DENSE_SIZE
+    kept or solved components the blocks are dense arrays, lambda* is the
+    exact eigenvalue and BDF inverts I - c J with numpy; a larger run
+    that does not reduce keeps CSR blocks, lambda* is an Arnoldi estimate
+    and BDF factorizes I - c J with splu. Both solvers split the span at
+    the envelope support and cap the step at envelope.step_bound on the
+    driven segment only; rtol and atol apply to the kept components, on a
+    reduced run too.
 
     The run keeps the state at every output time. Before anything of
     that size is allocated, a run whose kept size x output times x 16
-    bytes exceeds max_store_bytes is refused with ResourceLimitError.
+    bytes exceeds max_store_bytes is refused with ResourceLimitError, and
+    the Krylov search is held to the directions whose arrays fit in
+    max_store_bytes.
 
     rtol, atol, max_step and trace_tol are real numbers, n_points and
     max_store_bytes integers (never bools).
@@ -277,10 +287,20 @@ class HierarchyResult:
     field: FieldInput
     sector_traces: np.ndarray          # (n_max+1, n_max+1, n_sectors, nt)
     observables: dict
-    states: np.ndarray                 # (nt, len(keep))
+    states: np.ndarray                 # (nt, len(keep)), or (nt, r) with basis
     keep: np.ndarray                   # kept indices into the full grid
     diagnostics: dict
     dense_shape: tuple = None
+    basis: np.ndarray = None           # (len(keep), r) when the run was reduced
+
+    def kept_states(self, t_index=slice(None)):
+        """The stored states at t_index (an index or a slice) on the kept
+        indices: states[t_index] itself, or lifted by the basis for a
+        reduced run."""
+        z = self.states[t_index]
+        if self.basis is None:
+            return z
+        return serial_matmul(self.basis, z.T).T
 
     def count_probabilities(self):
         """Physical probability of each count sector over time, (S, nt)."""
@@ -313,7 +333,11 @@ class HierarchyResult:
         lo = (g * self.n_sectors + sector) * self.vec_dim
         i, j = np.searchsorted(self.keep, (lo, lo + self.vec_dim))
         out = np.zeros(self.vec_dim, dtype=complex)
-        out[self.keep[i:j] - lo] = self.states[t_index, i:j]
+        if self.basis is None:
+            out[self.keep[i:j] - lo] = self.states[t_index, i:j]
+        else:
+            out[self.keep[i:j] - lo] = serial_matmul(self.basis[i:j],
+                                                      self.states[t_index])
         return out
 
     def _member_vec(self, t_index, n, m, sector=None):
@@ -458,6 +482,8 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
             raise ConfigError("t_span is required when there is no envelope")
         t_span = env.support
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ConfigError(f"t_span must be finite, got ({t0}, {t1})")
     if not t1 > t0:
         raise ConfigError(f"empty time span ({t0}, {t1})")
 
@@ -506,23 +532,34 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
 
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or np.any(np.diff(t_eval) < 0):
-            raise ConfigError("t_eval must be a sorted 1d array")
+        if t_eval.ndim != 1 or t_eval.size == 0:
+            raise ConfigError("t_eval must be a non-empty 1d array")
+        if not np.all(np.isfinite(t_eval)):
+            raise ConfigError("t_eval must hold finite times")
+        if np.any(np.diff(t_eval) < 0):
+            raise ConfigError("t_eval must be sorted")
         if t_eval[0] < t0 - 1e-12 or t_eval[-1] > t1 + 1e-12:
             raise ConfigError("t_eval must lie inside t_span")
     nt = opts.n_points if t_eval is None else len(t_eval)
-    # the states at every output time are the run's largest allocation
+    # the states at every output time are the run's largest allocation;
+    # refused on the kept size, before the Krylov search
     need = total * nt * 16
     if need > opts.max_store_bytes:
         raise ResourceLimitError(
             f"storing {nt} states of size {total} needs {need / 2**20:.1f} MiB, "
             f"over max_store_bytes={opts.max_store_bytes}; raise "
             f"max_store_bytes or request fewer points")
+
+    reduction = _reduction(ode, opts.max_store_bytes)
+    basis, y0, lift = None, ode.y0, _identity
+    if reduction is not None:
+        basis, (a0, am, ap), y0 = reduction
+        lift = serial_matvec(basis)
+    elif total <= _DENSE_SIZE:
+        a0, am, ap = (m if m is None else m.toarray() for m in (a0, am, ap))
     if t_eval is None:
         t_eval = np.linspace(t0, t1, nt)
 
-    if total <= _DENSE_SIZE:
-        a0, am, ap = (m if m is None else m.toarray() for m in (a0, am, ap))
     rhs = _rhs(a0, am, ap, env)
     jac = factorize = None
     method = "RK45"
@@ -533,18 +570,21 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
     if _is_stiff(stiffness, step):
         method = "BDF"
         jac, factorize = _newton_algebra(a0, am, ap, env)
-    ys, segments = _solve_segments(rhs, jac, factorize, ode.y0, t0, t1, t_eval,
-                                   env if am is not None else None, method, opts)
+    ys, segments = _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval,
+                                   env if am is not None else None, method, opts,
+                                   lift)
     nfev = sum(seg["nfev"] for seg in segments)
 
     # per (member, sector) readout of a component row, given by its values
     # at the kept indices: kept index i lies in block blk[i] at position
-    # pos[i]
+    # pos[i]; a reduced run reads z through R Q
     blk, pos = np.divmod(ode.keep, vd)
 
     def readout(vals):
         r = CSR.from_triplets(vals, blk, np.arange(total), (np1 * np1 * S, total))
-        return (r @ ys.T).reshape(np1, np1, S, nt)
+        if basis is None:
+            return (r @ ys.T).reshape(np1, np1, S, nt)
+        return serial_matmul(ys, (r @ basis).T).T.reshape(np1, np1, S, nt)
 
     obs_tables = {}
     for name, ob in (observables or {}).items():
@@ -569,15 +609,15 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
         field=field, sector_traces=readout(ev.trace_row[pos]),
         observables=obs_tables, states=ys, keep=ode.keep,
-        diagnostics={}, dense_shape=ev.dense_shape,
+        diagnostics={}, dense_shape=ev.dense_shape, basis=basis,
     )
 
     probs = result.count_probabilities()
     trace_defect = float(np.abs(probs.sum(axis=0) - 1.0).max())
-    result.diagnostics.update(trace_defect=trace_defect, nfev=nfev,
-                              size=total,
-                              full_size=ode.full_size, segments=segments,
-                              stiffness=stiffness)
+    result.diagnostics.update(
+        trace_defect=trace_defect, nfev=nfev, size=total,
+        basis_size=y0.size, full_size=ode.full_size, segments=segments,
+        stiffness=stiffness, stiffness_exact=isinstance(a0, np.ndarray))
     if trace_defect > opts.trace_tol:
         raise NumericsError(
             f"physical trace drifted by {trace_defect:.2e} "
@@ -595,7 +635,7 @@ def _hermiticity_defect(result, ev):
     np1, S, vd = result.n_max + 1, result.n_sectors, result.vec_dim
     blk, comp = np.divmod(result.keep, vd)
     key = blk // S * vd + comp          # member and component
-    keys, y = unique(key), result.states[-1]
+    keys, y = unique(key), result.kept_states(-1)
     member = np.zeros(keys.size, dtype=complex)
     for s in range(S):
         on = blk % S == s
@@ -607,17 +647,34 @@ def _hermiticity_defect(result, ev):
     return float(np.abs(member - np.conj(other)).max())
 
 
+def _reduction(ode, max_bytes):
+    """`krylov.krylov_reduction` of the kept system, (Q, (a0, am, ap),
+    z0), on at most _BASIS_MAX directions and on no more than the
+    search's arrays (the basis and one product per block, kept size x
+    directions each) fit in max_bytes, or None: kept sizes up to
+    _DENSE_SIZE are solved on dense blocks as they are (a 35 -> 26
+    reduction of the sweep's points changed no solve time beyond the
+    spread)."""
+    n = ode.y0.size
+    if n <= _DENSE_SIZE:
+        return None
+    mats = (ode.a0, ode.am, ode.ap)
+    arrays = 1 + sum(m is not None for m in mats)
+    return krylov_reduction(mats, ode.y0, min(n - 1, _BASIS_MAX,
+                                               max_bytes // (arrays * 16 * n)))
+
+
 def _rhs(a0, am, ap, env):
     """f(t, y) = (a0 + E(t) am + E*(t) ap) y, a0 y where E(t) = 0 or am is
     None. Sparse blocks take one product with the three stacked. Dense
-    blocks (up to _DENSE_SIZE kept components, so that the product stays
-    below _SERIAL_GEMV entries and off OpenBLAS's threads) take one
-    product with [a0 am ap] on (y, E y, E* y). On a 2-vCPU x86-64 host, a
-    call at 35 components took 9.6 us this way, 12.5 us with three
-    products, 10.2 us with the stacked (3n x n) array and 20 us with the
-    stacked CSR blocks."""
+    blocks take one product with [a0 am ap] on (y, E y, E* y), in row
+    blocks that keep it off OpenBLAS's threads (one block up to 36
+    components). On a 2-vCPU x86-64 host, a call at 35 components took
+    9.6 us this way, 12.5 us with three products, 10.2 us with the
+    stacked (3n x n) array and 20 us with the stacked CSR blocks."""
     if am is None:
-        return lambda t, y: a0 @ y
+        product = serial_matvec(a0) if isinstance(a0, np.ndarray) else a0.__matmul__
+        return lambda t, y: product(y)
     n = a0.shape[0]
     if not isinstance(a0, np.ndarray):
         # one product gives a0 y, am y and ap y, stacked
@@ -630,34 +687,35 @@ def _rhs(a0, am, ap, env):
             u = blocks @ y
             return u[:n] + e * u[n:2 * n] + e.conjugate() * u[2 * n:]
     else:
-        wide = np.hstack((a0, am, ap))
+        wide = serial_matvec(np.hstack((a0, am, ap)))
+        alone = serial_matvec(a0)
 
         def rhs(t, y):
             e = env(t)
             if e == 0:
-                return a0 @ y
-            return wide @ np.concatenate((y, e * y, e.conjugate() * y))
+                return alone(y)
+            return wide(np.concatenate((y, e * y, e.conjugate() * y)))
     return rhs
 
 
 def _dominant_eigenvalue(a):
-    """Eigenvalue of largest modulus of `a`. A dense array (the blocks up
-    to _DENSE_SIZE kept components) gets the exact one from
-    np.linalg.eigvals. A sparse matrix gets the Ritz value of largest
-    modulus after m = min(n, _ARNOLDI_STEPS) Arnoldi steps from a fixed
-    start vector (so repeated runs agree), each new direction
-    orthogonalised twice against the basis. If the Krylov space closes
-    early it is invariant and its Ritz values are eigenvalues; with n <= m
-    the basis spans the whole space and the estimate is the dense one.
-    The projections are elementwise products and sums, not BLAS gemv: a
-    fresh process's first threaded gemv calls took up to a second on a
-    2-vCPU host."""
+    """Eigenvalue of largest modulus of `a`. A dense array (at most
+    _DENSE_SIZE rows) gets the exact one from np.linalg.eigvals. A sparse
+    matrix gets the Ritz value of largest modulus after
+    m = min(n, _ARNOLDI_STEPS) Arnoldi steps from a fixed start vector (so
+    repeated runs agree; a Weyl sequence, so no numpy.random import), each
+    new direction orthogonalised twice against the basis. If the Krylov
+    space closes early it is invariant and its Ritz values are
+    eigenvalues; with n <= m the basis spans the whole space and the
+    estimate is the dense one. The projections are elementwise products
+    and sums, not BLAS gemv: a fresh process's first threaded gemv calls
+    took up to a second on a 2-vCPU host."""
     if isinstance(a, np.ndarray):
         lam = np.linalg.eigvals(a)
         return complex(lam[np.argmax(np.abs(lam))])
     n = a.shape[0]
     m = min(n, _ARNOLDI_STEPS)
-    v = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v = (np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5 + 0j
     basis = np.zeros((m, n), dtype=complex)
     hess = np.zeros((m + 1, m), dtype=complex)
     basis[0] = v / np.linalg.norm(v)
@@ -679,22 +737,22 @@ def _dominant_eigenvalue(a):
 def _newton_algebra(a0, am, ap, env):
     """The Jacobian J(t) = a0 + E(t) am + E*(t) ap of the hierarchy (a0
     alone when am is None) and `factorize(J, c)`, the solve of I - c J,
-    for `ivp.bdf`. Up to _DENSE_NEWTON_SIZE kept components J is a dense
-    array (the blocks as given when `integrate_hierarchy` made them dense,
-    up to _DENSE_SIZE) and the factorization its inverse, applied by one
-    product per Newton iteration: numpy alone, with no sparse object made
-    per call and no scipy module loaded. Above it, J is a scipy CSC
-    matrix on the union pattern of the blocks and factorized by splu,
-    whose fill stays far below the n^2 of an inverse."""
+    for `ivp.bdf`. On dense blocks (up to _DENSE_SIZE kept or solved
+    components) J is a dense array and the factorization its inverse,
+    applied by one serial product per Newton iteration: numpy alone, with
+    no sparse object made per call and no scipy module loaded. On CSR
+    blocks, J is a scipy CSC matrix on the union pattern of the blocks and
+    factorized by splu, whose fill stays far below the n^2 of an
+    inverse."""
     mats = [m for m in (a0, am, ap) if m is not None]
     n = a0.shape[0]
-    if n <= _DENSE_NEWTON_SIZE:
-        blocks = [m if isinstance(m, np.ndarray) else m.toarray() for m in mats]
+    if isinstance(a0, np.ndarray):
+        blocks = mats
         make = np.asarray
         eye = np.eye(n)
 
         def factorize(J, c):
-            return np.linalg.inv(eye - c * J).dot
+            return serial_matvec(np.linalg.inv(eye - c * J))
     else:
         from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
@@ -729,17 +787,20 @@ def _is_stiff(lam, step):
 
 
 def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
-                    opts):
+                    opts, lift):
     """Integrate on [t0, t1] split at the support of `env` (None: one
     segment): "RK45" with the in-package `rk45`, "BDF" with the in-package
     NDF `bdf` on the Jacobian `jac` and the factorization `factorize` of
-    `_newton_algebra` (a dense inverse up to _DENSE_NEWTON_SIZE kept
-    components, splu factors above). The right-hand side is the same on
+    `_newton_algebra` (a dense inverse on dense blocks, splu factors on
+    CSR ones). The right-hand side is the same on
     every segment; only the driven one caps the step at `env.step_bound`,
     so that the pulse is not stepped over. Each integrator writes its dense output straight into the
     segment's rows of the result. Returns the states at t_eval, shape
     (len(t_eval), len(y0)) in column-major order, and one record per
-    segment: method, nfev, njev, nlu and the rejected steps."""
+    segment: method, nfev, njev, nlu and the rejected steps. The error
+    norms are taken of `lift` of each vector: the identity, or z -> Q z
+    on a reduced run, so that they are those of the kept coordinates the
+    tolerances refer to."""
     cuts, lo, hi = [t0, t1], np.inf, -np.inf
     if env is not None:
         lo, hi = env.support
@@ -759,9 +820,9 @@ def _solve_segments(rhs, jac, factorize, y0, t0, t1, t_eval, env, method,
             max_step = min(max_step, env.step_bound)
         if method == "RK45":
             y, counts = rk45(rhs, y, a, b, te, out, opts.rtol, opts.atol,
-                             max_step)
+                             max_step, lift)
         else:
             y, counts = bdf(rhs, jac, factorize, y, a, b, te, out, opts.rtol,
-                            opts.atol, max_step)
+                            opts.atol, max_step, lift)
         segments.append(dict(t_span=[a, b], method=method, **counts))
     return ys, segments

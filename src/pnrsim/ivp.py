@@ -6,7 +6,10 @@ scipy.integrate's RK45 or BDF step for step, so that states and counts
 are the same, without loading scipy.integrate.
 Both integrate one segment [t0, t1] from y, write their dense output at
 the requested times straight into the caller's rows, and return the
-dense-output state at t1, which starts the next segment.
+dense-output state at t1, which starts the next segment. Their error and
+Newton norms are taken of `lift` of each vector, a linear map to the
+coordinates the tolerances refer to (the identity by default), so that a
+solve in projected coordinates z takes the steps of the solve of Q z.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _identity(x):
+    return x
+
+
 def _with_end(t_eval, t1):
     """`t_eval` with t1 appended unless it already ends there: the
     integrators evaluate the segment end, which starts the next segment,
@@ -65,17 +72,18 @@ def _with_end(t_eval, t1):
     return np.append(t_eval, t1)
 
 
-def _initial_step(rhs, t, y, f, t1, max_step, order, rtol, atol):
+def _initial_step(rhs, t, y, f, t1, max_step, order, rtol, atol, lift):
     """Starting step of Hairer, Norsett & Wanner (Solving ODEs I, II.4) for
     a method whose error estimate is of order `order`, as solve_ivp's
     select_initial_step: an Euler probe at h0 (one rhs call) sizes the
     second derivative, and the step is capped at 100 h0, the span and
     max_step."""
     span = t1 - t
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    y_lift = lift(y)
+    scale = atol + np.abs(y_lift) * rtol
+    d0, d1 = _rms(y_lift / scale), _rms(lift(f) / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms(lift(rhs(t + h0, y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -88,7 +96,7 @@ def _too_small(method, t0, t1, t):
                          f"failed: the step fell below 10 ulp of t = {t:.6g}")
 
 
-def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
+def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step, lift=_identity):
     """Dormand-Prince 5(4) on [t0, t1] from y, with solve_ivp's RK45
     step by step, so that states and nfev are the same: the starting step
     of `_initial_step`, local extrapolation, the RMS norm of the error
@@ -101,9 +109,10 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
     rtol = max(rtol, 100 * np.finfo(float).eps)
     t_eval = _with_end(t_eval, t1)
     t, f = t0, rhs(t0, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 4, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 4, rtol, atol, lift)
     nfev, n_rejected, done = 2, 0, 0
     K = np.empty((7, y.size), dtype=complex)
+    y_lift = lift(y)
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
@@ -121,8 +130,9 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
             y_new = y + h * np.dot(K[:-1].T, _DP_B)
             K[6] = f_new = rhs(t + h, y_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            new_lift = lift(y_new)
+            scale = atol + np.maximum(np.abs(y_lift), np.abs(new_lift)) * rtol
+            err = _rms(lift(np.dot(K.T, _DP_E)) * h / scale)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -131,6 +141,7 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
             rejected = True
             n_rejected += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        y_lift = new_lift
         stop = t_eval.searchsorted(t, side="right")
         if stop > done:
             x = (t_eval[done:stop] - t_old) / (t - t_old)
@@ -164,7 +175,7 @@ def _change_D(D, order, factor):
     D[:order + 1] = np.dot(r(factor).dot(r(1)).T, D[:order + 1])
 
 
-def _newton(rhs, t, y_predict, c, psi, solve, scale, tol):
+def _newton(rhs, t, y_predict, c, psi, solve, scale, tol, lift):
     """Simplified Newton iteration for y = y_predict + d with
     (I - c J) dy = c f(t, y) - psi - d, at most _NEWTON_MAXITER times,
     stopped when the contraction rate predicts a miss of `tol`. Returns
@@ -175,7 +186,7 @@ def _newton(rhs, t, y_predict, c, psi, solve, scale, tol):
         if not np.isfinite(f).all():
             break
         dy = solve(c * f - psi - d)
-        dy_norm = _rms(dy / scale)
+        dy_norm = _rms(lift(dy) / scale)
         rate = None if dy_norm_old is None else dy_norm / dy_norm_old
         if rate is not None and (rate >= 1 or rate ** (_NEWTON_MAXITER - k)
                                  / (1 - rate) * dy_norm > tol):
@@ -188,7 +199,8 @@ def _newton(rhs, t, y_predict, c, psi, solve, scale, tol):
     return False, k + 1, y, d
 
 
-def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
+def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step,
+        lift=_identity):
     """Variable-order NDF on [t0, t1] from y, with solve_ivp's BDF step by
     step, so that states, nfev, njev and nlu are the same: orders 1-5 in
     backward-difference form D, the starting step of `_initial_step` for
@@ -208,7 +220,7 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
     rtol = max(rtol, 100 * eps)
     newton_tol = max(10 * eps / rtol, min(0.03, rtol ** 0.5))
     t, f = t0, rhs(t0, y)
-    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol, lift)
     J = jac(t, y)
     D = np.empty((8, y.size), dtype=complex)
     D[0], D[1] = y, f * h_abs
@@ -232,7 +244,7 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
             h = t_new - t
             h_abs = np.abs(h)
             y_predict = np.sum(D[:order + 1], axis=0)
-            scale = atol + rtol * np.abs(y_predict)
+            scale = atol + rtol * np.abs(lift(y_predict))
             alpha = _NDF_ALPHA[order]
             psi = np.dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
             c = h / alpha
@@ -241,7 +253,8 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
                     solve = factorize(J, c)
                     nlu += 1
                 converged, n_iter, y_new, d = _newton(
-                    rhs, t_new, y_predict, c, psi, solve, scale, newton_tol)
+                    rhs, t_new, y_predict, c, psi, solve, scale, newton_tol,
+                    lift)
                 nfev += n_iter
                 if converged or fresh_jac:
                     break
@@ -250,8 +263,8 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
             if converged:
                 safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
                                                            + n_iter)
-                scale = atol + rtol * np.abs(y_new)
-                error_norm = _rms(_NDF_ERROR[order] * d / scale)
+                scale = atol + rtol * np.abs(lift(y_new))
+                error_norm = _rms(_NDF_ERROR[order] * lift(d) / scale)
                 if not error_norm > 1:      # NaN passes, as in solve_ivp
                     break
                 factor = max(0.2, safety * error_norm ** (-1 / (order + 1)))
@@ -274,9 +287,9 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
             # and order + 1
             down = up = np.inf
             if order > 1:
-                down = _rms(_NDF_ERROR[order - 1] * D[order] / scale)
+                down = _rms(_NDF_ERROR[order - 1] * lift(D[order]) / scale)
             if order < 5:
-                up = _rms(_NDF_ERROR[order + 1] * D[order + 2] / scale)
+                up = _rms(_NDF_ERROR[order + 1] * lift(D[order + 2]) / scale)
             norms = np.array([down, error_norm, up])
             with np.errstate(divide="ignore"):
                 factors = norms ** (-1 / np.arange(order, order + 3))

@@ -270,9 +270,13 @@ def test_cli_metrics_record_the_solver(tmp_path):
     assert main(["simulate", path, "--out", str(out)]) == 0
     run = json.loads((out / "metrics.json").read_text())[
         "metrics"]["provenance"]["run"]
-    assert set(run) == {"size", "full_size", "segments", "trace_defect",
+    assert set(run) == {"size", "full_size", "basis_size", "stiffness",
+                        "stiffness_estimate", "segments", "trace_defect",
                         "hermiticity_defect"}
-    assert 0 < run["size"] <= run["full_size"]
+    assert 0 < run["basis_size"] <= run["size"] <= run["full_size"]
+    # a small run decides on the exact eigenvalue, recorded as [re, im]
+    assert run["stiffness_estimate"] == "exact"
+    assert len(run["stiffness"]) == 2 and run["stiffness"][0] < 0
     trace_tol = RunConfig.from_file(path).integrator_options().trace_tol
     for key in ("trace_defect", "hermiticity_defect"):
         assert math.isfinite(run[key]) and 0 <= run[key] < trace_tol
@@ -755,10 +759,11 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     # the import nor the three benchmark workloads load any scipy module
     # (scipy.sparse alone was about 0.24 s of each process's start-up).
     # Nor do they load numpy.ma (about 11 ms), which np.unique without
-    # return_inverse and np.union1d import, and the dense-block sweep
-    # loads no numpy.random (about 22 ms), which only the Arnoldi start
-    # vector and the trajectories use. Names are matched exactly: the
-    # prefix numpy.ma also matches numpy.matrixlib
+    # return_inverse and np.union1d import. Only the trajectories load
+    # numpy.random (15-22 ms and about 6 MB): the sweep's dense blocks and
+    # the Krylov-reduced pnr-tensor solve take the exact eigenvalue, and the
+    # Arnoldi estimate starts from a Weyl sequence. Names are matched
+    # exactly: the prefix numpy.ma also matches numpy.matrixlib
     configs = SRC.parent / "perfbench" / "configs"
     commands = [None,
                 ["simulate", str(configs / "pnr-tensor.json")],
@@ -769,7 +774,7 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
         run = "" if argv is None else (
             f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) == 0; ")
         banned = ["scipy", "numpy.ma"]
-        if argv is None or argv[0] == "sweep":
+        if argv is None or argv[0] != "trajectories":
             banned.append("numpy.random")
         code = ("import sys; from pnrsim.cli import main; " + run +
                 f"print(sorted(m for m in sys.modules for b in {banned!r} "
@@ -810,7 +815,7 @@ def test_float_lines_write_floats_as_fmt_does():
 
 def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
     # the explicit solve and the stiffness estimate run on numpy alone, and
-    # so does BDF up to hierarchy._DENSE_NEWTON_SIZE kept components (35
+    # so does BDF up to hierarchy._DENSE_SIZE kept components (35
     # at exc_cap 2 with 2 photons); above it (112 at exc_cap 3 with 3
     # photons) BDF needs splu, the only reason a run imports scipy.sparse.
     # scipy.integrate (which loads scipy.optimize, scipy.special,

@@ -1,6 +1,10 @@
 """Driven-hierarchy integration against closed forms and dense references."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import bdf as scipy_bdf
 from scipy.sparse.linalg import splu
 
-from pnrsim import csr, hierarchy, ivp, spaces
+from pnrsim import csr, hierarchy, ivp, krylov, spaces
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element,
                                   build_symmetric_reduced)
@@ -418,6 +422,32 @@ def test_t_eval_must_lie_inside_span():
                             IntegratorOptions(rtol=1e-6), t_eval=[0.0, 5.0])
 
 
+def test_empty_t_eval_is_a_config_error():
+    # was a bare IndexError on t_eval[0]
+    model = build_single_element(1.0, 1.0).counting(1)
+    with pytest.raises(ConfigError, match="non-empty"):
+        integrate_hierarchy(model, fock_input(1, gaussian_envelope(1.0)),
+                            (-8.0, 12.0), t_eval=[])
+
+
+def test_non_finite_t_eval_is_a_config_error():
+    # NaN passes the sorting and range tests, so [0, nan] ran silently
+    model = build_single_element(1.0, 1.0).counting(1)
+    field = fock_input(1, gaussian_envelope(1.0))
+    for t_eval in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ConfigError, match="finite"):
+            integrate_hierarchy(model, field, (-8.0, 12.0), t_eval=t_eval)
+
+
+def test_infinite_t_span_is_a_config_error():
+    # was refused as "rates are too large" by the overflow test of the compile
+    model = build_single_element(1.0, 1.0).counting(1)
+    field = fock_input(1, gaussian_envelope(1.0))
+    for span in ((-8.0, np.inf), (-np.inf, 12.0), (np.nan, 12.0)):
+        with pytest.raises(ConfigError, match="t_span must be finite"):
+            integrate_hierarchy(model, field, span)
+
+
 def test_store_guard_trips_on_tiny_budget():
     el = build_single_element(1.0, 1.0)
     env = gaussian_envelope(1.0)
@@ -441,12 +471,15 @@ def test_store_guard_trips_on_tiny_budget():
     assert peak < 4 * 2 ** 20
 
 
-def test_stored_states_are_written_once():
+def test_stored_states_are_written_once(monkeypatch):
     # PNR(2, 3) under two photons keeps 76 components, so 20,000 states are
     # 24.3 MB. Collecting each segment's outputs and then copying them into
     # the result peaked at 60.5 MB; written in place, the peak is the
-    # states and the 8.6 MB of sector traces read from them
+    # states and the 8.6 MB of sector traces read from them. Solved on the
+    # kept system: its 26-dim Krylov basis would shrink the states until
+    # the copy's peak fell under the bound
     import tracemalloc
+    monkeypatch.setattr(hierarchy, "_BASIS_MAX", 0)
     model = build_pnr(2, 3, gamma=0.7071067811865476, Gamma=1.0, k_A=1.0).counting(2)
     field = fock_input(2, gaussian_envelope(2.0))
     tracemalloc.start()
@@ -456,8 +489,36 @@ def test_stored_states_are_written_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert run.states.shape == (20000, 76)
+    assert run.states.shape == (20000, 76) and run.basis is None
     assert peak < run.states.nbytes + run.sector_traces.nbytes + 4 * 2 ** 20
+
+
+def test_store_guard_trips_before_the_krylov_search(monkeypatch):
+    # the states are refused on the kept size before the Krylov search
+    # allocates anything, and a run that fits holds the search to the
+    # directions whose four kept size x directions arrays fit the budget.
+    # A band element (291 kept components) does not reduce
+    band = build_band_element(DosModel("lorentzian", width=1.0), 16,
+                              np.sqrt(2.0 / 16), 1.0).counting(1)
+    field = fock_input(1, gaussian_envelope(25.0))
+    calls = []
+
+    class Searched(Exception):
+        pass
+
+    def spy(mats, y0, max_size):
+        calls.append(max_size)
+        raise Searched
+    monkeypatch.setattr(hierarchy, "krylov_reduction", spy)
+    states = 291 * 201 * 16
+    with pytest.raises(ResourceLimitError, match="size 291"):
+        integrate_hierarchy(band, field, opts=IntegratorOptions(
+            max_store_bytes=states - 1))
+    assert calls == []
+    with pytest.raises(Searched):
+        integrate_hierarchy(band, field, opts=IntegratorOptions(
+            max_store_bytes=states))
+    assert calls == [states // (4 * 16 * 291)] and calls[0] < hierarchy._BASIS_MAX
 
 
 def test_compile_hierarchy_blocks_and_start_vector():
@@ -664,10 +725,13 @@ def _scipy_ivp(rhs, y, t0, t1, t_eval, out, **kw):
     return sol
 
 
-def _scipy_rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step):
+def _scipy_rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step,
+                lift=ivp._identity):
     """solve_ivp's RK45 in place of the in-package integrator. Every step
     attempt costs 6 rhs calls after the 2 of the starting step, so the
-    rejected steps are the attempts that left no step in the solution."""
+    rejected steps are the attempts that left no step in the solution.
+    solve_ivp measures errors on y itself, so only unreduced runs compare."""
+    assert lift is ivp._identity
     sol = _scipy_ivp(rhs, y, t0, t1, t_eval, out, method="RK45", rtol=rtol,
                      atol=atol, max_step=max_step)
     steps = len(sol.sol.interpolants)
@@ -689,7 +753,9 @@ def _scipy_bdf(monkeypatch):
         return newton(*args)
     monkeypatch.setattr(scipy_bdf, "solve_bdf_system", counted)
 
-    def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step):
+    def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step,
+            lift=ivp._identity):
+        assert lift is ivp._identity
         solves.clear()
         sol = _scipy_ivp(rhs, y, t0, t1, t_eval, out, method="BDF", jac=jac,
                          rtol=rtol, atol=atol, max_step=max_step)
@@ -715,6 +781,9 @@ def test_in_package_rk45_matches_solve_ivp(monkeypatch):
          dict(rho0=np.diag([0.2, 0.5, 0.3]))),
     ]
     rejected = 0
+    # on the kept systems: a reduced run measures its errors through the
+    # basis, which solve_ivp cannot
+    monkeypatch.setattr(hierarchy, "_BASIS_MAX", 0)
     for model, field, span, opts, kw in runs:
         got = integrate_hierarchy(model, field, span, opts, **kw)
         with monkeypatch.context() as m:
@@ -759,14 +828,15 @@ def _bdf_against_solve_ivp(monkeypatch, runs):
 
 def test_in_package_bdf_matches_solve_ivp(monkeypatch):
     # splu factors of the sparse Jacobian: the models of _bdf_runs forced
-    # onto that path, and 112 kept components, above the dense size
+    # onto that path unreduced, and 112 kept components, above the dense
+    # size, where the Krylov basis does not reduce
     above = _sym_sweep_model(1.0, exc_cap=3)
     runs = _bdf_runs() + [(above, fock_input(3, gaussian_envelope(2.0)),
                            (-16, 28), IntegratorOptions(), {})]
     records = []
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
-        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        m.setattr(hierarchy, "_BASIS_MAX", 0)
         pairs = list(_bdf_against_solve_ivp(monkeypatch, runs[:-1]))
     pairs += _bdf_against_solve_ivp(monkeypatch, runs[-1:])
     for got, ref in pairs:
@@ -774,7 +844,8 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
         assert segs == ref.diagnostics["segments"]
         assert np.array_equal(got.states, ref.states)
         records.append(segs)
-    assert pairs[-1][0].diagnostics["size"] == 112 > hierarchy._DENSE_NEWTON_SIZE
+    d = pairs[-1][0].diagnostics
+    assert d["size"] == d["basis_size"] == 112 > hierarchy._DENSE_SIZE
     # counts of the sym-sweep points; Newton failures refresh the
     # Jacobian and some steps are rejected
     assert [(s["nfev"], s["njev"], s["nlu"]) for s in records[0]] == [
@@ -807,11 +878,12 @@ def test_in_package_bdf_matches_solve_ivp(monkeypatch):
 
 
 def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
-    # up to _DENSE_NEWTON_SIZE kept components J is a dense array and
-    # I - c J is inverted; solve_ivp's BDF takes the same dense J through
-    # an LU factorization, so the steps agree and the states to rounding.
-    # The last run has exactly _DENSE_NEWTON_SIZE = 64 kept components,
-    # above _DENSE_SIZE: CSR blocks for the RHS, a dense Newton inverse
+    # up to _DENSE_SIZE kept components J is a dense array and I - c J is
+    # inverted; solve_ivp's BDF takes the same dense J through an LU
+    # factorization, so the steps agree and the states to rounding. None
+    # of these runs is reduced; the last one has exactly _DENSE_SIZE = 64
+    # kept components, where the dense RHS and the inverse are applied in
+    # serial row blocks
     edge = build_symmetric_reduced(200, 8, 1.0, 1.0, k_A=1.0, Delta=0.5,
                                    exc_cap=1).counting(2)
     runs = _bdf_runs() + [(edge, fock_input(4, gaussian_envelope(2.0)),
@@ -825,12 +897,13 @@ def test_dense_newton_matches_solve_ivp_bdf(monkeypatch):
         return jac, factorize
     monkeypatch.setattr(hierarchy, "_newton_algebra", spy)
     for got, ref in _bdf_against_solve_ivp(monkeypatch, runs):
-        assert got.diagnostics["size"] <= hierarchy._DENSE_NEWTON_SIZE
+        assert got.diagnostics["basis_size"] == got.diagnostics["size"]
+        assert got.diagnostics["size"] <= hierarchy._DENSE_SIZE
         assert isinstance(jacs[-1], np.ndarray)
         assert got.diagnostics["segments"] == ref.diagnostics["segments"]
         scale = np.abs(ref.states).max()
         assert np.abs(got.states - ref.states).max() < 1e-13 * scale
-    assert got.diagnostics["size"] == 64 == hierarchy._DENSE_NEWTON_SIZE
+    assert got.diagnostics["size"] == 64 == hierarchy._DENSE_SIZE
 
 
 def test_undriven_stiff_run_takes_bdf(monkeypatch):
@@ -851,7 +924,7 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
     # the splu path takes the same steps on the constant Jacobian a0
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
-        m.setattr(hierarchy, "_DENSE_NEWTON_SIZE", 0)
+        m.setattr(hierarchy, "_BASIS_MAX", 0)
         sparse = integrate_hierarchy(model, None, (0.5, 12.5), opts, **kw)
     assert sparse.diagnostics["segments"] == d["segments"]
     assert np.abs(sparse.states - got.states).max() < 1e-13
@@ -866,10 +939,10 @@ def test_undriven_stiff_run_takes_bdf(monkeypatch):
                                   "sym-1.0-detuned", "pnr-1-2"])
 def test_dense_blocks_match_the_sparse_path(monkeypatch, case):
     # up to _DENSE_SIZE kept components the RHS and the stiffness estimate
-    # run on dense blocks. The six benchmark sweep points (35 kept
-    # components; the last three on BDF), the last one under a detuned
-    # pulse (a complex E(t)), and a detuned PNR(1, 2) (24) take the steps
-    # the CSR path takes, with states equal to rounding
+    # run on dense blocks. Unreduced, the six benchmark sweep points (35
+    # kept components; the last three on BDF), the last one under a
+    # detuned pulse (a complex E(t)), and a detuned PNR(1, 2) (24) take the
+    # steps the CSR path takes, with states equal to rounding
     if case.startswith("sym"):
         model = _sym_sweep_model(float(case.split("-")[1]))
         field = fock_input(2, gaussian_envelope(
@@ -877,19 +950,24 @@ def test_dense_blocks_match_the_sparse_path(monkeypatch, case):
     else:
         model = build_pnr(1, 2).counting(2)
         field = fock_input(2, gaussian_envelope(2.0, detuning=0.2))
+    monkeypatch.setattr(hierarchy, "_BASIS_MAX", 0)
     got = integrate_hierarchy(model, field, (-16, 28))
     with monkeypatch.context() as m:
         m.setattr(hierarchy, "_DENSE_SIZE", 0)
         ref = integrate_hierarchy(model, field, (-16, 28))
     size = got.diagnostics["size"]
     assert size == (35 if case.startswith("sym") else 24) <= hierarchy._DENSE_SIZE
-    # the dense size is the largest whose [a0 am ap] product stays serial
+    assert got.diagnostics["basis_size"] == size
+    # the dense size is the largest whose n x (n - 1) level-2 calls inside
+    # eigvals and inv stay serial
     n = hierarchy._DENSE_SIZE
-    assert 3 * n ** 2 < hierarchy._SERIAL_GEMV <= 3 * (n + 1) ** 2
+    assert n * (n - 1) < hierarchy.SERIAL_GEMV <= (n + 1) * n
     assert got.diagnostics["segments"] == ref.diagnostics["segments"]
     scale = np.abs(ref.states).max()
     assert np.abs(got.states - ref.states).max() <= 1e-12 * scale
     # the exact eigenvalue against the Arnoldi estimate
+    assert got.diagnostics["stiffness_exact"]
+    assert not ref.diagnostics["stiffness_exact"]
     assert got.diagnostics["stiffness"] == pytest.approx(
         ref.diagnostics["stiffness"], rel=1e-5)
 
@@ -939,3 +1017,170 @@ def test_arnoldi_estimate_keeps_the_stiffness_decisions():
         else:
             above += 1
     assert above >= 5
+
+
+def _reduction_cases():
+    """(id, model, field, t_span) for the models of this file: tensor,
+    symmetric and monitored, small and above _DENSE_SIZE."""
+    env1, env2 = gaussian_envelope(1.0), gaussian_envelope(2.0)
+    return [
+        ("single", build_single_element(0.8, 1.1, Delta=0.4, k=0.3).counting(1),
+         fock_input(2, env1), None),
+        ("single-superposition", build_single_element(0.9, 0.8).liouvillian(),
+         superposition_input([1.0, 0.8, 0.4j], env1), None),
+        ("array", build_array(2, 1.0, 1.0).counting(1),
+         fock_input(1, gaussian_envelope(1.5)), None),
+        ("array-monitored",
+         build_array(2, 0.8, 1.0, Delta=0.3, k=0.4).counting(1),
+         fock_input(2, env1), None),
+        ("pnr-1-2", build_pnr(1, 2).counting(2),
+         fock_input(2, gaussian_envelope(2.0, detuning=0.2)), (-16, 28)),
+        ("pnr-2-2", build_pnr(2, 2, k=0.5).counting(2), fock_input(2, env1),
+         None),
+        ("pnr-2-3", build_pnr(2, 3).counting(2), fock_input(2, env2), (-16, 28)),
+        ("pnr-4-2", build_pnr(4, 2, gamma=0.7071067811865476, Gamma=1.0,
+                              k_A=1.0).counting(2), fock_input(2, env2), (-16, 28)),
+        ("pnr-3-3", build_pnr(3, 3).counting(3), fock_input(3, env2), (-16, 28)),
+        ("sym-small", build_symmetric_reduced(6, 2, 0.4, 1.0, k_A=1.0,
+                                              exc_cap=2).counting(2),
+         fock_input(2, env2), (-16, 28)),
+        ("sym-0.1", _sym_sweep_model(0.1), fock_input(2, env2), (-16, 28)),
+        ("sym-1.0", _sym_sweep_model(1.0), fock_input(2, env2), (-16, 28)),
+        ("sym-edge", build_symmetric_reduced(200, 8, 1.0, 1.0, k_A=1.0, Delta=0.5,
+                                             exc_cap=1).counting(2),
+         fock_input(4, env2), (-16, 28)),
+    ]
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _reduction_cases()])
+def test_krylov_reduction_matches_the_kept_solve(monkeypatch, case):
+    # the solve on the Krylov basis against the solve on the kept
+    # coordinates at rtol 1e-11: count probabilities, members and the
+    # Hermiticity defect within 1e-9. Kept sizes up to _DENSE_SIZE are
+    # reduced only with the dense size set to 0 (on both sides, so that
+    # the two runs differ only in the basis; the reference keeps CSR
+    # blocks). PNR(3, 3) reduces to 81 directions, past _BASIS_MAX, so its
+    # cap is raised here to check that reduction on a solve
+    _, model, field, span = next(c for c in _reduction_cases() if c[0] == case)
+    opts = IntegratorOptions(rtol=1e-11, atol=1e-13, n_points=41)
+    if compile_hierarchy(model, field, span).y0.size <= hierarchy._DENSE_SIZE:
+        monkeypatch.setattr(hierarchy, "_DENSE_SIZE", 0)
+    if case == "pnr-3-3":
+        monkeypatch.setattr(hierarchy, "_BASIS_MAX", 128)
+    got = integrate_hierarchy(model, field, span, opts)
+    monkeypatch.setattr(hierarchy, "_BASIS_MAX", 0)
+    ref = integrate_hierarchy(model, field, span, opts)
+    d = got.diagnostics
+    assert got.basis is not None and ref.basis is None
+    assert d["basis_size"] < d["size"] == ref.diagnostics["size"]
+    assert got.states.shape == (41, d["basis_size"])
+    assert np.abs(got.basis.conj().T @ got.basis
+                  - np.eye(d["basis_size"])).max() < 1e-12
+    # the basis is invariant under every block to 1e-11 of its norm bound
+    # (the directions it drops have residuals below BASIS_TOL = 1e-12)
+    ode = compile_hierarchy(model, field, span)
+    for m in (ode.a0, ode.am, ode.ap):
+        mq = m @ got.basis
+        residual = mq - got.basis @ (got.basis.conj().T @ mq)
+        assert np.abs(residual).max() < 1e-11 * krylov._norm_bound(m)
+    assert np.abs(got.count_probabilities()
+                  - ref.count_probabilities()).max() < 1e-9
+    assert np.abs(got.kept_states() - ref.states).max() < 1e-9
+    a, b = got.state_at(-1), ref.state_at(-1)
+    for n in range(got.n_max + 1):
+        for m in range(got.n_max + 1):
+            assert np.abs(a.member(n, m) - b.member(n, m)).max() < 1e-9
+    assert d["hermiticity_defect"] < 1e-9
+
+
+def test_krylov_reduction_skips_irreducible_and_small_runs():
+    # a band element's kept coordinates are all reachable directions, and
+    # PNR(3, 3) under three photons needs 81 directions: both bases pass
+    # _BASIS_MAX and the runs keep their CSR blocks. Kept sizes up to
+    # _DENSE_SIZE are solved on dense blocks as they are
+    band = build_band_element(DosModel("lorentzian", width=1.0), 16,
+                              np.sqrt(2.0 / 16), 1.0)
+    wide = gaussian_envelope(25.0)
+    budget = IntegratorOptions().max_store_bytes
+    ode = compile_hierarchy(band.counting(1), fock_input(1, wide))
+    assert ode.y0.size == 291 and hierarchy._reduction(ode, budget) is None
+    ode = compile_hierarchy(build_pnr(3, 3).counting(3),
+                            fock_input(3, gaussian_envelope(2.0)))
+    assert ode.y0.size == 582 and hierarchy._reduction(ode, budget) is None
+    ode = compile_hierarchy(_sym_sweep_model(0.1), fock_input(
+        2, gaussian_envelope(2.0)))
+    assert ode.y0.size == 35 and hierarchy._reduction(ode, budget) is None
+
+
+def test_krylov_basis_ranks_repeat_across_processes():
+    # the expected ranks, and the same bases bit for bit in two fresh
+    # processes: breadth-first order keeps rounding from adding directions
+    code = (
+        "import hashlib; from pnrsim.architectures import build_pnr; "
+        "from pnrsim.hierarchy import compile_hierarchy; "
+        "from pnrsim.krylov import krylov_reduction; "
+        "from pnrsim.pulses import fock_input, gaussian_envelope\n"
+        "for n_d, k in ((2, 2), (3, 3), (4, 3)):\n"
+        "    ode = compile_hierarchy(build_pnr(n_d, 3).counting(k), "
+        "fock_input(k, gaussian_envelope(2.0)))\n"
+        "    q = krylov_reduction((ode.a0, ode.am, ode.ap), ode.y0, 128)[0]\n"
+        "    print(n_d, q.shape[0], q.shape[1], hashlib.sha256(q.tobytes()).hexdigest())")
+    src = str(Path(hierarchy.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    sizes = [tuple(map(int, line.split()[:3])) for line in outs[0].splitlines()]
+    assert sizes == [(2, 76, 26), (3, 582, 81), (4, 1454, 81)]
+
+
+def test_stiffness_decisions_on_reduced_blocks():
+    # the models of test_arnoldi_estimate_keeps_the_stiffness_decisions:
+    # the exact dominant eigenvalue of the reduced a0 makes the choice of
+    # BDF or RK45 that the kept a0 makes. Bases are built for every model
+    # that reduces, also those below _DENSE_SIZE or above _BASIS_MAX
+    env = gaussian_envelope(2.0)
+    cases = [(build_pnr(2, 3).counting(2), fock_input(2, env), False),
+             (build_pnr(3, 3).counting(3), fock_input(3, env), False),
+             (build_pnr(4, 2).counting(2), fock_input(2, env), False),
+             (build_pnr(4, 3).counting(3), fock_input(3, env), False)]
+    for g, stiff in ((0.0707, False), (0.1, False), (0.2, False), (0.4, True),
+                     (0.7, True), (1.0, True)):
+        cases.append((_sym_sweep_model(g), fock_input(2, env), stiff))
+    reduced = 0
+    for model, field, stiff in cases:
+        ode = compile_hierarchy(model, field)
+        n = ode.y0.size
+        reduction = krylov.krylov_reduction((ode.a0, ode.am, ode.ap), ode.y0,
+                                            min(n - 1, 128))
+        if reduction is None:
+            continue
+        reduced += 1
+        q, (a0, _, _), _ = reduction
+        lam = _dominant_eigenvalue(a0)
+        assert _is_stiff(lam, field.envelope.step_bound) == stiff
+        assert _is_stiff(_dominant_eigenvalue(ode.a0),
+                         field.envelope.step_bound) == stiff
+        if q.shape[1] == 81:
+            # PNR(3, 3) and PNR(4, 3), whose spectral radius is 9
+            assert abs(lam) == pytest.approx(9.0, rel=1e-4)
+    assert reduced == 8
+
+
+def test_reduced_run_measures_errors_on_kept_components(monkeypatch):
+    # rtol and atol refer to the kept components: the solve on z scales its
+    # error estimates through Q, so at the default tolerances the pnr-tensor
+    # model takes the kept solve's steps under the pulse, to 1e-14 (1.3e-9
+    # apart, with 18 more RHS calls, when the errors were measured on z)
+    model = build_pnr(2, 3).counting(2)
+    field = fock_input(2, gaussian_envelope(2.0))
+    got = integrate_hierarchy(model, field, (-16, 28))
+    monkeypatch.setattr(hierarchy, "_BASIS_MAX", 0)
+    ref = integrate_hierarchy(model, field, (-16, 28))
+    assert got.diagnostics["basis_size"] == 26 and ref.basis is None
+    assert got.diagnostics["segments"][0] == ref.diagnostics["segments"][0]
+    driven = got.t <= 16.0
+    diff = np.abs(got.count_probabilities() - ref.count_probabilities())
+    assert diff[:, driven].max() < 1e-12
+    assert diff.max() < 1e-8
