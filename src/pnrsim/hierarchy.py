@@ -61,7 +61,8 @@ within a block, of the jump terms from sector s to s+1 (and within the
 last sector), and of the field terms from member (n-1, m) and (n, m-1) to
 (n, m), and the restricted blocks are summed from those entries. Neither
 the full grid nor any superoperator is built: `full_size` is only a
-count, and the search holds the sorted kept indices. A compile whose
+count, the search holds the sorted kept indices, and traces and
+observables are read at those only (`EngineView.row`). A compile whose
 largest block entry times the span overflows when squared is refused
 with a ConfigError: no step size could resolve such rates.
 """
@@ -81,7 +82,6 @@ from .krylov import (SERIAL_GEMV, krylov_reduction, serial_matmul,
                      serial_matvec)
 from .liouville import EngineView
 from .pulses import FieldInput
-from .spaces import Operator
 
 _ARNOLDI_STEPS = 40     # Krylov dimension of the stiffness estimate
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # step of the Arnoldi start vector
@@ -323,9 +323,10 @@ class HierarchyResult:
         return np.einsum("nm,nmst->t", self.field.coefficients, table)
 
     def state_at(self, t_index=-1):
-        if t_index < 0:
-            t_index += len(self.t)
-        return HierarchyState(self, t_index)
+        nt = len(self.t)
+        if not -nt <= t_index < nt:
+            raise ConfigError(f"t_index {t_index} outside {-nt}..{nt - 1}")
+        return HierarchyState(self, t_index % nt)
 
     def _component(self, t_index, n, m, sector):
         """One (member, sector) component, scattered from the kept indices."""
@@ -340,23 +341,21 @@ class HierarchyResult:
                                                       self.states[t_index])
         return out
 
-    def _member_vec(self, t_index, n, m, sector=None):
+    def _member(self, t_index, n, m, sector=None):
+        """Member (n, m), summed over sectors by default: a matrix of
+        `dense_shape`, or the component vector where that is None."""
         if not (0 <= n <= self.n_max and 0 <= m <= self.n_max):
             raise ConfigError(f"member ({n}, {m}) outside grid 0..{self.n_max}")
         if sector is None:
             secs = range(self.n_sectors)
-        else:
+        elif 0 <= sector < self.n_sectors:
             secs = [int(sector)]
+        else:
+            raise ConfigError(f"sector {sector} outside 0..{self.n_sectors - 1}")
         y = np.zeros(self.vec_dim, dtype=complex)
         for s in secs:
             y += self._component(t_index, n, m, s)
-        return y
-
-    def _member(self, t_index, n, m, sector=None):
-        y = self._member_vec(t_index, n, m, sector)
-        if self.dense_shape is None:
-            return y
-        return y.reshape(self.dense_shape)
+        return y if self.dense_shape is None else y.reshape(self.dense_shape)
 
     def final_state(self):
         return self.state_at(-1)
@@ -419,11 +418,11 @@ class HierarchyODE:
 def _start_view(ev, rho0):
     """`ev` with the start state `rho0` (`ev` itself when rho0 is None): a
     density matrix of shape `ev.dense_shape` or a vector of length
-    `ev.vec_dim`. It must be finite with unit trace, Hermitian (every
-    encoding, through the adjoint) and have no negative populations, both
-    within 1e-9: on tensor encodings its smallest eigenvalue, on the
-    symmetric encoding the weight of each diagonal-type class (the classes
-    the trace row reads)."""
+    `ev.vec_dim`. It must be finite with unit trace, Hermitian and have no
+    negative populations, both within 1e-9: on tensor encodings it is
+    checked as the matrix, by its smallest eigenvalue; on the symmetric
+    encoding through `adjoint_perm`, by the weight of each diagonal-type
+    class (the classes the trace row reads)."""
     if rho0 is None:
         return ev
     y = np.array(rho0, dtype=complex)
@@ -434,27 +433,27 @@ def _start_view(ev, rho0):
     y = y.reshape(-1)
     if not np.all(np.isfinite(y)):
         raise ConfigError("rho0 has non-finite entries")
-    trace = complex(ev.trace_row @ y)
+    nz = np.flatnonzero(y)
+    trace = complex(ev.row(ev.trace, nz) @ y[nz])
     if abs(trace - 1.0) > 1e-9:
         raise ConfigError(f"rho0 must have unit trace, got {trace:.6g}")
-    defect = float(np.abs(ev.adjoint(y) - y).max())
+    if ev.dense_shape is None:
+        # the adjoint maps each diagonal-type class to itself, so past the
+        # Hermiticity check these weights are real
+        rho, adjoint, low = y, np.conj(y[ev.adjoint_perm]), y[ev.trace != 0].real.min()
+        need = "class populations must be nonnegative; the smallest is"
+    else:
+        rho = y.reshape(ev.dense_shape)
+        adjoint = rho.conj().T
+        low = np.linalg.eigvalsh(0.5 * (rho + adjoint))[0]
+        need = "must be positive semidefinite; its smallest eigenvalue is"
+    defect = float(np.abs(adjoint - rho).max())
     if defect > 1e-9:
         raise ConfigError(f"rho0 must be Hermitian; rho0 - rho0^dag "
                           f"has an entry of size {defect:.3g}")
-    if ev.dense_shape is not None:
-        rho = y.reshape(ev.dense_shape)
-        low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        if low < -1e-9:
-            raise ConfigError(f"rho0 must be positive semidefinite; its "
-                              f"smallest eigenvalue is {low:.6g}")
-    else:
-        # the adjoint maps each diagonal-type class to itself, so the
-        # Hermiticity check above already made these weights real
-        low = float(y[ev.trace_row != 0].real.min())
-        if low < -1e-9:
-            raise ConfigError(f"rho0 class populations must be nonnegative; "
-                              f"the smallest is {low:.6g}")
-    return replace(ev, default_state=y)
+    if low < -1e-9:
+        raise ConfigError(f"rho0 {need} {float(low):.6g}")
+    return replace(ev, start=(nz, y[nz]))
 
 
 def compile_hierarchy(model, field, t_span=None, *, rho0=None):
@@ -490,7 +489,7 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
     np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
     graph = _BlockGraph(_block_parts(ev, n_max), vd)
     # every diagonal member (n, n) starts from the matter state in sector 0
-    nz = np.flatnonzero(ev.default_state)
+    nz, values = ev.start
     starts = (np.arange(np1) * (np1 + 1) * S * vd)[:, None] + nz
     keep = graph.reach(starts.ravel())
     ops = graph.restrict(keep)
@@ -504,7 +503,7 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
             f"{t1 - t0:.6g} overflows when squared: the architecture's rates "
             f"are too large; rescale the time unit")
     y0 = np.zeros(keep.size, dtype=complex)
-    y0[np.searchsorted(keep, starts)] = ev.default_state[nz]
+    y0[np.searchsorted(keep, starts)] = values
     return HierarchyODE(engine=ev, field=field, envelope=env, t0=t0, t1=t1,
                         n_max=n_max, a0=ops["a0"], am=ops.get("am"),
                         ap=ops.get("ap"), y0=y0, keep=keep,
@@ -586,28 +585,11 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
             return (r @ ys.T).reshape(np1, np1, S, nt)
         return serial_matmul(ys, (r @ basis).T).T.reshape(np1, np1, S, nt)
 
-    obs_tables = {}
-    for name, ob in (observables or {}).items():
-        if isinstance(ob, Operator):
-            if ob.matrix.shape != ev.dense_shape:
-                raise ConfigError(
-                    f"observable {name!r} is an operator of shape "
-                    f"{ob.matrix.shape}; the encoding's states have shape "
-                    f"{ev.dense_shape}")
-            # tr(X rho) reads X[j, i] at entry (i, j) of the component grid
-            i, j = np.divmod(pos, ev.dense_shape[1])
-            vals = ob.matrix.at(j, i)
-        else:
-            row = np.asarray(ob, dtype=complex).reshape(-1)
-            if row.size != vd:
-                raise ConfigError(
-                    f"observable {name!r} row has length {row.size}, expected {vd}")
-            vals = row[pos]
-        obs_tables[name] = readout(vals)
-
+    obs_tables = {name: readout(ev.row(ob, pos, f"observable {name!r}"))
+                  for name, ob in (observables or {}).items()}
     result = HierarchyResult(
         t=t_eval, n_max=ode.n_max, n_sectors=S, vec_dim=vd,
-        field=field, sector_traces=readout(ev.trace_row[pos]),
+        field=field, sector_traces=readout(ev.row(ev.trace, pos)),
         observables=obs_tables, states=ys, keep=ode.keep,
         diagnostics={}, dense_shape=ev.dense_shape, basis=basis,
     )
@@ -641,7 +623,10 @@ def _hermiticity_defect(result, ev):
         on = blk % S == s
         member[np.searchsorted(keys, key[on])] += y[on]
     n, m = np.divmod(keys // vd, np1)
-    mirror = (m * np1 + n) * vd + ev.adjoint_perm[keys % vd]
+    comp, d = keys % vd, ev.dense_shape and ev.dense_shape[1]
+    # a tensor entry (i, j) mirrors (j, i); the symmetric classes permute
+    mirror = (m * np1 + n) * vd + (ev.adjoint_perm[comp] if d is None
+                                   else comp % d * d + comp // d)
     j = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
     other = np.where(keys[j] == mirror, member[j], 0)
     return float(np.abs(member - np.conj(other)).max())

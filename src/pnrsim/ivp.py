@@ -10,6 +10,10 @@ dense-output state at t1, which starts the next segment. Their error and
 Newton norms are taken of `lift` of each vector, a linear map to the
 coordinates the tolerances refer to (the identity by default), so that a
 solve in projected coordinates z takes the steps of the solve of Q z.
+Their sums over stages or differences (n x at most 7 by a vector or a
+few columns) are np.dot calls while 7 n < SERIAL_GEMV; above, where
+OpenBLAS threads them at twice the CPU and with bits that depend on the
+thread count, they run in `krylov.serial_matmul`'s row blocks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import NumericsError
+from .krylov import SERIAL_GEMV, serial_matmul
 
 # Dormand-Prince 5(4): nodes, stage weights, 5th-order weights, the error
 # row (5th minus embedded 4th order, on the 7 stages including the FSAL
@@ -112,6 +117,7 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step, lift=_identity):
     h_abs = _initial_step(rhs, t, y, f, t1, max_step, 4, rtol, atol, lift)
     nfev, n_rejected, done = 2, 0, 0
     K = np.empty((7, y.size), dtype=complex)
+    dot = np.dot if 7 * y.size < SERIAL_GEMV else serial_matmul
     y_lift = lift(y)
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -126,13 +132,13 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step, lift=_identity):
             K[0] = f
             for s in range(1, 6):
                 K[s] = rhs(t + _DP_C[s] * h,
-                           y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+                           y + dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * dot(K[:-1].T, _DP_B)
             K[6] = f_new = rhs(t + h, y_new)
             nfev += 6
             new_lift = lift(y_new)
             scale = atol + np.maximum(np.abs(y_lift), np.abs(new_lift)) * rtol
-            err = _rms(lift(np.dot(K.T, _DP_E)) * h / scale)
+            err = _rms(lift(dot(K.T, _DP_E)) * h / scale)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -146,7 +152,7 @@ def rk45(rhs, y, t0, t1, t_eval, out, rtol, atol, max_step, lift=_identity):
         if stop > done:
             x = (t_eval[done:stop] - t_old) / (t - t_old)
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            dense = (t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None]
+            dense = (t - t_old) * dot(dot(K.T, _DP_P), p) + y_old[:, None]
             out[done:stop] = dense.T[:len(out) - done]
             done = stop
     return dense[:, -1], dict(nfev=nfev, njev=0, nlu=0, rejected=n_rejected)
@@ -223,6 +229,7 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step,
     h_abs = _initial_step(rhs, t, y, f, t1, max_step, 1, rtol, atol, lift)
     J = jac(t, y)
     D = np.empty((8, y.size), dtype=complex)
+    dot = np.dot if 7 * y.size < SERIAL_GEMV else serial_matmul
     D[0], D[1] = y, f * h_abs
     order, n_equal, solve = 1, 0, None
     nfev, njev, nlu, n_rejected, done = 2, 1, 0, 0, 0
@@ -246,7 +253,7 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step,
             y_predict = np.sum(D[:order + 1], axis=0)
             scale = atol + rtol * np.abs(lift(y_predict))
             alpha = _NDF_ALPHA[order]
-            psi = np.dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
+            psi = dot(D[1:order + 1].T, _NDF_GAMMA[1:order + 1]) / alpha
             c = h / alpha
             while True:
                 if solve is None:
@@ -303,7 +310,7 @@ def bdf(rhs, jac, factorize, y, t0, t1, t_eval, out, rtol, atol, max_step,
             k = np.arange(order)
             x = ((t_eval[done:stop] - (t - h_abs * k)[:, None])
                  / (h_abs * (1 + k))[:, None])
-            dense = (np.dot(D[1:order + 1].T, np.cumprod(x, axis=0))
+            dense = (dot(D[1:order + 1].T, np.cumprod(x, axis=0))
                      + D[0, :, None])
             out[done:stop] = dense.T[:len(out) - done]
             done = stop

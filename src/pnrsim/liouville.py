@@ -18,7 +18,9 @@ between counting sectors instead of summing it into the generator.
 The engines consume one object, the frozen `EngineView`. A model (the
 tensor `Liouvillian` here, or the symmetric reduction) builds its view
 once; `counting_resolve` returns a copy of it with the counted channels'
-sandwiches split out of the generator into the jump terms.
+sandwiches split out of the generator into the jump terms. No part of a
+tensor view has d**2 entries, and `EngineView.row`, the one reader of the
+component grid, reads the trace at the kept components as any observable.
 """
 
 from __future__ import annotations
@@ -79,13 +81,14 @@ class EngineView:
 
     `vec_dim` is the length of one (member, sector) component. For tensor
     encodings it is d**2 and `dense_shape` is (d, d); reduced encodings
-    leave `dense_shape` None. `adjoint_perm` is the index permutation that,
-    with a complex conjugate, maps a component vector to the vector of its
-    conjugated density matrix (`adjoint`); integrators use it for
-    hermiticity checks. `default_state` is the start vector of every
-    diagonal member. `amps` are the amplifier channels, whose operators act
-    on the d-dimensional space; encodings that cannot carry measurement
-    backaction leave it empty.
+    leave `dense_shape` None. `start` holds the nonzeros (indices, values)
+    of the start vector of every diagonal member, and `trace` is the
+    observable tr(rho): the identity, or a raw row on reduced encodings.
+    The adjoint of tensor entry (i, j) is (j, i); reduced encodings give
+    `adjoint_perm`, which with a conjugate maps a component vector to that
+    of its conjugated density matrix. `amps` are the amplifier channels,
+    whose operators act on the d-dimensional space; encodings that cannot
+    carry measurement backaction leave it empty.
     """
 
     vec_dim: int
@@ -94,19 +97,35 @@ class EngineView:
     jump: tuple
     field_ket: tuple
     field_bra: tuple
-    trace_row: np.ndarray
-    default_state: np.ndarray
-    adjoint_perm: np.ndarray
+    start: tuple
+    trace: object
+    adjoint_perm: np.ndarray = None
     dense_shape: tuple = None
     amps: tuple = ()
     kicks: tuple = ()
 
     def __post_init__(self):
-        for a in (self.trace_row, self.default_state, self.adjoint_perm):
-            a.flags.writeable = False
+        for a in (*self.start, self.trace, self.adjoint_perm):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
-    def adjoint(self, y):
-        return np.conj(y[..., self.adjoint_perm])
+    def row(self, ob, pos, name="observable"):
+        """Entries `pos` of the row that reads tr(O rho) off a component
+        vector: O[j, i] at entry (i, j) of the component grid for an
+        Operator or CSR matrix O, row[pos] for a raw row of length
+        vec_dim. `name` labels the errors."""
+        m = ob.matrix if isinstance(ob, Operator) else ob
+        if not isinstance(m, CSR):
+            m = np.asarray(m, dtype=complex).reshape(-1)
+            if m.size != self.vec_dim:
+                raise ConfigError(
+                    f"{name} row has length {m.size}, expected {self.vec_dim}")
+            return m[pos]
+        if m.shape != self.dense_shape:
+            raise ConfigError(f"{name} is an operator of shape {m.shape}; the "
+                              f"encoding's states have shape {self.dense_shape}")
+        i, j = np.divmod(pos, self.dense_shape[1])
+        return m.at(j, i)
 
 
 class Liouvillian:
@@ -166,11 +185,6 @@ class Liouvillian:
     def engine_view(self):
         if self._view is None:
             d = self.dim
-            idx = np.arange(d * d)
-            trace_row = np.zeros(d * d, dtype=complex)
-            trace_row[idx[::d + 1]] = 1.0
-            y0 = np.zeros(d * d, dtype=complex)
-            y0[0] = 1.0
             eye = CSR.identity(d, complex)
             fk = fb = None
             if self.field_op is not None:
@@ -181,8 +195,8 @@ class Liouvillian:
                           for a in self.amps if a.k > 0)
             self._view = EngineView(
                 vec_dim=d * d, n_sectors=1, g0=self.split_jumps(())[0], jump=None,
-                field_ket=fk, field_bra=fb, trace_row=trace_row,
-                default_state=y0, adjoint_perm=(idx % d) * d + idx // d,
+                field_ket=fk, field_bra=fb, trace=eye,
+                start=(np.zeros(1, np.int64), np.ones(1, complex)),
                 dense_shape=(d, d), amps=self.amps, kicks=kicks)
         return self._view
 

@@ -9,6 +9,7 @@ registered by time t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,8 +191,7 @@ def dark_count_rate(internal_probs, t_m, snr0=None, k=None, chi=None):
         if k is None or chi is None:
             raise ConfigError("give either snr0 or both k and chi")
         snr0 = np.sqrt(8.0 * k * t_m) * chi
-    from scipy.special import erfc
-    noise = 0.5 / t_m * erfc(snr0 / np.sqrt(2.0))
+    noise = 0.5 / t_m * math.erfc(snr0 / math.sqrt(2.0))
     rates = probs / t_m + noise
     return float(np.sum(rates))
 

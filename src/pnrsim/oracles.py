@@ -107,8 +107,7 @@ def pnr_rate_relations(N, Delta=None, t_MIN=0.0, snr0=math.inf, eff_loss=None):
             raise ConfigError("Delta must be nonnegative")
         eff_loss = 1.0 - math.exp(-N * Delta * t_MIN)
     r_c = N * Delta
-    from scipy.special import erfc
-    r_dc = (N / t_MIN) * float(erfc(snr0 / math.sqrt(2.0)))
+    r_dc = (N / t_MIN) * math.erfc(snr0 / math.sqrt(2.0))
     if r_c > 0:
         ratio = r_dc / r_c
     else:

@@ -195,9 +195,8 @@ class SymmetricLiouvillian:
         self._sandwiches = sandwiches
         self.generator = g
 
-        # trace and diagonal observables live on diagonal-type classes;
-        # a normalized class vector contributes sqrt(multiplicity)
-        tr = np.zeros(self.dim)
+        # the trace (row "population") and diagonal observables live on
+        # diagonal-type classes; a class vector adds sqrt(multiplicity)
         counts = {name: np.zeros(self.dim) for name in _DIAG_OBSERVABLES}
         for c, i in self.classes.items():
             nk, nb, ne, nc, a = c
@@ -209,7 +208,6 @@ class SymmetricLiouvillian:
             mult_a = factorial(self.n_registers) // (
                 factorial(a) * factorial(self.n_registers - a))
             w = np.sqrt(mult_d * mult_a)
-            tr[i] = w
             counts["population"][i] = w
             counts["ground"][i] = ng * w
             counts["excited"][i] = ne * w
@@ -223,15 +221,14 @@ class SymmetricLiouvillian:
             nk, nb, ne, nc, a = c
             perm[i] = self.classes[(nb, nk, ne, nc, a)]
 
-        x0 = np.zeros(self.dim, dtype=complex)
-        x0[self.classes[(0, 0, 0, 0, 0)]] = 1.0
         # classes sit on an (n_classes, 1) grid: a block M is the term (M, [[1]])
         self._one = one = CSR.from_dense(np.ones((1, 1)))
         self._view = EngineView(
             vec_dim=self.dim, n_sectors=1, g0=((self.generator, one),),
             jump=None, field_ket=((rm_ld - lm_ld, one),),
             field_bra=((lm_l - rm_l, one),),
-            trace_row=tr.astype(complex), default_state=x0, adjoint_perm=perm)
+            start=(np.array([self.classes[(0, 0, 0, 0, 0)]]), np.ones(1, complex)),
+            trace=self._rows["population"], adjoint_perm=perm)
 
     # engine interface -----------------------------------------------
 

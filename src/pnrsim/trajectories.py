@@ -166,12 +166,9 @@ def _prepare(liou, field, t_span, opts, rho0):
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
     blk, pos = np.divmod(ode.keep, ev.vec_dim)
     weight = np.repeat(c.reshape(-1), ev.n_sectors)[blk]
-    xs = [a.op.matrix.toarray() for a in amps]
-    rows = [ev.trace_row[pos]]
-    for x in xs:
-        # tr(X rho + rho X^dag) reads X[j, i] + conj(X[i, j]) at entry (i, j)
-        i, j = np.divmod(pos, len(x))
-        rows.append(x[j, i] + x[i, j].conj())
+    # tr(X rho + rho X^dag) is the row of X plus that of X^dag
+    rows = [ev.row(ev.trace, pos)] + [
+        ev.row(a.op, pos) + ev.row(a.op.matrix.getH(), pos) for a in amps]
 
     p = _Prepared()
     p.n_steps = max(1, math.ceil((t1 - t0) / opts.dt))
@@ -180,7 +177,7 @@ def _prepare(liou, field, t_span, opts, rho0):
     p.y0 = ode.y0
     p.readout = np.array([weight * r for r in rows])[:, None, None, :]
     p.x_range = np.array([np.linalg.eigvalsh(0.5 * (x + x.conj().T))[[0, -1]]
-                          for x in xs]).reshape(-1, 2)
+                          for x in (a.op.matrix.toarray() for a in amps)]).reshape(-1, 2)
     p.gains = np.array([math.sqrt(2.0 * a.k) for a in amps])
     p.rec_noise = np.array([1.0 / math.sqrt(8.0 * a.k) for a in amps])
     p.tags = [a.tag for a in amps]

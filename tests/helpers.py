@@ -65,6 +65,22 @@ def superop(terms):
     return out
 
 
+def start_vector(ev):
+    """The start state of an engine view as a full component vector."""
+    y = np.zeros(ev.vec_dim, dtype=complex)
+    y[ev.start[0]] = ev.start[1]
+    return y
+
+
+def trace_row(ev):
+    """The full row r with r @ vec(rho) = tr(rho): on a tensor encoding the
+    identity stacked by rows, built here from its shape; on the symmetric
+    encoding the view's own class row."""
+    if ev.dense_shape is None:
+        return np.asarray(ev.trace)
+    return np.eye(ev.dense_shape[0], dtype=complex).reshape(-1)
+
+
 def dense_hierarchy(ev, field):
     """Full, unreduced hierarchy blocks (A0, Am, Ap) and start vector of an
     engine view driven by `field`, as dense arrays in the (member n, m;
@@ -87,7 +103,7 @@ def dense_hierarchy(ev, field):
     y0 = np.zeros(a0.shape[0], dtype=complex)
     for n in range(np1):
         lo = (n * np1 + n) * S * vd
-        y0[lo:lo + vd] = ev.default_state
+        y0[lo:lo + vd] = start_vector(ev)
     return a0, am, ap, y0
 
 
@@ -125,7 +141,7 @@ def full_grid_hierarchy(ev, field):
     y0 = np.zeros(a0.shape[0], dtype=complex)
     for n in range(np1):
         lo = (n * np1 + n) * S * vd
-        y0[lo:lo + vd] = ev.default_state
+        y0[lo:lo + vd] = start_vector(ev)
     blocks = [b for b in (a0, am, ap) if b is not None]
     blocks += [sp.kron(sp.identity(np1 * np1 * S), superop(kick), format="csr")
                for kick in ev.kicks]
@@ -160,7 +176,7 @@ def dense_count_probabilities(ev, field, t_eval, **solve_kw):
     assert sol.success, sol.message
     np1 = field.n_max + 1
     traces = (sol.y.T.reshape(len(t_eval), np1, np1, ev.n_sectors, ev.vec_dim)
-              @ ev.trace_row)
+              @ trace_row(ev))
     return np.real(np.einsum("nm,tnms->st", field.coefficients, traces))
 
 
@@ -191,7 +207,7 @@ def compiled_reference(model, field, t_span, t_eval, rho0=None, rtol=1e-12,
     ev, np1 = ode.engine, ode.n_max + 1
     blk, pos = np.divmod(ode.keep, ev.vec_dim)
     traces = np.zeros((np1 * np1 * ev.n_sectors, len(t_eval)), dtype=complex)
-    np.add.at(traces, blk, sol.y * ev.trace_row[pos][:, None])
+    np.add.at(traces, blk, sol.y * trace_row(ev)[pos][:, None])
     return sol.y.T, traces.reshape(np1, np1, ev.n_sectors, len(t_eval))
 
 
@@ -239,9 +255,9 @@ def loop_trajectory(liou, field, t_span, seed, traj_index, dt, store_every,
     amps = [a for a in ev.amps if a.k > 0]
     c = field.coefficients if field is not None else np.ones(1, dtype=complex)
     wvec = np.repeat(c.reshape(-1), ev.n_sectors)
-    w = np.kron(wvec, ev.trace_row)[keep]
+    w = np.kron(wvec, trace_row(ev))[keep]
     kicks = [superop(kick) for kick in ev.kicks]
-    rows = [np.kron(wvec, ev.trace_row @ k)[keep] for k in kicks]
+    rows = [np.kron(wvec, trace_row(ev) @ k)[keep] for k in kicks]
     sx = [sp.kron(sp.identity(wvec.size), k, format="csr")[keep][:, keep].toarray()
           for k in kicks]
     a0 = ode.a0.toarray()

@@ -758,6 +758,8 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     # the package's own CSR type carries every sparse product, so neither
     # the import nor the three benchmark workloads load any scipy module
     # (scipy.sparse alone was about 0.24 s of each process's start-up).
+    # Dark counts and the rate oracle take math.erfc, not scipy.special's
+    # (a fresh import of scipy.special took 0.30-0.34 s).
     # Nor do they load numpy.ma (about 11 ms), which np.unique without
     # return_inverse and np.union1d import. Only the trajectories load
     # numpy.random (15-22 ms and about 6 MB): the sweep's dense blocks and
@@ -765,14 +767,22 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     # Arnoldi estimate starts from a Weyl sequence. Names are matched
     # exactly: the prefix numpy.ma also matches numpy.matrixlib
     configs = SRC.parent / "perfbench" / "configs"
+    dark = write_cfg(tmp_path, metrics={"compute": ["efficiency", "dark_counts"],
+                                        "t_m": 1.0},
+                     architecture={"kind": "single", "params": {
+                         "gamma": 1.0, "Gamma": 1.0, "k": 0.5}})
     commands = [None,
                 ["simulate", str(configs / "pnr-tensor.json")],
                 ["sweep", str(configs / "sym-sweep.json"), "--workers", "2"],
                 ["trajectories", str(configs / "traj-ensemble.json"),
-                 "--workers", "2"]]
+                 "--workers", "2"],
+                ["simulate", dark],
+                ["oracle", "rates", "--N", "2", "--Delta", "0.3", "--t-min", "1",
+                 "--snr0", "2"]]
     for i, argv in enumerate(commands):
-        run = "" if argv is None else (
-            f"assert main({argv + ['--out', str(tmp_path / str(i))]!r}) == 0; ")
+        if argv is not None and argv[0] != "oracle":
+            argv = argv + ["--out", str(tmp_path / str(i))]
+        run = "" if argv is None else f"assert main({argv!r}) == 0; "
         banned = ["scipy", "numpy.ma"]
         if argv is None or argv[0] != "trajectories":
             banned.append("numpy.random")

@@ -31,7 +31,8 @@ from pnrsim.trajectories import TrajectoryOptions, run_trajectories
 
 from helpers import (compiled_reference, dense_count_probabilities,
                      dense_hierarchy, expm_evolve, full_grid_hierarchy,
-                     random_architecture, random_density, superop)
+                     random_architecture, random_density, start_vector,
+                     superop, trace_row)
 
 
 def test_vacuum_input_matches_dense_expm():
@@ -92,6 +93,37 @@ def test_member_grid_size_matches_photon_number():
     assert len(seen) == 16
     with pytest.raises(ConfigError):
         state.member(4, 0)
+
+
+def _two_sector_run():
+    """A 2-sector run at the default 201 points."""
+    return integrate_hierarchy(build_single_element(1.0, 1.0).counting(1),
+                               fock_input(1, gaussian_envelope(1.0)))
+
+
+def test_member_sector_past_the_last_is_a_config_error():
+    # sector 2 of 2 read member (0, 1)'s sector-0 block
+    state = _two_sector_run().final_state()
+    with pytest.raises(ConfigError, match=r"sector 2 outside 0\.\.1"):
+        state.member(0, 0, sector=2)
+    both = state.member(0, 0, sector=0) + state.member(0, 0, sector=1)
+    assert np.array_equal(both, state.member(0, 0))
+
+
+def test_negative_member_sector_is_a_config_error():
+    # sector -1 read zeros
+    state = _two_sector_run().final_state()
+    with pytest.raises(ConfigError, match=r"sector -1 outside 0\.\.1"):
+        state.member(0, 0, sector=-1)
+
+
+def test_state_index_outside_the_run_is_a_config_error():
+    # index -300 of 201 wrapped to t = 0.16
+    run = _two_sector_run()
+    for bad in (-300, -202, 201):
+        with pytest.raises(ConfigError, match=r"t_index .* outside -201\.\.200"):
+            run.state_at(bad)
+    assert run.state_at(-201).t == run.t[0] and run.state_at(200).t == run.t[-1]
 
 
 def test_member_conjugate_symmetry():
@@ -300,12 +332,12 @@ def test_compile_builds_no_superoperator(monkeypatch):
     assert len(ode.kicks) == 2
 
 
-def test_large_tensor_compile_memory():
-    # PNR(4, 3) under three photons keeps 1,454 components; its d**2 x d**2
-    # superoperators (g0 with 2.47 million nonzeros) peaked at 272 MiB in
-    # counting and compile, the operator terms at 23 MiB
+def _tensor_compile_peak(n_D):
+    """The compile of tensor PNR(n_D, 3) under three photons, counting
+    included, and its tracemalloc peak in MiB (max_dim lifted as
+    --allow-large does)."""
     import tracemalloc
-    arch = build_pnr(4, 3)
+    arch = build_pnr(n_D, 3, max_dim=sys.maxsize)
     field = fock_input(3, gaussian_envelope(2.0))
     tracemalloc.start()
     try:
@@ -313,8 +345,29 @@ def test_large_tensor_compile_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return ode, peak / 2 ** 20
+
+
+def test_large_tensor_compile_memory():
+    # PNR(4, 3) under three photons keeps 1,454 components; its d**2 x d**2
+    # superoperators (g0 with 2.47 million nonzeros) peaked at 272 MiB in
+    # counting and compile, the operator terms and the d**2-long start,
+    # trace and adjoint arrays at 23 MiB, the operator terms alone at 4.9
+    ode, peak = _tensor_compile_peak(4)
     assert ode.keep.size == 1454 and ode.a0.nnz == 13134
-    assert peak < 32 * 2 ** 20
+    assert peak < 12
+
+
+def test_larger_tensor_compiles_build_nothing_of_size_d_squared():
+    # PNR(5, 3) (d = 1,944) peaked at 204 MiB with the d**2-long view
+    # arrays and peaks at 15.9 without them; PNR(6, 3) (d = 5,832) would
+    # have needed about 1.6 GB for those arrays and peaks at 46.9
+    ode, peak = _tensor_compile_peak(5)
+    assert ode.keep.size == 3310 and ode.a0.nnz == 42520
+    assert peak < 32
+    ode, peak = _tensor_compile_peak(6)
+    assert ode.engine.vec_dim == 5832 ** 2 and ode.keep.size == 6948
+    assert peak < 64
 
 
 def test_options_must_be_finite():
@@ -563,8 +616,10 @@ def test_engine_views_are_frozen_and_state_their_amps():
     # each model builds its view once, and nothing writes into it
     assert liou.engine_view() is base
     assert sym.liouvillian().engine_view() is sym.liouvillian().engine_view()
-    with pytest.raises(ValueError):
-        base.default_state[0] = 0.0
+    sym_view = sym.liouvillian().engine_view()
+    for a in (*base.start, *sym_view.start, sym_view.trace, sym_view.adjoint_perm):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_start_state_must_be_a_density_matrix():
@@ -588,11 +643,11 @@ def test_start_state_must_be_a_density_matrix():
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
     ev = sym
     slots = np.arange(ev.vec_dim, dtype=complex)
-    one_sided = ev.default_state.copy()
-    one_sided[np.flatnonzero(ev.adjoint(slots) != slots)[0]] = 0.1
+    one_sided = start_vector(ev)
+    one_sided[np.flatnonzero(np.conj(slots[ev.adjoint_perm]) != slots)[0]] = 0.1
     with pytest.raises(ConfigError, match="rho0.*Hermitian"):
         integrate_hierarchy(sym, field, rho0=one_sided)
-    integrate_hierarchy(sym, field, rho0=ev.default_state)
+    integrate_hierarchy(sym, field, rho0=start_vector(ev))
 
 
 def test_start_state_must_have_the_encoding_shape():
@@ -614,12 +669,13 @@ def test_symmetric_start_state_must_have_nonnegative_populations():
     # unit trace and Hermitian, but one diagonal-type class holds -0.5
     sym = build_symmetric_reduced(2, 1, 1.0, 1.0).counting(1)
     ev = sym
-    ground = int(np.flatnonzero(ev.default_state)[0])
-    other = [i for i in np.flatnonzero(ev.trace_row) if i != ground][0]
-    negative = ev.default_state.copy()
+    row = trace_row(ev)
+    ground = int(np.flatnonzero(start_vector(ev))[0])
+    other = [i for i in np.flatnonzero(row) if i != ground][0]
+    negative = start_vector(ev)
     negative[other] = -0.5
-    negative[ground] += 0.5 * ev.trace_row[other].real
-    assert complex(ev.trace_row @ negative) == pytest.approx(1.0)
+    negative[ground] += 0.5 * row[other].real
+    assert complex(row @ negative) == pytest.approx(1.0)
     field = fock_input(1, gaussian_envelope(1.0))
     with pytest.raises(ConfigError, match="rho0.*nonnegative"):
         integrate_hierarchy(sym, field, rho0=negative)
@@ -674,7 +730,7 @@ def _excited_element(model):
     """The class vector of one excited element (no photon, no register)."""
     i = enumerate_classes(200, 8, 2)[(0, 0, 1, 0, 0)]
     y = np.zeros(model.vec_dim, dtype=complex)
-    y[i] = 1 / model.trace_row[i]
+    y[i] = 1 / model.trace[i]
     return y
 
 
