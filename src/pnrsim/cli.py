@@ -26,6 +26,17 @@ working, but it changes neither what runs nor any output byte. It must
 be an integer >= 1: 0 or a negative value is a configuration error
 (exit 2). Trajectory streams are keyed by (seed, trajectory index)
 alone.
+
+BLAS runs on one thread in a CLI process unless the caller sets a thread
+count. Every dense product the package makes is already sized to run
+serially (`krylov.serial_matmul`, `hierarchy._DENSE_SIZE`), so a BLAS
+thread pool does no useful work here and only costs start-up time:
+OpenBLAS starts its worker threads when numpy loads. So when numpy is not
+loaded yet and the caller set none of the BLAS thread variables, this
+module sets them to 1 while it imports numpy and then deletes them again:
+OpenBLAS reads them only when it loads, and `os.environ` stays as the
+caller left it. A thread count the caller set is kept, and a process that
+loaded numpy first (a library user, a test runner) is left alone.
 """
 
 from __future__ import annotations
@@ -34,25 +45,29 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# OpenBLAS reads the first three (its OpenMP builds only OMP_NUM_THREADS),
+# MKL the last two
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        import numpy
+    finally:
+        for _var in _BLAS_THREAD_VARS:
+            del os.environ[_var]
 
 import numpy as np
 
 from .config import SCHEMA_VERSION, RunConfig, config_sha256
-from .design import (
-    TRADEOFF_CSV_COLUMNS,
-    effective_coupling,
-    film_thickness,
-    required_absorbers,
-    snr0_transport,
-    tradeoff_curve,
-    transport_amplifier,
-)
 from .errors import ConfigError, NumericsError, ResourceLimitError
 from .hierarchy import integrate_hierarchy
 from .metrics import MetricsReport, dark_count_rate, detection_probabilities, efficiency, jitter
-from .oracles import evaluate as evaluate_oracle
 from .trajectories import ensemble_average, extract_clicks, run_trajectories
 
 _RECORD_FILE_CAP = 32
@@ -74,11 +89,16 @@ def _fmt(x) -> str:
 
 
 def _float_lines(columns, sep=",") -> list[str]:
-    """One line per row of the float arrays `columns` (1-d columns or 2-d
-    blocks of columns), each value written as _fmt writes a float."""
+    """The rows of the float arrays `columns` (1-d columns or 2-d blocks of
+    columns), each value written as _fmt writes a float, as lines to join
+    with newlines. The rows come as one block, formatted in one operation
+    rather than one per row, so an element may hold many lines."""
     table = np.column_stack(columns)
-    fmt = sep.join(["%.12g"] * table.shape[1])
-    return [fmt % tuple(row) for row in table.tolist()]
+    rows, width = table.shape
+    if not rows:
+        return []
+    fmt = "\n".join([sep.join(["%.12g"] * width)] * rows)
+    return [fmt % tuple(table.ravel().tolist())]
 
 
 def _header(sha: str) -> list[str]:
@@ -383,6 +403,8 @@ def _print_scalar(label, value, formula=None):
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import evaluate as evaluate_oracle
+
     name = args.oracle_name
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("command", "oracle_name", "func") and v is not None}
@@ -401,6 +423,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .design import (TRADEOFF_CSV_COLUMNS, effective_coupling,
+                         film_thickness, required_absorbers, snr0_transport,
+                         tradeoff_curve, transport_amplifier)
+
     calc = args.design_name
     if calc == "coupling":
         _print_scalar("gamma_eff2",
@@ -427,6 +453,9 @@ def cmd_design(args) -> int:
         raise ConfigError("give both --target-rc and --target-rdc or neither")
     if args.target_rc is not None:
         target = (args.target_rc, args.target_rdc)
+    if args.t_lo <= 0 or args.t_hi <= 0 or args.points < 1:
+        raise ConfigError("--t-lo and --t-hi must be positive and --points "
+                          "at least 1")
     grid = np.geomspace(args.t_lo, args.t_hi, args.points)
     amp = transport_amplifier(args.f, args.I)
     argdoc = {
@@ -465,6 +494,14 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _finite_float(text):
+    """argparse type of every float option: a non-finite value exits 2."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
 
 def _add_run_args(p, seed=False):
     p.add_argument("config", help="path to a JSON run config")
@@ -505,31 +542,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("band-eff", help="band-element detection probability")
     q.add_argument("--n-b", dest="n_b", type=int, required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--Gamma", type=float, required=True)
-    q.add_argument("--zeta", type=float, required=True)
-    q.add_argument("--delta-omega", dest="delta_omega", type=float)
+    q.add_argument("--gamma", type=_finite_float, required=True)
+    q.add_argument("--Gamma", type=_finite_float, required=True)
+    q.add_argument("--zeta", type=_finite_float, required=True)
+    q.add_argument("--delta-omega", dest="delta_omega", type=_finite_float)
     q.set_defaults(func=cmd_oracle)
 
     q = osub.add_parser("count-rate", help="single-element count rate")
-    q.add_argument("--Delta", type=float, required=True)
-    q.add_argument("--t-min", dest="t_MIN", type=float, required=True)
-    q.add_argument("--eff-loss", dest="eff_loss", type=float, required=True)
+    q.add_argument("--Delta", type=_finite_float, required=True)
+    q.add_argument("--t-min", dest="t_MIN", type=_finite_float, required=True)
+    q.add_argument("--eff-loss", dest="eff_loss", type=_finite_float,
+                   required=True)
     q.add_argument("--approximate", action="store_true", default=None)
     q.set_defaults(func=cmd_oracle)
 
     q = osub.add_parser("rates", help="count/dark-rate relations")
     q.add_argument("--N", type=int, required=True)
-    q.add_argument("--Delta", type=float)
-    q.add_argument("--t-min", dest="t_MIN", type=float)
-    q.add_argument("--snr0", type=float)
-    q.add_argument("--eff-loss", dest="eff_loss", type=float)
+    q.add_argument("--Delta", type=_finite_float)
+    q.add_argument("--t-min", dest="t_MIN", type=_finite_float)
+    q.add_argument("--snr0", type=_finite_float)
+    q.add_argument("--eff-loss", dest="eff_loss", type=_finite_float)
     q.set_defaults(func=cmd_oracle)
 
     q = osub.add_parser("jitter", help="jitter saturation law")
-    q.add_argument("--sigma0", type=float, required=True)
+    q.add_argument("--sigma0", type=_finite_float, required=True)
     q.add_argument("--n-A", dest="n_A", type=int, required=True)
-    q.add_argument("--kA2", type=float, required=True)
+    q.add_argument("--kA2", type=_finite_float, required=True)
     q.add_argument("--N", type=int, required=True)
     q.set_defaults(func=cmd_oracle)
 
@@ -537,40 +575,41 @@ def _build_parser() -> argparse.ArgumentParser:
     dsub = pd.add_subparsers(dest="design_name", required=True)
 
     q = dsub.add_parser("coupling", help="collective waveguide coupling")
-    q.add_argument("--lam", type=float, required=True)
-    q.add_argument("--area", type=float, required=True)
-    q.add_argument("--n-d", dest="n_d", type=float, required=True)
-    q.add_argument("--gamma-free2", dest="gamma_free2", type=float,
+    q.add_argument("--lam", type=_finite_float, required=True)
+    q.add_argument("--area", type=_finite_float, required=True)
+    q.add_argument("--n-d", dest="n_d", type=_finite_float, required=True)
+    q.add_argument("--gamma-free2", dest="gamma_free2", type=_finite_float,
                    required=True)
     q.set_defaults(func=cmd_design)
 
     q = dsub.add_parser("absorbers", help="absorber count for full absorption")
-    q.add_argument("--area", type=float, required=True)
-    q.add_argument("--sigma", type=float, required=True)
+    q.add_argument("--area", type=_finite_float, required=True)
+    q.add_argument("--sigma", type=_finite_float, required=True)
     q.set_defaults(func=cmd_design)
 
     q = dsub.add_parser("thickness", help="equivalent film thickness")
-    q.add_argument("--alpha", type=float, required=True)
+    q.add_argument("--alpha", type=_finite_float, required=True)
     q.set_defaults(func=cmd_design)
 
     q = dsub.add_parser("snr0", help="transport amplifier window SNR")
-    q.add_argument("--f", type=float, required=True)
-    q.add_argument("--I", type=float, required=True)
-    q.add_argument("--tm", type=float, required=True)
+    q.add_argument("--f", type=_finite_float, required=True)
+    q.add_argument("--I", type=_finite_float, required=True)
+    q.add_argument("--tm", type=_finite_float, required=True)
     q.set_defaults(func=cmd_design)
 
     q = dsub.add_parser("tradeoff", help="count-rate / dark-rate curves")
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--n-A", dest="n_A", type=int, action="append",
                    help="acceptor count; repeat for a family (default 2N)")
-    q.add_argument("--eff-loss", dest="eff_loss", type=float, required=True)
-    q.add_argument("--f", type=float, required=True)
-    q.add_argument("--I", type=float, required=True)
-    q.add_argument("--t-lo", dest="t_lo", type=float, default=1e-12)
-    q.add_argument("--t-hi", dest="t_hi", type=float, default=1e-6)
+    q.add_argument("--eff-loss", dest="eff_loss", type=_finite_float,
+                   required=True)
+    q.add_argument("--f", type=_finite_float, required=True)
+    q.add_argument("--I", type=_finite_float, required=True)
+    q.add_argument("--t-lo", dest="t_lo", type=_finite_float, default=1e-12)
+    q.add_argument("--t-hi", dest="t_hi", type=_finite_float, default=1e-6)
     q.add_argument("--points", type=int, default=121)
-    q.add_argument("--target-rc", dest="target_rc", type=float)
-    q.add_argument("--target-rdc", dest="target_rdc", type=float)
+    q.add_argument("--target-rc", dest="target_rc", type=_finite_float)
+    q.add_argument("--target-rdc", dest="target_rdc", type=_finite_float)
     q.add_argument("--out", help="CSV path (default: stdout)")
     q.set_defaults(func=cmd_design)
 

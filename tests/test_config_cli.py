@@ -528,6 +528,40 @@ def test_cli_design_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["design", "absorbers", "--area", "nan", "--sigma", "1"],
+    ["design", "absorbers", "--area", "inf", "--sigma", "1"],
+    ["design", "coupling", "--lam", "nan", "--area", "1", "--n-d", "1",
+     "--gamma-free2", "1"],
+    ["design", "thickness", "--alpha", "nan"],
+    ["oracle", "rates", "--N", "2", "--Delta", "nan", "--t-min", "1",
+     "--snr0", "2"],
+    ["oracle", "rates", "--N", "2", "--Delta", "0.3", "--t-min", "inf",
+     "--snr0", "2"]])
+def test_cli_non_finite_design_and_oracle_numbers_exit_2(capsys, argv):
+    # refused by argparse (exit 2) before a calculator sees nan or inf,
+    # which gave tracebacks or printed nan or 0
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--t-lo", "-1"], ["--t-lo", "0"],
+                                 ["--t-hi=-1e-6"], ["--points", "-1"]])
+def test_cli_tradeoff_grid_bounds_are_config_errors(capsys, bad):
+    # checked before np.geomspace, which warns on a negative bound and
+    # raises on a zero one or a negative count
+    argv = ["design", "tradeoff", "--N", "2", "--eff-loss", "0.05",
+            "--f", "0.1", "--I", "10e-6", *bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --t-lo")
+    assert captured.out == ""
+
+
 def test_cli_design_tradeoff_stdout(capsys):
     assert main(["design", "tradeoff", "--N", "2", "--eff-loss", "0.05",
                  "--f", "0.1", "--I", "10e-6", "--points", "5"]) == 0
@@ -743,6 +777,32 @@ def test_import_leaves_optimizers_and_integrators_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_cli_process_runs_blas_on_one_thread_and_keeps_its_environment():
+    # importing the CLI first loads numpy with BLAS on one thread (OpenBLAS
+    # starts a worker per core otherwise), then restores os.environ; a
+    # thread count the caller set is kept
+    code = ("import os; before = dict(os.environ); import pnrsim.cli; "
+            "import numpy as np; a = np.ones((600, 600)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')), "
+            "dict(os.environ) == before, "
+            "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(SRC)
+
+    def run(env):
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env).stdout.split()
+
+    assert run(env) == ["1", "True", "None"]
+    assert run({**env, "OPENBLAS_NUM_THREADS": "2"})[1:] == ["True", "2"]
+
+
 def test_import_leaves_unused_scipy_submodules_unloaded():
     code = ("import sys, pnrsim.cli; "
             "print(sorted(m for m in sys.modules if m in ("
@@ -766,6 +826,8 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
     # the Krylov-reduced pnr-tensor solve take the exact eigenvalue, and the
     # Arnoldi estimate starts from a Weyl sequence. Names are matched
     # exactly: the prefix numpy.ma also matches numpy.matrixlib
+    # Nor do they, or validate-config, load pnrsim.design or pnrsim.oracles,
+    # which only their own subcommands import.
     configs = SRC.parent / "perfbench" / "configs"
     dark = write_cfg(tmp_path, metrics={"compute": ["efficiency", "dark_counts"],
                                         "t_m": 1.0},
@@ -777,15 +839,18 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
                 ["trajectories", str(configs / "traj-ensemble.json"),
                  "--workers", "2"],
                 ["simulate", dark],
+                ["validate-config", str(configs / "pnr-tensor.json")],
                 ["oracle", "rates", "--N", "2", "--Delta", "0.3", "--t-min", "1",
                  "--snr0", "2"]]
     for i, argv in enumerate(commands):
-        if argv is not None and argv[0] != "oracle":
+        if argv is not None and argv[0] not in ("oracle", "validate-config"):
             argv = argv + ["--out", str(tmp_path / str(i))]
         run = "" if argv is None else f"assert main({argv!r}) == 0; "
         banned = ["scipy", "numpy.ma"]
         if argv is None or argv[0] != "trajectories":
             banned.append("numpy.random")
+        if argv is None or argv[0] != "oracle":
+            banned += ["pnrsim.design", "pnrsim.oracles"]
         code = ("import sys; from pnrsim.cli import main; " + run +
                 f"print(sorted(m for m in sys.modules for b in {banned!r} "
                 "if m == b or m.startswith(b + '.')))")
@@ -816,11 +881,19 @@ def test_huge_rates_are_config_errors(tmp_path, capsys, name, value):
 
 
 def test_float_lines_write_floats_as_fmt_does():
+    # the rows come as one block; joined, they must read as one line of
+    # _fmt'd values per row
     values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 3.0, 0.1]
     col = np.array(values)
-    assert _float_lines([col]) == [_fmt(v) for v in values]
-    assert _float_lines([col, col[::-1]], sep=" ") == [
-        f"{_fmt(a)} {_fmt(b)}" for a, b in zip(col, col[::-1])]
+    block = np.column_stack([np.roll(col, k) for k in range(5)])
+    cases = [([col], ","), ([col, col[::-1]], " "), ([block], ","),
+             ([col, block, col[::-1]], ","), ([col[:1]], ","),
+             ([block[:0]], ",")]
+    for columns, sep in cases:
+        table = np.column_stack(columns)
+        rows = [sep.join(_fmt(v) for v in row) for row in table]
+        assert "\n".join(_float_lines(columns, sep)) == "\n".join(rows)
+        assert len(_float_lines(columns, sep)) == min(len(rows), 1)
 
 
 def test_only_stiff_simulate_loads_sparse_linalg(tmp_path):
