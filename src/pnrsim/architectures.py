@@ -2,8 +2,8 @@
 
 Each builder returns an ArchitectureSpec bundling the labeled space, the
 assembled generator with tagged channels, the registration channel(s)
-whose jumps mean "a photon got registered", and enough metadata to
-rebuild the architecture with modified parameters.
+whose jumps mean "a photon got registered", and the builder arguments
+that rebuild the architecture with modified parameters.
 
 Conventions: gamma, Gamma, zeta, k_A, chi are amplitudes whose squares
 are rates; Delta is itself a rate (the register reset). delta_omega is
@@ -116,10 +116,6 @@ class BandDiscretization:
         object.__setattr__(self, "decays", dc)
 
     @property
-    def n_levels(self):
-        return self.levels.size
-
-    @property
     def total_coupling(self):
         return float(np.sum(self.couplings ** 2))
 
@@ -210,18 +206,18 @@ class ArchitectureSpec:
     rebuilds the architecture with selected values replaced. A run config
     builds one through `RunConfig.build_architecture`, which hands its
     `architecture.params` to `build_architecture(kind, **params)`.
+    `discretization` holds the element's optical levels (one for `single`),
+    or None for the array and the symmetric reduction.
     """
 
     def __init__(self, kind, params, liou, registration_tags, space=None,
-                 discretization=None, ideal=False, metadata=None):
+                 discretization=None):
         self.kind = kind
         self.params = dict(params)
         self._liou = liou
         self.registration_tags = tuple(registration_tags)
         self.space = space
         self.discretization = discretization
-        self.ideal = bool(ideal)
-        self.metadata = dict(metadata or {})
 
     def liouvillian(self):
         return self._liou
@@ -291,8 +287,8 @@ def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.
         dict(gamma=gamma, Gamma=Gamma, Delta=Delta, chi=chi, k=k,
              delta_omega=delta_omega),
         liou, ("SHELVE",), space=space,
-        ideal=(gamma == Gamma and Delta == 0),
-        metadata={"registration": "shelf entry"},
+        discretization=BandDiscretization(np.zeros(1), np.array([gamma]),
+                                          np.array([Gamma])),
     )
 
 
@@ -332,9 +328,6 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
              chi=chi, k=k, delta_omega=delta_omega, span=span),
         liou, tuple(f"SHELVE{l}" for l in range(n_b)), space=space,
         discretization=disc,
-        ideal=(Delta == 0),
-        metadata={"registration": "shelf entry",
-                  "total_coupling": disc.total_coupling},
     )
 
 
@@ -378,7 +371,6 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
         dict(n_D=n_D, gamma=gamma, Gamma=Gamma, Delta=Delta, chi=chi, k=k,
              delta_omega=delta_omega, max_dim=max_dim),
         liou, tuple(f"SHELVE{i}" for i in range(n_D)), space=space,
-        metadata={"registration": "shelf entry, any element"},
     )
 
 
@@ -446,8 +438,6 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
              k_A=k_A, Delta=Delta, chi=chi, k=k, delta_omega=delta_omega,
              span=span, max_dim=max_dim),
         liou, tuple(transfer_tags), space=space, discretization=disc,
-        metadata={"registration": "register transfer",
-                  "matched_condition": "n_D n_b gamma^2 = Gamma^2 + zeta^2"},
     )
 
 
@@ -474,9 +464,6 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
              k_A=k_A, Delta=Delta, delta_omega=delta_omega,
              exc_cap=int(exc_cap)),
         sym, registration, space=None,
-        metadata={"idealized_elements":
-                  "band collapsed to one effective level, gamma_eff^2 = n_b gamma^2",
-                  "registration": "register transfer" if n_A else "shelf entry"},
     )
 
 

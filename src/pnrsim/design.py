@@ -53,6 +53,15 @@ _SQRT2 = math.sqrt(2.0)
 elementary_charge = 1.602176634e-19
 
 
+def _finite(name: str, value: float) -> float:
+    """`value`, checked: finite inputs whose result overflows a double
+    are a ConfigError, not an inf result or an OverflowError."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} = {value} overflows: the inputs are "
+                          f"out of a double's range")
+    return value
+
+
 def effective_coupling(lam: float, area: float, n_d: float, gamma_free2: float) -> float:
     """Collective coupling rate of n_d emitters to a single guided mode.
 
@@ -64,7 +73,8 @@ def effective_coupling(lam: float, area: float, n_d: float, gamma_free2: float) 
     """
     if lam <= 0 or area <= 0 or n_d <= 0 or gamma_free2 <= 0:
         raise ConfigError("effective_coupling requires positive inputs")
-    return (3.0 * lam * lam / (4.0 * math.pi * area)) * n_d * gamma_free2
+    return _finite("gamma_eff2",
+                   (3.0 * lam * lam / (4.0 * math.pi * area)) * n_d * gamma_free2)
 
 
 def required_absorbers(area: float, sigma_cross: float) -> int:
@@ -76,7 +86,7 @@ def required_absorbers(area: float, sigma_cross: float) -> int:
     """
     if area <= 0 or sigma_cross <= 0:
         raise ConfigError("required_absorbers requires positive inputs")
-    return int(math.ceil(2.0 * area / (3.0 * sigma_cross)))
+    return int(math.ceil(_finite("n_d", 2.0 * area / (3.0 * sigma_cross))))
 
 
 def film_thickness(alpha: float) -> float:
@@ -88,7 +98,7 @@ def film_thickness(alpha: float) -> float:
     """
     if alpha <= 0:
         raise ConfigError("film_thickness requires alpha > 0")
-    return 2.0 / (3.0 * alpha)
+    return _finite("h", 2.0 / (3.0 * alpha))
 
 
 def snr0_transport(f: float, current: float, t_m: float) -> float:
@@ -103,7 +113,7 @@ def snr0_transport(f: float, current: float, t_m: float) -> float:
         raise ConfigError(f"fractional modulation f={f} outside (0, 1]")
     if current <= 0 or t_m <= 0:
         raise ConfigError("snr0_transport requires positive current and window")
-    return f * math.sqrt(current * t_m / (2.0 * elementary_charge))
+    return _finite("snr0", f * math.sqrt(current * t_m / (2.0 * elementary_charge)))
 
 
 def transport_amplifier(f: float, current: float) -> Callable[[float], float]:
@@ -136,10 +146,10 @@ def _eval_point(
     snr0_fn: Callable[[float], float],
     t_min: float,
 ) -> TradeoffPoint:
-    delta = log_keep / (N * t_min)
+    delta = _finite("Delta", log_keep / (N * t_min))
     t_m = 0.5 * n_A * t_min / N
-    s = float(snr0_fn(t_m))
-    r_dc = 0.5 * n_A / t_m * math.erfc(s / _SQRT2)
+    s = _finite("SNR0", float(snr0_fn(t_m)))
+    r_dc = _finite("r_DC", 0.5 * n_A / t_m * math.erfc(s / _SQRT2))
     return TradeoffPoint(t_min, delta, 0.5 * n_A * delta, r_dc, s, n_A)
 
 

@@ -38,9 +38,10 @@ blocks (larger runs that do not reduce) take an Arnoldi estimate and
 splu (`_newton_algebra`), the one place a run imports scipy.sparse.
 Dense products run in row blocks that stay on the calling thread. A run
 whose states would exceed `max_store_bytes` is refused before they or
-the Krylov search are allocated. The diagnostics record the kept and
-solved sizes, the stiffness estimate, each segment's method, nfev, njev,
-nlu and rejected steps, and the trace and Hermiticity defects.
+the Krylov search are allocated, and so is a compile whose entry arrays
+would. The diagnostics record the kept and solved sizes, the stiffness
+estimate, each segment's method, nfev, njev, nlu and rejected steps, and
+the trace and Hermiticity defects.
 
 `compile_hierarchy` is the single step from a model's engine view and an
 input field to that ODE (`HierarchyODE`); the integrator here and the
@@ -99,6 +100,9 @@ _DENSE_SIZE = math.isqrt(SERIAL_GEMV)
 # directions; larger bases (81 for PNR(3, 3) and PNR(4, 3) under three
 # photons) wait for a workload that can show their gain
 _BASIS_MAX = _DENSE_SIZE
+# bytes per generator entry of a compile: the five int64 indices that
+# _BlockGraph._entries returns and the complex value `restrict` forms
+_ENTRY_BYTES = 5 * 8 + 16
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,9 @@ class IntegratorOptions:
     that size is allocated, a run whose kept size x output times x 16
     bytes exceeds max_store_bytes is refused with ResourceLimitError, and
     the Krylov search is held to the directions whose arrays fit in
-    max_store_bytes.
+    max_store_bytes. The compile is refused in the same way when the
+    entry arrays of its reachable search (_ENTRY_BYTES per generator
+    entry) would exceed max_store_bytes.
 
     rtol, atol, max_step and trace_tol are real numbers, n_points and
     max_store_bytes integers (never bools).
@@ -176,8 +182,8 @@ class _BlockGraph:
     they lie in; no operator on the full layout is built, and no
     d**2 x d**2 superoperator either."""
 
-    def __init__(self, parts, vec_dim):
-        self.vd = vec_dim
+    def __init__(self, parts, vec_dim, max_bytes):
+        self.vd, self.max_bytes = vec_dim, max_bytes
         self.labels, terms, target, weight = zip(*parts)
         self.target, self.weight = np.array(target), np.array(weight)
         self.part = np.array([p for p, ts in enumerate(terms) for _ in ts])
@@ -186,6 +192,11 @@ class _BlockGraph:
         self.dk = vec_dim // self.db
         self.a = vstack([a for a, _ in flat]).transpose().eliminate_zeros()
         self.b = vstack([b for _, b in flat]).eliminate_zeros()
+        # a bound on the entries of one column: the longest row of `a`
+        # (every term's A[:, i]) times the longest row of `b`. Entries are
+        # counted exactly only where this bound could exceed max_bytes
+        self.column_max = (int(np.diff(self.a.indptr).max(initial=0))
+                           * int(np.diff(self.b.indptr).max(initial=0)))
 
     def _entries(self, cols):
         """Every entry of the terms in the full-layout columns `cols`: its
@@ -194,6 +205,8 @@ class _BlockGraph:
         B[j, l] in the stacked `a.data` and `b.data`."""
         blk, comp = np.divmod(cols, self.vd)
         i, j = np.divmod(comp, self.db)
+        if cols.size * self.column_max * _ENTRY_BYTES > self.max_bytes:
+            self._check_size(i, j)
         src, at_a = runs(self.a.indptr, i)
         term, k = np.divmod(self.a.indices[at_a], self.dk)
         own, at_b = runs(self.b.indptr, term * self.db + j[src])
@@ -202,6 +215,23 @@ class _BlockGraph:
         row = np.where(to >= 0, (to * self.dk + k) * self.db + self.b.indices[at_b],
                        -1)
         return src, term, row, at_a, at_b
+
+    def _check_size(self, i, j):
+        """Refuse the columns (i, j) with ResourceLimitError when their
+        entries' arrays would exceed max_bytes. The count is exact, from
+        the stored entries of A per (i, term) and of B per (term, j)."""
+        a_count = CSR.from_triplets(
+            np.ones(self.a.nnz, dtype=np.int64), self.a.rows(),
+            self.a.indices // self.dk, (self.dk, self.part.size))
+        own, at = runs(a_count.indptr, i)
+        n = int((a_count.data[at] * np.diff(self.b.indptr)[
+            a_count.indices[at] * self.db + j[own]]).sum())
+        if n * _ENTRY_BYTES > self.max_bytes:
+            raise ResourceLimitError(
+                f"compiling the hierarchy takes {n} generator entries at once "
+                f"({n * _ENTRY_BYTES / 2**20:.1f} MiB of entry arrays), over "
+                f"max_store_bytes={self.max_bytes}; raise max_store_bytes or "
+                f"build a smaller model")
 
     def reach(self, seeds):
         """Sorted full-layout indices reachable from the sorted `seeds`
@@ -456,14 +486,17 @@ def _start_view(ev, rho0):
     return replace(ev, start=(nz, y[nz]))
 
 
-def compile_hierarchy(model, field, t_span=None, *, rho0=None):
+def compile_hierarchy(model, field, t_span=None, opts=None, *, rho0=None):
     """The hierarchy ODE of `model` (an EngineView, such as a counted view
     from `counting_resolve`, or a model with `engine_view()`) driven by
     `field` (None: undriven) over `t_span` (default: the envelope support),
     restricted to the subspace reachable from its start. Every diagonal
     member starts in sector 0 from the view's default matter state, or
     from rho0: a density matrix of the view's `dense_shape`, or a vector
-    of length `vec_dim` (see _start_view for the checks)."""
+    of length `vec_dim` (see _start_view for the checks). A compile whose
+    entry arrays would exceed `opts.max_store_bytes` (IntegratorOptions,
+    the default when opts is None) is refused with ResourceLimitError
+    before they are allocated."""
     if isinstance(model, EngineView):
         ev = model
     elif hasattr(model, "engine_view"):
@@ -487,7 +520,8 @@ def compile_hierarchy(model, field, t_span=None, *, rho0=None):
         raise ConfigError(f"empty time span ({t0}, {t1})")
 
     np1, S, vd = n_max + 1, ev.n_sectors, ev.vec_dim
-    graph = _BlockGraph(_block_parts(ev, n_max), vd)
+    graph = _BlockGraph(_block_parts(ev, n_max), vd,
+                        (opts or IntegratorOptions()).max_store_bytes)
     # every diagonal member (n, n) starts from the matter state in sector 0
     nz, values = ev.start
     starts = (np.arange(np1) * (np1 + 1) * S * vd)[:, None] + nz
@@ -524,7 +558,7 @@ def integrate_hierarchy(liou, field, t_span=None, opts=None, *, rho0=None,
         row vector of length vec_dim.
     """
     opts = opts or IntegratorOptions()
-    ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
+    ode = compile_hierarchy(liou, field, t_span, opts, rho0=rho0)
     ev, a0, am, ap, env = ode.engine, ode.a0, ode.am, ode.ap, ode.envelope
     t0, t1, np1 = ode.t0, ode.t1, ode.n_max + 1
     S, vd, total = ev.n_sectors, ev.vec_dim, ode.y0.size

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .architectures import ArchitectureSpec, BandDiscretization, cw_single_photon_efficiency
+from .architectures import cw_single_photon_efficiency
 from .errors import ConfigError, NumericsError
 from .hierarchy import HierarchyResult, IntegratorOptions, integrate_hierarchy
 from .pulses import fock_input
@@ -48,10 +48,6 @@ class DetectionDistribution:
                 raise NumericsError(
                     f"cumulative registration decreased by {-dips:.2e} "
                     f"with no reset active; integration is unreliable")
-
-    def probability(self, n, t_index=-1):
-        """P(exactly n registered) at an output time."""
-        return float(self.exactly[n, t_index])
 
 
 def detection_probabilities(run, t_MIN, Delta):
@@ -223,12 +219,8 @@ def efficiency_curve(arch, delta_grid, method="cw", field_photons=1,
     if method == "cw":
         disc = arch.discretization
         if disc is None:
-            if arch.kind != "single":
-                raise ConfigError(
-                    f"no quasi-static response path for kind {arch.kind!r}")
-            p = arch.params
-            disc = BandDiscretization(np.zeros(1), np.array([p["gamma"]]),
-                                      np.array([p["Gamma"]]))
+            raise ConfigError(
+                f"no quasi-static response path for kind {arch.kind!r}")
         center = 0.0
         dos = arch.params.get("dos")
         if dos is not None:

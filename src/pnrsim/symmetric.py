@@ -34,7 +34,8 @@ from .csr import CSR
 from .errors import ConfigError
 from .liouville import EngineView
 
-_DIAG_OBSERVABLES = ("population", "ground", "excited", "shelved", "registered")
+# per-site count observables and the site type each one counts
+_DIAG_OBSERVABLES = {"ground": "g", "excited": "e", "shelved": "C", "registered": "ae"}
 
 
 def enumerate_classes(n_elements, n_registers, exc_cap):
@@ -97,99 +98,65 @@ class SymmetricLiouvillian:
         self.dim = len(cls)
         self._build()
 
-    # one-body moves -------------------------------------------------
+    # class algebra ----------------------------------------------------
 
-    def _element_move(self, dst, src):
-        """Transfer matrix for one element site changing type src -> dst."""
-        n_d = self.n_elements
+    def _occupation(self, c):
+        """Site count of each type in class c = (n_k, n_b, n_e, n_C, a)."""
+        nk, nb, ne, nc, a = c
+        return {"g": self.n_elements - nk - nb - ne - nc, "k": nk, "b": nb,
+                "e": ne, "C": nc, "ag": self.n_registers - a, "ae": a}
+
+    def _move(self, *moves):
+        """Transfer matrix for the site moves (dst, src) made together,
+        each with its bosonic factor sqrt(n_src (n_dst + 1)). Moves of
+        different species in one call form a fused sandwich (see the
+        module docstring)."""
         rows, cols, vals = [], [], []
         for c, i in self.classes.items():
-            occ = dict(zip("kbeC", c[:4]))
-            occ["g"] = n_d - sum(c[:4])
-            if occ[src] == 0:
-                continue
-            new = dict(occ)
-            new[src] -= 1
-            new[dst] += 1
-            c2 = (new["k"], new["b"], new["e"], new["C"], c[4])
-            if c2 not in self.classes:
-                continue
-            rows.append(self.classes[c2])
-            cols.append(i)
-            vals.append(np.sqrt(occ[src] * new[dst]))
+            occ = self._occupation(c)
+            factor = 1.0
+            for dst, src in moves:
+                if occ[src] == 0:
+                    break
+                factor *= np.sqrt(occ[src] * (occ[dst] + 1))
+                occ[src] -= 1
+                occ[dst] += 1
+            else:
+                j = self.classes.get(
+                    (occ["k"], occ["b"], occ["e"], occ["C"], occ["ae"]))
+                if j is not None:
+                    rows.append(j)
+                    cols.append(i)
+                    vals.append(factor)
         return CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
-
-    def _register_move(self, dst, src):
-        rows, cols, vals = [], [], []
-        for c, i in self.classes.items():
-            a = c[4]
-            n_src = a if src == "ae" else self.n_registers - a
-            if n_src == 0:
-                continue
-            a2 = a + (1 if dst == "ae" else -1)
-            c2 = c[:4] + (a2,)
-            if c2 not in self.classes:
-                continue
-            n_dst_after = a2 if dst == "ae" else self.n_registers - a2
-            rows.append(self.classes[c2])
-            cols.append(i)
-            vals.append(np.sqrt(n_src * n_dst_after))
-        return CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
-
-    def _count(self, which):
-        d = np.zeros(self.dim)
-        for c, i in self.classes.items():
-            occ = dict(zip("kbeC", c[:4]))
-            occ["g"] = self.n_elements - sum(c[:4])
-            occ["ae"] = c[4]
-            occ["ag"] = self.n_registers - c[4]
-            d[i] = occ[which]
-        return CSR.diags(d)
-
-    def _transfer_sandwich(self):
-        """Fused two-species sandwich: one C site resets to ground while
-        one register stage sets, with both bosonic factors. See the
-        module docstring for why this cannot be a matrix product."""
-        n_d, n_a = self.n_elements, self.n_registers
-        rows, cols, vals = [], [], []
-        for c, i in self.classes.items():
-            nk, nb, ne, nc, a = c
-            if nc == 0 or a >= n_a:
-                continue
-            ng = n_d - nk - nb - ne - nc
-            c2 = (nk, nb, ne, nc - 1, a + 1)
-            if c2 not in self.classes:
-                continue
-            rows.append(self.classes[c2])
-            cols.append(i)
-            vals.append(np.sqrt(nc * (ng + 1)) * np.sqrt((n_a - a) * (a + 1)))
-        m = CSR.from_triplets(vals, rows, cols, (self.dim, self.dim))
-        return self.k_transfer ** 2 * m
 
     def _build(self):
         G2 = self.Gamma ** 2
-        T = self._element_move
-        Nt = self._count
+        T = self._move
+        occupations = [self._occupation(c) for c in self.classes]
+
+        def Nt(which):
+            return CSR.diags(np.array([o[which] for o in occupations], dtype=float))
 
         # joint coupling to the mode: left/right multiplications by the
         # collective lowering operator and its dagger
-        lm_l = self.gamma * (T("g", "k") + T("b", "e"))
-        rm_l = self.gamma * (T("b", "g") + T("e", "k"))
-        lm_ld = self.gamma * (T("k", "g") + T("e", "b"))
-        rm_ld = self.gamma * (T("k", "e") + T("g", "b"))
+        lm_l = self.gamma * (T(("g", "k")) + T(("b", "e")))
+        rm_l = self.gamma * (T(("b", "g")) + T(("e", "k")))
+        lm_ld = self.gamma * (T(("k", "g")) + T(("e", "b")))
+        rm_ld = self.gamma * (T(("k", "e")) + T(("g", "b")))
 
         sandwiches = {}
         sandwiches["ABSORB"] = lm_l @ rm_ld
         g = 1j * self.delta_omega * (Nt("k") - Nt("b"))
         g = g + sandwiches["ABSORB"] - 0.5 * (lm_ld @ lm_l) - 0.5 * (rm_l @ rm_ld)
 
-        sandwiches["SHELVE"] = G2 * T("C", "e")
+        sandwiches["SHELVE"] = G2 * T(("C", "e"))
         g = g + sandwiches["SHELVE"] - G2 * Nt("e") - 0.5 * G2 * (Nt("k") + Nt("b"))
 
         if self.n_registers > 0:
-            sandwiches["TRANSFER"] = self._transfer_sandwich()
+            sandwiches["TRANSFER"] = self.k_transfer ** 2 * T(("g", "C"), ("ae", "ag"))
             g = g + sandwiches["TRANSFER"] - self.k_transfer ** 2 * (Nt("C") @ Nt("ag"))
-            sandwiches["RESET"] = self.Delta * self._register_move("ag", "ae")
+            sandwiches["RESET"] = self.Delta * T(("ag", "ae"))
             g = g + sandwiches["RESET"] - self.Delta * Nt("ae")
 
         self._sandwiches = sandwiches
@@ -197,22 +164,19 @@ class SymmetricLiouvillian:
 
         # the trace (row "population") and diagonal observables live on
         # diagonal-type classes; a class vector adds sqrt(multiplicity)
-        counts = {name: np.zeros(self.dim) for name in _DIAG_OBSERVABLES}
-        for c, i in self.classes.items():
-            nk, nb, ne, nc, a = c
-            if nk or nb:
+        counts = {name: np.zeros(self.dim)
+                  for name in ("population", *_DIAG_OBSERVABLES)}
+        for i, o in enumerate(occupations):
+            if o["k"] or o["b"]:
                 continue
-            ng = self.n_elements - ne - nc
             mult_d = factorial(self.n_elements) // (
-                factorial(ng) * factorial(ne) * factorial(nc))
+                factorial(o["g"]) * factorial(o["e"]) * factorial(o["C"]))
             mult_a = factorial(self.n_registers) // (
-                factorial(a) * factorial(self.n_registers - a))
+                factorial(o["ae"]) * factorial(o["ag"]))
             w = np.sqrt(mult_d * mult_a)
             counts["population"][i] = w
-            counts["ground"][i] = ng * w
-            counts["excited"][i] = ne * w
-            counts["shelved"][i] = nc * w
-            counts["registered"][i] = a * w
+            for name, site in _DIAG_OBSERVABLES.items():
+                counts[name][i] = o[site] * w
         self._rows = {k: v.astype(complex) for k, v in counts.items()}
 
         # bra <-> ket swap permutation, for hermiticity diagnostics

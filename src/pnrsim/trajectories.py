@@ -152,6 +152,20 @@ def _expm(a):
     return r
 
 
+def _spectral_range(x):
+    """Smallest and largest eigenvalue of the Hermitian part of the CSR
+    matrix x. A diagonal x, such as chi times a projector, has them on its
+    diagonal, with 0 where a diagonal entry is not stored; any other x
+    takes eigvalsh of its dense form."""
+    if np.array_equal(x.rows(), x.indices):
+        diag = x.data.real
+        if x.nnz < x.shape[0]:
+            diag = np.append(diag, 0.0)
+        return diag.min(), diag.max()
+    h = x.toarray()
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[[0, -1]]
+
+
 def _prepare(liou, field, t_span, opts, rho0):
     ode = compile_hierarchy(liou, field, t_span, rho0=rho0)
     ev, env, t0, t1 = ode.engine, ode.envelope, ode.t0, ode.t1
@@ -176,8 +190,7 @@ def _prepare(liou, field, t_span, opts, rho0):
     p.sqdt = math.sqrt(p.dt)
     p.y0 = ode.y0
     p.readout = np.array([weight * r for r in rows])[:, None, None, :]
-    p.x_range = np.array([np.linalg.eigvalsh(0.5 * (x + x.conj().T))[[0, -1]]
-                          for x in (a.op.matrix.toarray() for a in amps)]).reshape(-1, 2)
+    p.x_range = np.array([_spectral_range(a.op.matrix) for a in amps]).reshape(-1, 2)
     p.gains = np.array([math.sqrt(2.0 * a.k) for a in amps])
     p.rec_noise = np.array([1.0 / math.sqrt(8.0 * a.k) for a in amps])
     p.tags = [a.tag for a in amps]

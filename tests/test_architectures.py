@@ -134,12 +134,6 @@ def test_dispatcher_and_dims():
         build_architecture("hexagonal", n_D=2)
 
 
-def test_single_element_ideal_flag():
-    assert build_single_element(1.0, 1.0).ideal
-    assert not build_single_element(1.0, 2.0).ideal
-    assert not build_single_element(1.0, 1.0, Delta=0.1).ideal
-
-
 def test_rate_validation():
     with pytest.raises(ConfigError):
         build_single_element(-1.0, 1.0)

@@ -367,6 +367,16 @@ def test_cli_exit_codes_and_no_partial_outputs(tmp_path, capsys):
                  "--allow-large"]) == 0
     capsys.readouterr()
 
+    # a 302-dimensional band inside limits.max_dim whose compile would hold
+    # 54 million generator entries at once: it ran out of memory
+    band = write_cfg(tmp_path, name="band300.json", architecture={
+        "kind": "band", "params": {"dos": {"kind": "flat2d", "width": 1.0},
+                                   "n_b": 300, "gamma": 0.1, "Gamma": 1.0}})
+    out = tmp_path / "o4"
+    assert main(["simulate", band, "--out", str(out)]) == 4
+    assert "max_store_bytes=536870912" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_cli_sweep(tmp_path, capsys):
     path = write_cfg(tmp_path, sweep={"axes": [
@@ -545,6 +555,18 @@ def test_cli_non_finite_design_and_oracle_numbers_exit_2(capsys, argv):
         main(argv)
     assert exit_.value.code == 2
     assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "absorbers", "--area", "1e308", "--sigma", "1e-300"],
+    ["design", "coupling", "--lam", "1e200", "--area", "1e-200", "--n-d", "1",
+     "--gamma-free2", "1"]])
+def test_cli_overflowing_design_results_exit_2(capsys, argv):
+    # finite numbers whose result overflows: an OverflowError traceback
+    # (exit 1) and "gamma_eff2 = inf" (exit 0)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and not captured.out
 
 
 @pytest.mark.parametrize("bad", [["--t-lo", "-1"], ["--t-lo", "0"],

@@ -44,6 +44,18 @@ def test_scalar_calculator_validation():
         transport_amplifier(0.0, 1e-6)
 
 
+def test_overflowing_results_are_config_errors():
+    # finite inputs whose result leaves a double's range: required_absorbers
+    # raised OverflowError and effective_coupling returned inf
+    for call in (lambda: required_absorbers(1e308, 1e-300),
+                 lambda: effective_coupling(1e200, 1e-200, 1.0, 1.0),
+                 lambda: film_thickness(1e-320),
+                 lambda: snr0_transport(1.0, 1e300, 1e300),
+                 lambda: tradeoff_curve(2, 4, 0.05, AMP, t_min_grid=[1e-320])):
+        with pytest.raises(ConfigError, match="overflows"):
+            call()
+
+
 def test_monotonicities():
     # thicker film for weaker absorption
     assert film_thickness(1e6) > film_thickness(1e7)

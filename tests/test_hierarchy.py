@@ -17,7 +17,7 @@ from pnrsim import csr, hierarchy, ivp, krylov, spaces
 from pnrsim.architectures import (DosModel, build_array, build_band_element,
                                   build_pnr, build_single_element,
                                   build_symmetric_reduced)
-from pnrsim.errors import ConfigError, ResourceLimitError
+from pnrsim.errors import ConfigError, NumericsError, ResourceLimitError
 from pnrsim.hierarchy import (IntegratorOptions, _dominant_eigenvalue,
                               _is_stiff, compile_hierarchy,
                               integrate_hierarchy, reduced_matter_state)
@@ -501,11 +501,25 @@ def test_infinite_t_span_is_a_config_error():
             integrate_hierarchy(model, field, span)
 
 
+def test_trace_drift_is_a_numerics_error():
+    # a counted view with its counted jumps dropped (one sector, no jump
+    # part) loses the shelved population's trace, as a failing solve would
+    view = build_single_element(1.0, 1.0).counting(1)
+    lossy = dataclasses.replace(view, n_sectors=1, jump=None)
+    field = fock_input(1, gaussian_envelope(1.0))
+    with pytest.raises(NumericsError, match="physical trace drifted by"):
+        integrate_hierarchy(lossy, field, (-8.0, 20.0))
+    assert integrate_hierarchy(view, field, (-8.0, 20.0)).diagnostics[
+        "trace_defect"] < 1e-6
+
+
 def test_store_guard_trips_on_tiny_budget():
     el = build_single_element(1.0, 1.0)
     env = gaussian_envelope(1.0)
-    opts = IntegratorOptions(rtol=1e-6, n_points=5001, max_store_bytes=1024)
-    with pytest.raises(ResourceLimitError):
+    # budgets above each compile's 56 bytes per generator entry, so that
+    # the stored states are what is refused
+    opts = IntegratorOptions(rtol=1e-6, n_points=5001, max_store_bytes=4096)
+    with pytest.raises(ResourceLimitError, match="storing 5001 states"):
         integrate_hierarchy(el.liouvillian(), fock_input(3, env), None, opts)
     # the guard refuses before anything of the states' size exists: PNR(2,
     # 3) under two photons keeps 76 components, so 20,000 states need 24 MB,
@@ -513,10 +527,10 @@ def test_store_guard_trips_on_tiny_budget():
     import tracemalloc
     model = build_pnr(2, 3, gamma=0.7071067811865476, Gamma=1.0, k_A=1.0).counting(2)
     field = fock_input(2, gaussian_envelope(2.0))
-    opts = IntegratorOptions(n_points=20000, max_store_bytes=1024)
+    opts = IntegratorOptions(n_points=20000, max_store_bytes=2 ** 16)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match="max_store_bytes"):
+        with pytest.raises(ResourceLimitError, match="storing 20000 states"):
             integrate_hierarchy(model, field, (-16.0, 28.0), opts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -572,6 +586,34 @@ def test_store_guard_trips_before_the_krylov_search(monkeypatch):
         integrate_hierarchy(band, field, opts=IntegratorOptions(
             max_store_bytes=states))
     assert calls == [states // (4 * 16 * 291)] and calls[0] < hierarchy._BASIS_MAX
+
+
+def test_compile_guard_refuses_before_the_entry_arrays():
+    # a flat band of 300 levels is 302-dimensional, far inside
+    # limits.max_dim, but its dense absorb^dag absorb block gives every
+    # kept column about 2 n_b entries: the reachable search held 54.3
+    # million at once and the compile ran out of memory. It is refused
+    # before those arrays exist, on the default budget as trajectories
+    # use it, and integrate_hierarchy hands its options' budget on
+    import tracemalloc
+    flat = DosModel("flat2d", width=1.0)
+    field = fock_input(1, gaussian_envelope(2.0))
+    model = build_band_element(flat, 300, 0.1, 1.0).counting(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"54270300 generator entries .* over "
+                                 r"max_store_bytes=536870912"):
+            compile_hierarchy(model, field, (-16.0, 28.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    small = build_band_element(flat, 16, 0.1, 1.0).counting(1)
+    with pytest.raises(ResourceLimitError, match="generator entries"):
+        integrate_hierarchy(small, field, (-16.0, 28.0),
+                            IntegratorOptions(max_store_bytes=10 ** 5))
+    assert compile_hierarchy(small, field, (-16.0, 28.0)).keep.size == 291
 
 
 def test_compile_hierarchy_blocks_and_start_vector():

@@ -40,6 +40,22 @@ def test_vacuum_distribution():
     assert efficiency(dist) == 0.0
 
 
+def test_distribution_guards_refuse_unphysical_counts():
+    t = np.array([0.0, 1.0])
+    # count probabilities summing over one
+    exactly = np.array([[0.5, 0.5], [0.5, 0.5 + 1e-6]])
+    with pytest.raises(NumericsError, match="sum to 1.000001"):
+        DetectionDistribution(1, t, np.array([[1.0, 1.0], [0.5, 0.5]]),
+                              exactly, 0.0, 0.0)
+    # a cumulative registration that falls with no reset to explain it;
+    # the same fall with resets active is allowed
+    at_least = np.array([[1.0, 1.0], [0.5, 0.5 - 1e-6]])
+    exactly = np.array([[0.5, 0.5 + 1e-6], [0.5, 0.5 - 1e-6]])
+    with pytest.raises(NumericsError, match="decreased by 1.00e-06"):
+        DetectionDistribution(1, t, at_least, exactly, 0.0, 0.0)
+    DetectionDistribution(1, t, at_least, exactly, 0.0, 0.1)
+
+
 def test_no_registration_loss_reads_raw_jump_statistics():
     run = single_run(1.0, 1.0)
     dist = detection_probabilities(run, 0.0, 0.0)

@@ -9,6 +9,7 @@ import scipy.linalg as la
 
 from pnrsim.architectures import build_array, build_pnr, build_single_element
 from pnrsim.config import RunConfig
+from pnrsim.csr import CSR
 from pnrsim.errors import ConfigError, NumericsError
 from pnrsim.hierarchy import (IntegratorOptions, compile_hierarchy,
                               integrate_hierarchy)
@@ -17,7 +18,7 @@ from pnrsim.pulses import fock_input, gaussian_envelope, square_envelope
 from pnrsim.spaces import Operator, build_space, projector, transition
 from pnrsim.trajectories import (_DENSE_MAX, _THETA, TrajectoryOptions,
                                  TrajectoryRecord, _expm,
-                                 _prepare, ensemble_average, extract_clicks,
+                                 _prepare, _spectral_range, ensemble_average, extract_clicks,
                                  run_trajectories, simulate_trajectory,
                                  window_averages)
 
@@ -297,6 +298,55 @@ def test_oversized_steps_are_numerics_errors():
     with pytest.raises(NumericsError, match="trace"):
         simulate_trajectory(liou, t_span=(0.0, 2.0),
                             opts=TrajectoryOptions(dt=0.2), rho0=rho0)
+
+
+def test_spectral_range_reads_a_diagonal_x():
+    # x_range came from eigvalsh of every monitored X made dense, d x d
+    # complex per channel (544 MB at PNR(6, 3)); every builder's X is
+    # chi times a projector, whose range is on its stored diagonal
+    def dense_range(x):
+        h = x.toarray()
+        return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[[0, -1]]
+
+    rng = np.random.default_rng(5)
+    xs = [a.op.matrix for arch in (build_single_element(1.0, 1.0, k=0.5),
+                                   build_array(2, 1.0, 1.0, k=0.5),
+                                   build_pnr(2, 2, k=0.5))
+          for a in arch.liouvillian().amps]
+    assert len(xs) == 5
+    xs += [CSR.diags(np.array([0.5, 0.0, 2.0])),    # 0 unstored: the lower end
+           CSR.diags(np.array([-0.5, 0.0, -2.0])),  # and the upper one
+           CSR.diags(rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+           CSR.from_dense(rng.standard_normal((6, 6))
+                          + 1j * rng.standard_normal((6, 6)))]
+    for x in xs:
+        assert np.array_equal(_spectral_range(x), dense_range(x))
+    assert np.array_equal(_spectral_range(xs[5]), [0.0, 2.0])
+
+    # PNR(4, 3), d = 648: no d x d array is made (6.7 MB complex)
+    import tracemalloc
+    liou = build_pnr(4, 3, k=0.5).liouvillian()
+    liou.engine_view()
+    d = liou.amps[0].op.matrix.shape[0]
+    tracemalloc.start()
+    try:
+        p = _prepare(liou, None, (0.0, 1.0), TrajectoryOptions(dt=0.01), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 648 and p.x_range.tolist() == [[0.0, 1.0]] * 3
+    assert peak < d * d * 16 / 4
+
+
+def test_overflow_in_a_step_is_a_numerics_error():
+    # rates of 1e80 pass the compile's overflow test over this span, but
+    # the step's Taylor polynomial overflows: the FloatingPointError raised
+    # inside the stepping loop becomes a NumericsError
+    liou = build_single_element(1e40, 1e40, k=0.5).liouvillian()
+    field = fock_input(1, gaussian_envelope(1.0))
+    with pytest.raises(NumericsError,
+                       match="overflow encountered in matmul near t = -8"):
+        simulate_trajectory(liou, field, opts=TrajectoryOptions(dt=0.01))
 
 
 def test_batch_matches_plain_loop_bitwise():
