@@ -7,7 +7,7 @@ Subcommands::
     pnrsim trajectories CONFIG --out DIR     stochastic records + clicks
     pnrsim oracle NAME ...                   closed-form cross checks
     pnrsim design CALC ...                   physical-realization numbers
-    pnrsim validate-config CONFIG            schema check + hash
+    pnrsim validate-config CONFIG            schema check, build + hash
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 resource-guard refusal. A malformed config never leaves partial
@@ -266,21 +266,30 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _sweep_points(cfg, allow_large):
+    """(names, combos, points) of the config's sweep: the swept parameter
+    paths, each point's values and its config (one point with no values
+    when there is no sweep), refused past limits.max_points unless
+    `allow_large`."""
+    axes = cfg.sweep_axes()
+    names = [p for p, _ in axes]
+    combos = list(itertools.product(*[vals for _, vals in axes]))
+    if not allow_large and len(combos) > cfg.limits["max_points"]:
+        raise ResourceLimitError(
+            f"sweep has {len(combos)} points, over limits.max_points="
+            f"{cfg.limits['max_points']}; pass --allow-large or raise "
+            f"the limit")
+    return names, combos, [cfg.with_values(dict(zip(names, c))) for c in combos]
+
+
 def cmd_sweep(args) -> int:
     cfg = RunConfig.from_file(args.config)
     axes = cfg.sweep_axes()
     if not axes:
         raise ConfigError("sweep requires a sweep.axes section in the config")
     out = _out_dir(args, cfg)
-    names = [p for p, _ in axes]
-    combos = list(itertools.product(*[vals for _, vals in axes]))
+    names, combos, points = _sweep_points(cfg, args.allow_large)
     total = len(combos)
-    if not args.allow_large and total > cfg.limits["max_points"]:
-        raise ResourceLimitError(
-            f"sweep has {total} points, over limits.max_points="
-            f"{cfg.limits['max_points']}; pass --allow-large or raise "
-            f"the limit")
-    points = [cfg.with_values(dict(zip(names, c))) for c in combos]
     _workers(args)
     reports = [_simulate_payloads(pt, args.allow_large, want_files=False)[0]
                for pt in points]
@@ -487,7 +496,12 @@ def cmd_design(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Check the schema, build the architecture of every sweep point under
+    the config's limits (a config without a sweep is its one point), and
+    print the hash."""
     cfg = RunConfig.from_file(args.config)
+    for pt in _sweep_points(cfg, False)[2]:
+        pt.build_architecture()
     print(f"OK config_sha256={cfg.sha256}")
     return 0
 
@@ -533,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_args(p, seed=True)
     p.set_defaults(func=cmd_trajectories)
 
-    p = sub.add_parser("validate-config", help="schema check and hash")
+    p = sub.add_parser("validate-config",
+                       help="schema check, architecture build and hash")
     p.add_argument("config")
     p.set_defaults(func=cmd_validate)
 

@@ -10,7 +10,8 @@ canonical-JSON SHA-256 is the config hash stamped on every output file.
 Top-level sections::
 
     schema_version   required, currently 1
-    seed             RNG seed for trajectory runs (default 0)
+    seed             RNG seed for trajectory runs, an integer in
+                     [0, 2**63 - 1] (default 0)
     output_dir       default output directory (CLI --out overrides)
     architecture     {"kind": ..., "params": {...}}
     field            {"photons": N | "amplitudes": [...] | "weights": [...],
@@ -54,7 +55,7 @@ from .pulses import (
     superposition_input,
     tabulated_envelope,
 )
-from .trajectories import TrajectoryOptions
+from .trajectories import TrajectoryOptions, _stream_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -342,7 +343,7 @@ class RunConfig:
                 f"{SCHEMA_VERSION}")
 
         resolved = {"schema_version": SCHEMA_VERSION}
-        resolved["seed"] = _integer(d.get("seed", 0), "seed", minimum=0)
+        resolved["seed"] = _stream_key("seed", d.get("seed", 0))
         out_dir = d.get("output_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ConfigError("output_dir must be a string")

@@ -719,37 +719,19 @@ def _rhs(a0, am, ap, env):
 
 def _dominant_eigenvalue(a):
     """Eigenvalue of largest modulus of `a`. A dense array (at most
-    _DENSE_SIZE rows) gets the exact one from np.linalg.eigvals. A sparse
+    _DENSE_SIZE rows) gets the exact one from np.linalg.eigvals. A CSR
     matrix gets the Ritz value of largest modulus after
-    m = min(n, _ARNOLDI_STEPS) Arnoldi steps from a fixed start vector (so
-    repeated runs agree; a Weyl sequence, so no numpy.random import), each
-    new direction orthogonalised twice against the basis. If the Krylov
-    space closes early it is invariant and its Ritz values are
-    eigenvalues; with n <= m the basis spans the whole space and the
-    estimate is the dense one. The projections are elementwise products
-    and sums, not BLAS gemv: a fresh process's first threaded gemv calls
-    took up to a second on a 2-vCPU host."""
-    if isinstance(a, np.ndarray):
-        lam = np.linalg.eigvals(a)
-        return complex(lam[np.argmax(np.abs(lam))])
-    n = a.shape[0]
-    m = min(n, _ARNOLDI_STEPS)
-    v = (np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5 + 0j
-    basis = np.zeros((m, n), dtype=complex)
-    hess = np.zeros((m + 1, m), dtype=complex)
-    basis[0] = v / np.linalg.norm(v)
-    for j in range(m):
-        w = a @ basis[j]
-        size = np.linalg.norm(w)
-        for _ in range(2):
-            c = (basis[:j + 1].conj() * w).sum(axis=1)
-            w = w - (c[:, None] * basis[:j + 1]).sum(axis=0)
-            hess[:j + 1, j] += c
-        hess[j + 1, j] = h = np.linalg.norm(w)
-        if j + 1 == m or h <= 1e-12 * size:
-            break
-        basis[j + 1] = w / h
-    lam = np.linalg.eigvals(hess[:j + 1, :j + 1])
+    m = min(n, _ARNOLDI_STEPS) Arnoldi steps: `krylov_reduction` of `a`
+    alone, stopped at m directions, from a fixed start vector (so repeated
+    runs agree; a Weyl sequence, so no numpy.random import), whose
+    projected block is the Hessenberg matrix. If the Krylov space closes
+    early it is invariant and its Ritz values are eigenvalues; with n <= m
+    the basis spans the whole space and the estimate is the dense one."""
+    if not isinstance(a, np.ndarray):
+        n = a.shape[0]
+        v = (np.arange(1, n + 1) * _GOLDEN) % 1.0 - 0.5 + 0j
+        (a,) = krylov_reduction([a], v, min(n, _ARNOLDI_STEPS), partial=True)[1]
+    lam = np.linalg.eigvals(a)
     return complex(lam[np.argmax(np.abs(lam))])
 
 

@@ -8,6 +8,9 @@ Krylov projection (Antoulas, Approximation of Large-Scale Dynamical
 Systems, SIAM 2005). An ODE y' = sum_k c_k(t) a_k y then moves in that
 subspace for any coefficients c_k, so it can be solved on the projected
 blocks Q^dag a_k Q and lifted back with Q exactly, not as a truncation.
+For one matrix the search is Arnoldi's process, and stopped at a size it
+gives the Arnoldi basis and, as Q^dag a Q, the Hessenberg matrix whose
+eigenvalues are the Ritz values of the hierarchy's stiffness estimate.
 
 OpenBLAS (0.3.31, as numpy ships it) runs a complex matrix-vector product
 of SERIAL_GEMV entries or more on its thread pool, and a complex matrix
@@ -77,13 +80,15 @@ def _norm_bound(m):
     return math.sqrt(rows * cols)
 
 
-def krylov_reduction(mats, y0, max_size):
+def krylov_reduction(mats, y0, max_size, partial=False):
     """The reduction of y' = sum_k c_k(t) mats[k] y from y0 (`mats` CSR,
     None entries skipped): (Q, projected, z0) with Q (len(y0) x r) an
     orthonormal basis of the smallest subspace that holds y0 and that
     every matrix maps into itself, `projected` the dense Q^dag m Q in the
     order of `mats` (None where the matrix is None) and z0 = Q^dag y0.
-    None when r would pass max_size.
+    When r would pass max_size: None, with no projection formed, or, if
+    `partial`, the same triple on the max_size directions found so far,
+    whose span is then not invariant.
 
     The basis grows breadth first, as a block Arnoldi: each level applies
     every matrix to the directions the last level found (CSR products,
@@ -124,7 +129,9 @@ def krylov_reduction(mats, y0, max_size):
             if h <= floor[j]:
                 continue
             if r == max_size:
-                return None
+                if not partial:
+                    return None
+                break   # one more level forms the last products, keeps none
             v /= h
             if h < 1e-4 * size[j]:
                 # more than four digits cancelled: once more against the

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +48,27 @@ def _positive_count(name, value):
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value!r}")
     return int(value)
+
+
+def _stream_key(name, value):
+    """`value` as an int in [0, 2**63 - 1], the range of the seed and of
+    the trajectory index that key a trajectory's Philox stream; a
+    ConfigError naming `name` otherwise. Outside it the key words wrap or
+    round, so two keys could give one stream."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or not 0 <= value < 2**63):
+        raise ConfigError(
+            f"{name} must be an integer in [0, 2**63 - 1], got {value!r}")
+    return int(value)
+
+
+def _check_window(t_m, t_MIN=0.0):
+    """A ConfigError unless the window length t_m is finite and positive
+    and the shortest click t_MIN finite and >= 0."""
+    if not (math.isfinite(t_m) and t_m > 0):
+        raise ConfigError(f"t_m must be finite and positive, got {t_m!r}")
+    if not (math.isfinite(t_MIN) and t_MIN >= 0):
+        raise ConfigError(f"t_MIN must be finite and >= 0, got {t_MIN!r}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +296,10 @@ def _run_batch(p, seed, indices):
     point overflow, division by zero and invalid operations raise inside
     the loop, so a blown-up step ends in NumericsError, never a warning.
     """
+    # indices increase, so their ends bound them all
+    for name, key in (("seed", seed), ("traj_index", indices[0]),
+                      ("traj_index", indices[-1])):
+        _stream_key(name, key)
     n, n_amps, n_store = len(indices), len(p.tags), len(p.store_idx)
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i]))
             for i in indices]
@@ -427,8 +453,7 @@ def window_averages(record, tag, t_m):
         raise ConfigError(f"no record for channel {tag!r}")
     t = record.t
     r = record.records[tag]
-    if t_m <= 0:
-        raise ConfigError("t_m must be positive")
+    _check_window(t_m)
     n_win = int(math.floor((t[-1] - t[0]) / t_m + 1e-9))
     if n_win < 1:
         raise ConfigError("the record is shorter than one window")
@@ -443,6 +468,7 @@ def extract_clicks(record, threshold, t_m, t_MIN=0.0, tag=None):
     A click is a run of consecutive windows whose average stays at or
     above `threshold`, lasting at least ceil(t_MIN / t_m) windows.
     """
+    _check_window(t_m, t_MIN)
     tags = [tag] if tag is not None else list(record.records)
     need = max(1, math.ceil(t_MIN / t_m - 1e-9)) if t_MIN > 0 else 1
     clicks = []

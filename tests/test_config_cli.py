@@ -233,6 +233,53 @@ def test_cli_validate_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_cli_validate_config_builds_every_point(tmp_path, capsys):
+    # validate-config builds what a run builds: each sweep point's
+    # architecture (or the config's own without a sweep) under the
+    # config's limits, so it exits as the run would
+    configs = SRC.parent / "perfbench" / "configs"
+    sym = json.loads((configs / "sym-sweep.json").read_text())
+    pnr = json.loads((configs / "pnr-tensor.json").read_text())
+    detuned = {**sym, "architecture": {**sym["architecture"], "params": {
+        **sym["architecture"]["params"], "detuning": 0.3}}}
+    large = {**pnr, "architecture": {**pnr["architecture"], "params": {
+        **pnr["architecture"]["params"], "n_D": 7}}}
+    swept = {**pnr, "sweep": {"axes": [
+        {"parameter": "architecture.params.n_D", "values": [2, 7]}]}}
+    many = {**sym, "limits": {"max_points": 5}}
+    for i, (doc, code, name) in enumerate(
+            ((detuned, 2, "detuning"), (large, 4, "limits.max_dim"),
+             (swept, 4, "limits.max_dim"), (many, 4, "limits.max_points"))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert name in captured.err and captured.out == ""
+    for name in ("pnr-tensor", "sym-sweep", "traj-ensemble"):
+        path = configs / f"{name}.json"
+        assert main(["validate-config", str(path)]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == f"OK config_sha256={RunConfig.from_file(path).sha256}"
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**70, -1])
+def test_cli_seed_outside_the_stream_key_range_exits_2(tmp_path, capsys, seed):
+    # 2**70 ended in an OverflowError traceback; the config seed and
+    # --seed share the range [0, 2**63 - 1] of the trajectory streams
+    path = write_cfg(tmp_path, architecture={"kind": "single", "params": {
+        "gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
+                     trajectories={"n_traj": 1, "dt": 0.05})
+    out = tmp_path / "out"
+    assert main(["trajectories", path, "--seed", str(seed),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be an integer in [0, 2**63 - 1]" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig.from_dict(base_doc(seed=seed))
+    assert RunConfig.from_dict(base_doc(seed=2**63 - 1)).seed == 2**63 - 1
+
+
 def test_cli_simulate_writes_outputs(tmp_path, capsys):
     path = write_cfg(tmp_path, metrics={"compute": ["efficiency", "jitter",
                                                     "dark_counts"],
@@ -862,6 +909,8 @@ def test_import_and_benchmark_commands_load_no_scipy(tmp_path):
                  "--workers", "2"],
                 ["simulate", dark],
                 ["validate-config", str(configs / "pnr-tensor.json")],
+                ["validate-config", str(configs / "sym-sweep.json")],
+                ["validate-config", str(configs / "traj-ensemble.json")],
                 ["oracle", "rates", "--N", "2", "--Delta", "0.3", "--t-min", "1",
                  "--snr0", "2"]]
     for i, argv in enumerate(commands):

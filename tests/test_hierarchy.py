@@ -1077,9 +1077,10 @@ def test_arnoldi_estimate_is_the_dense_eigenvalue_on_small_states():
         a = a + 1j * sp.random(n, n, density=0.3, random_state=rng) - sp.identity(n)
         lam = np.linalg.eigvals(a.toarray())
         dense = lam[np.argmax(np.abs(lam))]
-        assert _dominant_eigenvalue(a.tocsr()) == pytest.approx(dense, rel=1e-10)
+        assert _dominant_eigenvalue(csr.as_csr(a)) == pytest.approx(dense,
+                                                                   rel=1e-10)
     # an invariant Krylov space closes the iteration early
-    a = sp.diags([-3.0, -1.0, -1.0, -1.0] * 20).tocsr().astype(complex)
+    a = csr.as_csr(sp.diags([-3.0, -1.0, -1.0, -1.0] * 20), complex)
     assert _dominant_eigenvalue(a) == pytest.approx(-3.0, rel=1e-12)
 
 
@@ -1208,6 +1209,33 @@ def test_krylov_reduction_skips_irreducible_and_small_runs():
     ode = compile_hierarchy(_sym_sweep_model(0.1), fock_input(
         2, gaussian_envelope(2.0)))
     assert ode.y0.size == 35 and hierarchy._reduction(ode, budget) is None
+
+
+def test_partial_krylov_reduction_stops_at_max_size():
+    # with `partial`, a search that reaches max_size returns the projection
+    # on the directions it holds: for one matrix the Arnoldi basis and its
+    # Hessenberg matrix, which the stiffness estimate reads. Without it the
+    # search gives None, as test_krylov_reduction_skips_irreducible_and_
+    # small_runs checks on the hierarchies
+    rng = np.random.default_rng(11)
+    a = csr.as_csr(sp.random(100, 100, density=0.1, random_state=rng)
+                   + 1j * sp.random(100, 100, density=0.1, random_state=rng),
+                   complex)
+    y0 = rng.standard_normal(100) + 0j
+    assert krylov.krylov_reduction([a], y0, 40) is None
+    q, (h,), z0 = krylov.krylov_reduction([a], y0, 40, partial=True)
+    assert q.shape == (100, 40)
+    assert np.abs(q.conj().T @ q - np.eye(40)).max() < 1e-12
+    assert np.abs(h - q.conj().T @ a.toarray() @ q).max() < 1e-12
+    assert np.abs(np.tril(h, -2)).max() < 1e-12
+    assert np.abs(q @ z0 - y0).max() < 1e-12
+    # a start vector in a 2-dimensional invariant space closes the search
+    a = csr.as_csr(sp.diags([-3.0, -1.0, -1.0, -1.0] * 20), complex)
+    y0 = np.ones(80, dtype=complex)
+    q, (h,), _ = krylov.krylov_reduction([a], y0, 40, partial=True)
+    assert q.shape == (80, 2)
+    assert np.abs(a @ q - q @ h).max() < 1e-12
+    assert np.sort(np.linalg.eigvals(h).real) == pytest.approx([-3.0, -1.0])
 
 
 def test_krylov_basis_ranks_repeat_across_processes():

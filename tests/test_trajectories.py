@@ -148,6 +148,20 @@ def test_extract_clicks_applies_minimum_duration():
     assert extract_clicks(rec, 1.5, 1.0) == []
 
 
+def test_window_lengths_are_validated():
+    # checked before any division: t_m = 0 was a ZeroDivisionError, NaN a
+    # ValueError, and a NaN t_MIN was ignored
+    rec = fabricated_record()
+    for t_m in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="t_m must be finite"):
+            window_averages(rec, "AMP", t_m)
+        with pytest.raises(ConfigError, match="t_m must be finite"):
+            extract_clicks(rec, 0.5, t_m, t_MIN=1.0)
+    for t_MIN in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="t_MIN must be finite"):
+            extract_clicks(rec, 0.5, 1.0, t_MIN=t_MIN)
+
+
 def test_clicks_on_simulated_records():
     # strong monitoring: occupied shelf yields one long click, empty
     # detector at SNR0 = 8 yields none
@@ -241,6 +255,26 @@ def test_trajectory_counts_are_validated():
     assert recs[0].t.size == 2
     assert len(run_trajectories(liou, t_span=span, n_traj=np.int64(3),
                                 opts=opts)) == 3
+
+
+def test_stream_keys_stay_in_the_philox_key_range():
+    # (seed, traj_index) keys each trajectory's Philox stream. Outside
+    # [0, 2**63 - 1] keys wrapped or rounded: seeds 2**63 and 2**63 + 1
+    # gave one record, as did 1.5 and 1, and 2**64 - 1 warned in a cast
+    liou = build_single_element(1.0, 1.0, k=0.5).liouvillian()
+    span, opts = (0.0, 0.1), TrajectoryOptions(dt=0.05)
+    for bad in (1.5, 1.0, -1, 2**63, 2**63 + 1, 2**64 - 1, True, "1"):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            simulate_trajectory(liou, t_span=span, seed=bad, opts=opts)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            run_trajectories(liou, t_span=span, seed=bad, opts=opts)
+    for bad in (-1, 2**63, 1.0):
+        with pytest.raises(ConfigError, match="traj_index must be an integer"):
+            simulate_trajectory(liou, t_span=span, traj_index=bad, opts=opts)
+    top = 2**63 - 1
+    rec = simulate_trajectory(liou, t_span=span, seed=np.int64(top),
+                              traj_index=top, opts=opts)
+    assert (rec.seed, rec.traj_index) == (top, top)
 
 
 def assert_batch_matches_solo(liou, field, opts, n_traj, seed):
