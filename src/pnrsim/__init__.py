@@ -12,7 +12,8 @@ elements; `metrics`, `oracles`, and `design` turn runs into numbers;
 
 Every builder names a model parameter the same way (`delta_omega` is the
 carrier detuning of every architecture kind, the symmetric one
-included). `RunConfig` is the one deserializer; the only serializer is
+included), and checks it by that name from one table in `architectures`.
+`RunConfig` is the one deserializer; the only serializer is
 `MetricsReport.to_dict`, which the CLI writes.
 
 `import pnrsim` loads no submodule and no numpy: each public name below

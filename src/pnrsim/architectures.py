@@ -1,9 +1,28 @@
 """Detector architecture builders.
 
+The detectors are one family: n_D absorbing elements, each with n_b
+optically coupled levels and a shelf, coupled collectively to one mode
+and optionally handing their energy to n_A two-level register stages.
+`build_single_element` (one element of one level), `build_band_element`
+(one element of n_b levels), `build_array` (n_D one-level elements) and
+`build_pnr` (n_D elements of n_b levels, n_A registers) are tensor
+builds of it by one assembly, `_build_tensor`, whose docstring gives the
+naming rule of subsystems, states and channel tags;
+`build_symmetric_reduced` is its permutation-reduced encoding.
+
 Each builder returns an ArchitectureSpec bundling the labeled space, the
 assembled generator with tagged channels, the registration channel(s)
 whose jumps mean "a photon got registered", and the builder arguments
 that rebuild the architecture with modified parameters.
+
+Every builder argument is checked by its name, from one table: the
+`_RATES` (gamma, gamma_eff, Gamma, k_A, Delta, k) are finite and >= 0;
+the `_AMPLITUDES` (gamma, gamma_eff, Gamma, k_A, chi) have squares that
+are finite doubles, since the generator holds those squares as rates;
+the `_FINITE` numbers (chi, delta_omega, span) are finite; the `_COUNTS`
+(n_D, n_A, n_b, max_dim, exc_cap) are integers. Each is a real number and
+not a bool, `dos` is a DosModel, and anything else is a ConfigError that
+names the argument.
 
 Conventions: gamma, Gamma, zeta, k_A, chi are amplitudes whose squares
 are rates; Delta is itself a rate (the register reset). delta_omega is
@@ -15,14 +34,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csr import CSR
 from .errors import ConfigError, ResourceLimitError
 from .liouville import AmpChannel, assemble_liouvillian, check_count, counting_resolve
-from .spaces import Operator, Subsystem, build_space, embed, projector, transition
+from .spaces import Operator, build_space, embed, projector, transition
 from .symmetric import SymmetricLiouvillian
 
 _DOS_KINDS = ("lorentzian", "flat2d", "vanhove1d", "tabulated")
@@ -45,11 +64,16 @@ class DosModel:
             raise ConfigError(f"unknown DOS kind {kind!r}; choose from {_DOS_KINDS}")
         self.kind = kind
         self.center = float(center)
+        if not math.isfinite(self.center):
+            raise ConfigError(f"DOS center must be finite, got {center!r}")
         if kind == "tabulated":
             w = np.asarray(omegas, dtype=float)
             d = np.asarray(densities, dtype=float)
             if w.ndim != 1 or w.size < 2 or d.shape != w.shape:
                 raise ConfigError("tabulated DOS needs matching 1d omegas/densities")
+            for name, a in (("omegas", w), ("densities", d)):
+                if not np.all(np.isfinite(a)):
+                    raise ConfigError(f"tabulated DOS {name} must be finite")
             if np.any(np.diff(w) <= 0):
                 raise ConfigError("tabulated DOS omegas must be strictly increasing")
             if d.min() < 0:
@@ -61,8 +85,9 @@ class DosModel:
             self.densities = d / norm
             self.width = float(w[-1] - w[0])
         else:
-            if width is None or width <= 0:
-                raise ConfigError(f"{kind} DOS needs width > 0")
+            if width is None or not 0 < width < np.inf:
+                raise ConfigError(f"{kind} DOS needs a finite width > 0, "
+                                  f"got {width!r}")
             self.width = float(width)
 
     def density(self, omega):
@@ -240,28 +265,133 @@ class ArchitectureSpec:
         return build_architecture(self.kind, **params)
 
 
-def _check_rates(**rates):
-    for name, val in rates.items():
-        if not (0 <= val < np.inf):
+# The check of each builder argument, by name (see the module docstring)
+_RATES = ("gamma", "gamma_eff", "Gamma", "k_A", "Delta", "k")
+_AMPLITUDES = ("gamma", "gamma_eff", "Gamma", "k_A", "chi")
+_FINITE = ("chi", "delta_omega", "span")
+_COUNTS = ("n_D", "n_A", "n_b", "max_dim", "exc_cap")
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _checked(kind, params):
+    """The builder arguments `params` of `kind`, each checked as the tables
+    above say, with counts made ints. Every checked value is a real number
+    and not a bool; `dos` is a DosModel (or None for `pnr`)."""
+    out, big = dict(params), []
+    for name, val in params.items():
+        if name == "dos":
+            if not (isinstance(val, DosModel) or val is None and kind == "pnr"):
+                raise ConfigError(f"dos must be a DosModel, got {val!r}")
+            continue
+        if name in _COUNTS:
+            check_count(**{name: val})
+            out[name] = int(val)
+            continue
+        if not isinstance(val, _REAL) or isinstance(val, bool):
+            raise ConfigError(f"{name} must be a real number, got {val!r}")
+        try:
+            x = float(val)
+        except OverflowError:  # an int beyond the range of a double
+            x = math.inf if val > 0 else -math.inf
+        if name in _RATES and not 0 <= x < math.inf:
             raise ConfigError(f"{name} must be finite and >= 0, got {val}")
-
-
-def _check_finite(**values):
-    for name, val in values.items():
-        if not np.isfinite(val):
+        if name in _FINITE and not math.isfinite(x):
             raise ConfigError(f"{name} must be finite, got {val}")
-
-
-def _check_amplitudes(**amplitudes):
-    """The generator holds the squares of the (finite) amplitudes as
-    rates; an amplitude whose square overflows would leave it non-finite."""
-    big = [f"{name} = {val:g}" for name, val in amplitudes.items()
-           if abs(val) > _MAX_AMPLITUDE]
+        if name in _AMPLITUDES and abs(x) > _MAX_AMPLITUDE:
+            big.append(f"{name} = {val:g}")
     if big:
         raise ConfigError(
             f"{', '.join(big)}: amplitudes enter the generator squared, as "
             f"rates, and those squares overflow above {_MAX_AMPLITUDE:.4g}; "
             f"rescale the time unit")
+    return out
+
+
+def _build_tensor(kind, params):
+    """Check `params` and build the tensor model `kind` of the family.
+
+    Naming: an element is subsystem `element`, or `d{i}` when the builder
+    takes n_D; its optical level is `1`, or `1_{l}` when it takes n_b; its
+    shelf is `C`, and register stage j is `a{j}` with states A0, A1. A
+    channel tag joins the indices it has with ':', so shelving is SHELVE,
+    SHELVE{l}, SHELVE{i} or SHELVE{i}:{l}, and transfer TRANSFER{i}:{j}.
+    With registers, the resets (rate Delta, only when Delta > 0) and the
+    amplifier monitors AMP act on the registers, and the transfers
+    register; without them, they act on the shelves, and the shelvings
+    register. Element i's level l sits at energy
+    epsilon_l - center - delta_omega (center: the DOS centre, 0 without a
+    DOS).
+    """
+    p = _checked(kind, params)
+    n_D, n_A, n_b = p.get("n_D", 1), p.get("n_A", 0), p.get("n_b", 1)
+    for name in ("n_D", "n_A"):
+        if p.get(name, 1) < 1:
+            raise ConfigError(f"need {name} >= 1, got {p[name]}")
+    max_dim = p.get("max_dim")
+    # the dimension is at least 2**(n_D + n_A): a huge n_D is refused
+    # before its power is formed
+    if max_dim is not None and (
+            n_D + n_A >= max(max_dim, 1).bit_length()
+            or (n_b + 2) ** n_D * 2 ** n_A > max_dim):
+        raise ResourceLimitError(
+            f"{kind} tensor space has dimension {n_b + 2}**{n_D} * 2**{n_A} "
+            f"> guard {max_dim}; "
+            f"use build_symmetric_reduced (exact for identical elements) or "
+            f"raise max_dim (limits.max_dim in a run config)")
+    if "dos" in p:
+        if p["dos"] is None:
+            if n_b != 1:
+                raise ConfigError("banded elements need an explicit DOS")
+            p["dos"] = DosModel("flat2d", width=1.0)
+        disc = discretize_dos(p["dos"], n_b, n_b * p["gamma"] ** 2, p["Gamma"],
+                              span=p["span"])
+        center = p["dos"].center
+    else:
+        disc = BandDiscretization(np.zeros(1), np.array([p["gamma"]]),
+                                  np.array([p["Gamma"]]))
+        center = 0.0
+
+    # (subsystem label or state name, index in the tags)
+    elements = ([(f"d{i}", str(i)) for i in range(n_D)] if "n_D" in p
+                else [("element", "")])
+    levels = ([(f"1_{l}", str(l)) for l in range(n_b)] if "n_b" in p
+              else [("1", "")])
+    registers = [(f"a{j}", str(j)) for j in range(n_A)]
+
+    def tag(base, *indices):
+        return base + ":".join(i for i in indices if i)
+
+    states = ("0",) + tuple(name for name, _ in levels) + ("C",)
+    space = build_space([(label, states) for label, _ in elements]
+                        + [(label, ("A0", "A1")) for label, _ in registers])
+    level_diag = CSR.diags(np.concatenate(
+        [[0.0], disc.levels - center - p["delta_omega"], [0.0]]))
+    h = Operator(space, sum(embed(level_diag, label, space).matrix
+                            for label, _ in elements), name="H", hermitian=True)
+    absorb = Operator(space, sum(
+        transition(space, label, "0", level, disc.couplings[l]).matrix
+        for label, _ in elements for l, (level, _) in enumerate(levels)))
+    shelves = [(tag("SHELVE", i, il),
+                transition(space, label, "C", level, disc.decays[l]))
+               for label, i in elements for l, (level, il) in enumerate(levels)]
+    transfers = [(tag("TRANSFER", i, j), Operator(
+        space, transition(space, label, "0", "C", p["k_A"]).matrix
+        @ transition(space, reg, "A1", "A0", 1.0).matrix))
+        for label, i in elements for reg, j in registers]
+    # (label, index, reset target, monitored state) of each reset/monitor site
+    sites = ([(reg, j, "A0", "A1") for reg, j in registers]
+             or [(label, i, "0", "C") for label, i in elements])
+    resets = [(tag("RESET", i), transition(space, label, low, high,
+                                           np.sqrt(p["Delta"])))
+              for label, i, low, high in sites if p["Delta"] > 0]
+    amps = [AmpChannel(tag("AMP", i), p["chi"] * projector(space, label, high),
+                       p["k"], p["chi"])
+            for label, i, _, high in sites]
+    liou = assemble_liouvillian(h, shelves + transfers + resets,
+                                ("ABSORB", absorb), amps)
+    return ArchitectureSpec(
+        kind, p, liou, [t for t, _ in transfers or shelves], space=space,
+        discretization=None if kind == "array" else disc)
 
 
 def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.0):
@@ -269,27 +399,7 @@ def build_single_element(gamma, Gamma, Delta=0.0, chi=1.0, k=0.0, delta_omega=0.
     state, monitored shelf. Channels: ABSORB (the optical coupling),
     SHELVE (registration), RESET (shelf reset at rate Delta, present only
     when Delta > 0), AMP (continuous shelf monitor)."""
-    _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
-    _check_finite(chi=chi, delta_omega=delta_omega)
-    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
-    space = build_space([("element", ("0", "1", "C"))])
-    h = Operator(space, -delta_omega * projector(space, "element", "1").matrix,
-                 name="H", hermitian=True)
-    absorb = transition(space, "element", "0", "1", gamma)
-    shelve = transition(space, "element", "C", "1", Gamma)
-    baths = [("SHELVE", shelve)]
-    if Delta > 0:
-        baths.append(("RESET", transition(space, "element", "0", "C", np.sqrt(Delta))))
-    amps = [AmpChannel("AMP", chi * projector(space, "element", "C"), k, chi)]
-    liou = assemble_liouvillian(h, baths, ("ABSORB", absorb), amps)
-    return ArchitectureSpec(
-        "single",
-        dict(gamma=gamma, Gamma=Gamma, Delta=Delta, chi=chi, k=k,
-             delta_omega=delta_omega),
-        liou, ("SHELVE",), space=space,
-        discretization=BandDiscretization(np.zeros(1), np.array([gamma]),
-                                          np.array([Gamma])),
-    )
+    return _build_tensor("single", locals())
 
 
 def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
@@ -300,35 +410,7 @@ def build_band_element(dos, n_b, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     gamma is the per-level coupling scale: the sampled couplings satisfy
     sum gamma_l^2 = n_b gamma^2. With n_b = 1 this reduces exactly to the
     single element."""
-    _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
-    _check_finite(chi=chi, delta_omega=delta_omega, span=span)
-    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
-    check_count(n_b=n_b)
-    n_b = int(n_b)
-    disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
-    states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
-    space = build_space([("element", states)])
-    h_mat = CSR.diags(
-        np.concatenate([[0.0], disc.levels - dos.center - delta_omega, [0.0]]))
-    h = Operator(space, h_mat, name="H", hermitian=True)
-    absorb_mat = sum(
-        transition(space, "element", "0", f"1_{l}", disc.couplings[l]).matrix
-        for l in range(n_b))
-    absorb = Operator(space, absorb_mat)
-    baths = [(f"SHELVE{l}",
-              transition(space, "element", "C", f"1_{l}", disc.decays[l]))
-             for l in range(n_b)]
-    if Delta > 0:
-        baths.append(("RESET", transition(space, "element", "0", "C", np.sqrt(Delta))))
-    amps = [AmpChannel("AMP", chi * projector(space, "element", "C"), k, chi)]
-    liou = assemble_liouvillian(h, baths, ("ABSORB", absorb), amps)
-    return ArchitectureSpec(
-        "band",
-        dict(dos=dos, n_b=n_b, gamma=gamma, Gamma=Gamma, Delta=Delta,
-             chi=chi, k=k, delta_omega=delta_omega, span=span),
-        liou, tuple(f"SHELVE{l}" for l in range(n_b)), space=space,
-        discretization=disc,
-    )
+    return _build_tensor("band", locals())
 
 
 _DEFAULT_MAX_DIM = 4096
@@ -339,39 +421,7 @@ def build_array(n_D, gamma, Gamma, Delta=0.0, chi=1.0, k=0.0,
     """n_D identical single elements jointly coupled to the mode, with no
     energy transfer: the photon-number response degrades as elements
     shelve. Registration counts shelf entries across all elements."""
-    _check_rates(gamma=gamma, Gamma=Gamma, Delta=Delta, k=k)
-    _check_finite(chi=chi, delta_omega=delta_omega)
-    _check_amplitudes(gamma=gamma, Gamma=Gamma, chi=chi)
-    check_count(n_D=n_D, max_dim=max_dim)
-    n_D = int(n_D)
-    if n_D < 1:
-        raise ConfigError(f"need n_D >= 1, got {n_D}")
-    dim = 3 ** n_D
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"array tensor space has dimension {dim} > guard {max_dim}; "
-            f"use build_symmetric_reduced(n_D, 0, ...) or raise max_dim "
-            f"(limits.max_dim in a run config)")
-    space = build_space([(f"d{i}", ("0", "1", "C")) for i in range(n_D)])
-    h_mat = sum((-delta_omega) * projector(space, f"d{i}", "1").matrix
-                for i in range(n_D))
-    h = Operator(space, h_mat, hermitian=True)
-    absorb = Operator(space, sum(
-        transition(space, f"d{i}", "0", "1", gamma).matrix for i in range(n_D)))
-    baths = [(f"SHELVE{i}", transition(space, f"d{i}", "C", "1", Gamma))
-             for i in range(n_D)]
-    if Delta > 0:
-        baths += [(f"RESET{i}", transition(space, f"d{i}", "0", "C", np.sqrt(Delta)))
-                  for i in range(n_D)]
-    amps = [AmpChannel(f"AMP{i}", chi * projector(space, f"d{i}", "C"), k, chi)
-            for i in range(n_D)]
-    liou = assemble_liouvillian(h, baths, ("ABSORB", absorb), amps)
-    return ArchitectureSpec(
-        "array",
-        dict(n_D=n_D, gamma=gamma, Gamma=Gamma, Delta=Delta, chi=chi, k=k,
-             delta_omega=delta_omega, max_dim=max_dim),
-        liou, tuple(f"SHELVE{i}" for i in range(n_D)), space=space,
-    )
+    return _build_tensor("array", locals())
 
 
 def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
@@ -383,62 +433,7 @@ def build_pnr(n_D, n_A, dos=None, n_b=1, gamma=1.0, Gamma=1.0, k_A=1.0,
     stage (uniform all-to-all transfer amplitude k_A); registration
     counts transfer jumps. Refuses to build spaces larger than max_dim;
     use the symmetric reduction beyond that."""
-    _check_rates(gamma=gamma, Gamma=Gamma, k_A=k_A, Delta=Delta, k=k)
-    _check_finite(chi=chi, delta_omega=delta_omega, span=span)
-    _check_amplitudes(gamma=gamma, Gamma=Gamma, k_A=k_A, chi=chi)
-    check_count(n_D=n_D, n_A=n_A, n_b=n_b, max_dim=max_dim)
-    n_D, n_A, n_b = int(n_D), int(n_A), int(n_b)
-    if n_D < 1 or n_A < 1:
-        raise ConfigError(f"need n_D >= 1 and n_A >= 1, got {n_D}, {n_A}")
-    dim = (n_b + 2) ** n_D * 2 ** n_A
-    if dim > max_dim:
-        raise ResourceLimitError(
-            f"pnr tensor space has dimension {dim} > guard {max_dim}; use "
-            f"build_symmetric_reduced (exact for identical elements) or "
-            f"raise max_dim (limits.max_dim in a run config)")
-    if dos is None:
-        dos = DosModel("flat2d", width=1.0)
-        if n_b != 1:
-            raise ConfigError("banded elements need an explicit DOS")
-    disc = discretize_dos(dos, n_b, n_b * gamma ** 2, Gamma, span=span)
-    donor_states = ("0",) + tuple(f"1_{l}" for l in range(n_b)) + ("C",)
-    subs = [(f"d{i}", donor_states) for i in range(n_D)]
-    subs += [(f"a{j}", ("A0", "A1")) for j in range(n_A)]
-    space = build_space(subs)
-
-    level_diag = np.concatenate([[0.0], disc.levels - dos.center - delta_omega, [0.0]])
-    h_mat = sum(embed(CSR.diags(level_diag), f"d{i}", space).matrix
-                for i in range(n_D))
-    h = Operator(space, h_mat, hermitian=True)
-    absorb = Operator(space, sum(
-        transition(space, f"d{i}", "0", f"1_{l}", disc.couplings[l]).matrix
-        for i in range(n_D) for l in range(n_b)))
-    baths = [(f"SHELVE{i}:{l}",
-              transition(space, f"d{i}", "C", f"1_{l}", disc.decays[l]))
-             for i in range(n_D) for l in range(n_b)]
-    transfer_tags = []
-    for i in range(n_D):
-        for j in range(n_A):
-            op = Operator(space,
-                          (transition(space, f"d{i}", "0", "C", k_A).matrix
-                           @ transition(space, f"a{j}", "A1", "A0", 1.0).matrix))
-            tag = f"TRANSFER{i}:{j}"
-            transfer_tags.append(tag)
-            baths.append((tag, op))
-    if Delta > 0:
-        baths += [(f"RESET{j}",
-                   transition(space, f"a{j}", "A0", "A1", np.sqrt(Delta)))
-                  for j in range(n_A)]
-    amps = [AmpChannel(f"AMP{j}", chi * projector(space, f"a{j}", "A1"), k, chi)
-            for j in range(n_A)]
-    liou = assemble_liouvillian(h, baths, ("ABSORB", absorb), amps)
-    return ArchitectureSpec(
-        "pnr",
-        dict(n_D=n_D, n_A=n_A, dos=dos, n_b=n_b, gamma=gamma, Gamma=Gamma,
-             k_A=k_A, Delta=Delta, chi=chi, k=k, delta_omega=delta_omega,
-             span=span, max_dim=max_dim),
-        liou, tuple(transfer_tags), space=space, discretization=disc,
-    )
+    return _build_tensor("pnr", locals())
 
 
 def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
@@ -450,21 +445,12 @@ def build_symmetric_reduced(n_D, n_A, gamma_eff, Gamma, k_A=0.0, Delta=0.0,
     initial states; scales polynomially in n_D and n_A. n_A = 0 gives the
     no-transfer array, registered by shelf entry instead of register
     transfer."""
-    _check_rates(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A, Delta=Delta)
-    _check_finite(delta_omega=delta_omega)
-    _check_amplitudes(gamma_eff=gamma_eff, Gamma=Gamma, k_A=k_A)
-    check_count(n_D=n_D, n_A=n_A, exc_cap=exc_cap)
-    sym = SymmetricLiouvillian(int(n_D), int(n_A), gamma_eff, Gamma,
+    p = _checked("pnr-symmetric", locals())
+    sym = SymmetricLiouvillian(p["n_D"], p["n_A"], gamma_eff, Gamma,
                                k_transfer=k_A, Delta=Delta,
-                               delta_omega=delta_omega, exc_cap=int(exc_cap))
+                               delta_omega=delta_omega, exc_cap=p["exc_cap"])
     registration = ("TRANSFER",) if (n_A > 0 and k_A > 0) else ("SHELVE",)
-    return ArchitectureSpec(
-        "pnr-symmetric",
-        dict(n_D=int(n_D), n_A=int(n_A), gamma_eff=gamma_eff, Gamma=Gamma,
-             k_A=k_A, Delta=Delta, delta_omega=delta_omega,
-             exc_cap=int(exc_cap)),
-        sym, registration, space=None,
-    )
+    return ArchitectureSpec("pnr-symmetric", p, sym, registration)
 
 
 _BUILDERS = {

@@ -8,7 +8,7 @@ intensity profile |E(t)|^2, whatever the shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

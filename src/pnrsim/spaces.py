@@ -8,7 +8,7 @@ Grades let the oracles tell bright excited states from dark ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -448,13 +448,19 @@ def ensemble_average(records, name):
 
 
 def window_averages(record, tag, t_m):
-    """Per-window record means: windows of length t_m tiled from t[0]."""
+    """Per-window record means: windows of length t_m tiled from t[0]. No
+    window may be shorter than the record's stored spacing."""
     if tag not in record.records:
         raise ConfigError(f"no record for channel {tag!r}")
     t = record.t
     r = record.records[tag]
     _check_window(t_m)
-    n_win = int(math.floor((t[-1] - t[0]) / t_m + 1e-9))
+    span = t[-1] - t[0]
+    step = span / (t.size - 1) if t.size > 1 else 0.0
+    if t_m < step * (1.0 - 1e-9):
+        raise ConfigError(f"t_m = {t_m:g} is shorter than the record's stored "
+                          f"spacing {step:g}")
+    n_win = int(math.floor(span / t_m + 1e-9))
     if n_win < 1:
         raise ConfigError("the record is shorter than one window")
     edges = t[0] + t_m * np.arange(n_win + 1)
@@ -466,14 +472,18 @@ def extract_clicks(record, threshold, t_m, t_MIN=0.0, tag=None):
     """Threshold the windowed record into click events.
 
     A click is a run of consecutive windows whose average stays at or
-    above `threshold`, lasting at least ceil(t_MIN / t_m) windows.
+    above `threshold`, lasting at least ceil(t_MIN / t_m) windows; there
+    is none when t_MIN is longer than the record.
     """
     _check_window(t_m, t_MIN)
+    if t_MIN > record.t[-1] - record.t[0]:
+        return []
     tags = [tag] if tag is not None else list(record.records)
-    need = max(1, math.ceil(t_MIN / t_m - 1e-9)) if t_MIN > 0 else 1
     clicks = []
     for tg in tags:
         edges, wins = window_averages(record, tg, t_m)
+        # finite: t_MIN is at most the record, t_m at least its spacing
+        need = max(1, math.ceil(t_MIN / t_m - 1e-9))
         above = wins >= threshold
         i = 0
         while i < wins.size:

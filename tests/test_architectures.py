@@ -1,5 +1,7 @@
 """Architecture builders, band discretization, and their limiting cases."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,29 @@ def test_ideal_total_coupling_gives_unit_peak():
 
 # --- builders -----------------------------------------------------------------
 
+# each builder with arguments that build
+BUILDS = {
+    build_single_element: dict(gamma=1.0, Gamma=1.0),
+    build_band_element: dict(dos=DosModel("flat2d", width=1.0), n_b=2,
+                             gamma=1.0, Gamma=1.0),
+    build_array: dict(n_D=2, gamma=1.0, Gamma=1.0),
+    build_pnr: dict(n_D=1, n_A=1),
+    build_symmetric_reduced: dict(n_D=2, n_A=1, gamma_eff=1.0, Gamma=1.0),
+}
+
+
+def refuse_every_argument(bad, match="{name}"):
+    """Each builder, given `bad` for any one argument but `dos`, raises a
+    ConfigError naming that argument: an argument the check table leaves
+    out builds, and fails here."""
+    for build, good in BUILDS.items():
+        for name in inspect.signature(build).parameters:
+            if name == "dos":
+                continue
+            with pytest.raises(ConfigError, match=match.format(name=name)):
+                build(**{**good, name: bad})
+
+
 def test_dispatcher_and_dims():
     assert build_architecture("single", gamma=1.0, Gamma=1.0).dim == 3
     assert build_architecture("array", n_D=2, gamma=1.0, Gamma=1.0).dim == 9
@@ -150,6 +175,7 @@ def test_rates_must_be_finite():
             build_single_element(bad, 1.0)
         with pytest.raises(ConfigError, match="finite"):
             build_symmetric_reduced(2, 1, 1.0, bad)
+    refuse_every_argument(np.nan)
 
 
 def test_counts_must_be_integers():
@@ -171,6 +197,8 @@ def test_counts_must_be_integers():
     # a float with no fractional part is a count
     assert build_pnr(1.0, np.int64(1)).params["n_D"] == 1
     assert build_symmetric_reduced(2.0, 0, 1.0, 1.0).params["n_D"] == 2
+    # a bool is no count, and no other number either: True built as 1
+    refuse_every_argument(True, match="^{name} must be .*got True$")
 
 
 def test_non_rate_parameters_must_be_finite():
@@ -192,6 +220,47 @@ def test_non_rate_parameters_must_be_finite():
     for bad in (np.nan, -np.inf):
         with pytest.raises(ConfigError, match="delta_omega"):
             build_symmetric_reduced(2, 1, 1.0, 1.0, delta_omega=bad)
+    refuse_every_argument(np.inf)
+
+
+def test_arguments_of_the_wrong_type_are_refused_by_name():
+    # strings and lists were bare TypeErrors, and a complex detuning a
+    # failed hermiticity check of H
+    for bad in ("1", [0.5], 1 + 2j, np.bool_(True), None):
+        refuse_every_argument(bad, match="^{name} must be ")
+    for bad in (None, 3, "flat2d", {"kind": "flat2d", "width": 1.0}):
+        with pytest.raises(ConfigError, match="^dos must be a DosModel"):
+            build_band_element(bad, 2, 1.0, 1.0)
+    with pytest.raises(ConfigError, match="^dos must be a DosModel"):
+        build_pnr(2, 1, dos="flat2d")
+    # an int beyond the range of a double is no finite number
+    with pytest.raises(ConfigError, match="^delta_omega must be finite"):
+        build_single_element(1.0, 1.0, delta_omega=-10**400)
+    with pytest.raises(ConfigError, match="^Gamma must be finite and >= 0"):
+        build_symmetric_reduced(2, 1, 1.0, 10**400)
+    # numpy scalars are numbers; None is the pnr default DOS
+    arch = build_single_element(np.float32(0.5), np.float64(1.0),
+                                k=np.int64(1))
+    assert arch.params["k"] == 1
+    assert build_pnr(1, 1, dos=None).params["dos"].kind == "flat2d"
+
+
+def test_dos_refuses_non_finite_numbers():
+    # a NaN width failed as "zero density", and a NaN centre or density
+    # built and failed in the solver as "rates too large"
+    nan = np.nan
+    cases = [(dict(kind="flat2d", width=nan), "width"),
+             (dict(kind="vanhove1d", width=np.inf), "width"),
+             (dict(kind="lorentzian", width=1.0, center=nan), "center"),
+             (dict(kind="flat2d", width=1.0, center=-np.inf), "center"),
+             (dict(kind="tabulated", omegas=[0.0, 1.0, 2.0],
+                   densities=[1.0, nan, 1.0]), "densities"),
+             (dict(kind="tabulated", omegas=[0.0, 1.0, np.inf],
+                   densities=[1.0, 1.0, 1.0]), "omegas")]
+    for kwargs, name in cases:
+        with pytest.raises(ConfigError) as err:
+            DosModel(**kwargs)
+        assert name in str(err.value) and "finite" in str(err.value)
 
 
 def test_band_with_one_level_reduces_to_single_element():
@@ -200,6 +269,12 @@ def test_band_with_one_level_reduces_to_single_element():
     single = build_single_element(0.8, 1.1, delta_omega=0.3)
     diff = generator(band) - generator(single)
     assert np.abs(diff.toarray()).max() < 1e-12
+    # so does an array of one element, which no other test builds
+    array = build_array(1, 0.8, 1.1, delta_omega=0.3)
+    diff = generator(array) - generator(single)
+    assert np.abs(diff.toarray()).max() < 1e-12
+    assert one_photon_efficiency(array, 2.0) == pytest.approx(
+        one_photon_efficiency(single, 2.0), abs=1e-12)
 
 
 def test_fast_transfer_approaches_band_element():
@@ -254,6 +329,16 @@ def test_size_guards():
     with pytest.raises(ResourceLimitError):
         build_pnr(6, 4, gamma=1.0, Gamma=1.0)
     build_array(8, 1.0, 1.0, max_dim=10000)  # explicit opt-in
+    # 3**10**4 has too many digits to print, and 3**10**8 takes minutes to
+    # form; a huge n_D is refused from the bound 2**(n_D + n_A) alone
+    for n_D in (10**4, 10**8, 10**400):
+        with pytest.raises(ResourceLimitError, match=f"3\\*\\*{n_D} "):
+            build_array(n_D, 1.0, 1.0)
+    with pytest.raises(ResourceLimitError, match=r"\*\*2 \* 2\*\*63 > guard"):
+        build_pnr(2, 63, max_dim=2**63 - 1)
+    assert build_pnr(1, 8, max_dim=3 * 2**8).dim == 768
+    with pytest.raises(ResourceLimitError):
+        build_pnr(1, 8, max_dim=3 * 2**8 - 1)
 
 
 def test_with_params_rebuilds():

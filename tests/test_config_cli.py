@@ -761,6 +761,54 @@ def test_cli_non_finite_parameters_are_config_errors(tmp_path, capsys):
                                        "Gamma": 1.0}}))
 
 
+def test_cli_model_arguments_of_the_wrong_type_are_config_errors(tmp_path, capsys):
+    # "gamma": true ran as gamma = 1, and a dos that is not a mapping
+    # ended in an AttributeError traceback (exit 1)
+    flat = {"kind": "flat2d", "width": 1.0}
+    band = {"n_b": 2, "gamma": 0.7, "Gamma": 1.0}
+    cases = [
+        ({"kind": "single", "params": {"gamma": True, "Gamma": 1.0}},
+         "gamma must be a real number, got True"),
+        ({"kind": "pnr", "params": {"n_D": 1, "n_A": 1, "chi": True}},
+         "chi must be a real number, got True"),
+        ({"kind": "band", "params": {**band, "dos": None}},
+         "dos must be a DosModel, got None"),
+        ({"kind": "band", "params": {**band, "dos": 3}},
+         "dos must be a DosModel, got 3"),
+        ({"kind": "band", "params": {**band, "dos": "flat2d"}},
+         "dos must be a DosModel, got 'flat2d'"),
+        ({"kind": "pnr", "params": {"n_D": 1, "n_A": 1, "dos": "flat2d"}},
+         "dos must be a DosModel, got 'flat2d'"),
+        ({"kind": "band", "params": {**band, "dos": flat, "span": False}},
+         "span must be a real number, got False"),
+    ]
+    for i, (arch, message) in enumerate(cases):
+        path = write_cfg(tmp_path, name=f"type{i}.json", architecture=arch)
+        out = tmp_path / f"type{i}"
+        assert main(["simulate", path, "--out", str(out)]) == 2, message
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+
+def test_cli_window_shorter_than_the_stored_spacing_exits_2(tmp_path, capsys):
+    # t_m = 1e-300 ended in "ValueError: Maximum allowed size exceeded"
+    path = write_cfg(
+        tmp_path,
+        architecture={"kind": "single",
+                      "params": {"gamma": 1.0, "Gamma": 1.0, "k": 0.5}},
+        t_span=[-4.0, 4.0],
+        trajectories={"n_traj": 2, "dt": 0.01, "store_every": 4,
+                      "t_m": 1e-300, "threshold": 0.5})
+    out = tmp_path / "t"
+    assert main(["trajectories", path, "--out", str(out),
+                 "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_m = 1e-300 is shorter than the "
+                          "record's stored spacing 0.04")
+    assert not out.exists()
+
+
 def test_cli_non_integer_counts_are_config_errors(tmp_path, capsys):
     sym = {"n_D": 2, "n_A": 1, "gamma_eff": 1.0, "Gamma": 1.0}
     cases = [

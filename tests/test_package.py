@@ -1,6 +1,7 @@
 """The package namespace: `import pnrsim` loads nothing, and every public
 name resolves, on first use, to the object its submodule defines."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -80,3 +81,25 @@ def test_every_exported_name_resolves_to_its_submodule_object():
 
 def test_unknown_name_is_an_attribute_error():
     assert not hasattr(pnrsim, "no_such_name")
+
+
+def test_no_module_level_import_goes_unused():
+    # a module-level name imported and never read costs import time and
+    # hides which layers a module really depends on
+    unused = []
+    for path in sorted((SRC / "pnrsim").glob("*.py")):
+        if path.name == "__init__.py":  # its lazy loader is its whole body
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []

@@ -162,6 +162,24 @@ def test_window_lengths_are_validated():
             extract_clicks(rec, 0.5, 1.0, t_MIN=t_MIN)
 
 
+def test_windows_the_record_cannot_resolve():
+    # a window shorter than the stored spacing (0.01 here) was counted
+    # before any check: t_m = 1e-300 asked np.arange for ~1e301 edges, and
+    # t_MIN = 1e308 made ceil(t_MIN / t_m) an OverflowError
+    rec = fabricated_record()
+    for t_m in (1e-300, 5e-324, 0.005):
+        with pytest.raises(ConfigError, match="stored spacing 0.01"):
+            window_averages(rec, "AMP", t_m)
+        with pytest.raises(ConfigError, match="stored spacing 0.01"):
+            extract_clicks(rec, 0.5, t_m, t_MIN=1.0)
+    # one stored step is still a window, and no click outlasts the record
+    assert window_averages(rec, "AMP", 0.01)[1].size == 800
+    assert extract_clicks(rec, 0.6, 0.5, t_MIN=1e308) == []
+    assert extract_clicks(rec, 0.6, 1e-300, t_MIN=1e308) == []
+    assert len(extract_clicks(rec, 0.6, 1.0, t_MIN=8.0)) == 0
+    assert len(extract_clicks(rec, 0.6, 1.0, t_MIN=2.0)) == 1
+
+
 def test_clicks_on_simulated_records():
     # strong monitoring: occupied shelf yields one long click, empty
     # detector at SNR0 = 8 yields none
